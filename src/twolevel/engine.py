@@ -104,18 +104,23 @@ def _lexicon_symbols(lexicon):
 # Runtime structures
 
 class _Trie:
-    __slots__ = ("arcs", "complete")
+    __slots__ = ("arcs", "complete", "moves", "dels")
 
     def __init__(self):
         self.arcs = {}
         self.complete = []   # (gloss, continuation)
+        # Surface index, filled by _Runtime: surface char -> the moves
+        # (lexical symbol, pair id, child, consumes) that can read it, the
+        # deletions included, in arcs order then pairs_by_lex order; `dels`
+        # holds the deletions alone.
+        self.moves = {}
+        self.dels = ()
 
 
 class _Runtime:
     def __init__(self, desc):
         alphabet = desc.alphabet
         self.alphabet = alphabet
-        self.n_rules = len(desc.rule_automata)
         self.dfas = [ra.dfa for ra in desc.rule_automata]
         self.surf = [p[1].name for p in alphabet.pairs]
         self.is_null = [s == NULL for s in self.surf]
@@ -133,6 +138,7 @@ class _Runtime:
         self.tries = {}
         for name, entries in desc.lexicon.sublexicons.items():
             root = _Trie()
+            nodes = [root]
             for e in entries:
                 node = root
                 for sym in e.form:
@@ -140,15 +146,28 @@ class _Runtime:
                     if nxt is None:
                         nxt = _Trie()
                         node.arcs[sym.name] = nxt
+                        nodes.append(nxt)
                     node = nxt
                 node.complete.append((e.gloss, e.continuation))
+            for node in nodes:
+                self._index(node)
             self.tries[name] = root
         self.lexicon = desc.lexicon
 
-        finals = []
-        for d in self.dfas:
-            finals.append(d.finals)
-        self.finals = finals
+        self.rule_names = [ra.name for ra in desc.rule_automata]
+        self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
+        self.final_rejects = {}   # vector id -> names rejecting at the closing boundary
+
+    def _index(self, node):
+        """Fill node.moves and node.dels from its arcs."""
+        every = []
+        for sym, child in node.arcs.items():
+            for pid in self.pairs_by_lex.get(sym, ()):
+                every.append((sym, pid, child, not self.is_null[pid]))
+        node.dels = tuple(m for m in every if not m[3])
+        chars = {self.surf[m[1]] for m in every if m[3]}
+        node.moves = {c: tuple(m for m in every if not m[3] or self.surf[m[1]] == c)
+                      for c in chars}
 
     def _intern(self, vec):
         vid = self.vecs.get(vec)
@@ -183,17 +202,54 @@ class _Runtime:
         return res
 
     def vec_accepts(self, vid):
-        end = self.step_vec(vid, self.frame_id)
-        if end is None:
-            return False
-        vec = self.vec_list[end]
-        return all(vec[k] in self.finals[k] for k in range(self.n_rules))
+        return not self.final_rejecters(vid)
+
+    def _states(self, vid):
+        """The state vector of vid.  None stands for the start vector after
+        the opening boundary when that already kills some automata (then
+        init_vec is None); their states are None."""
+        if vid is not None:
+            return self.vec_list[vid]
+        frame = self.frame_id
+        return tuple(d.delta[d.start].get(d.class_of[frame]) for d in self.dfas)
+
+    def rejecters(self, vid, pid):
+        """Names of the rule automata that reject pair pid from vector vid,
+        in automaton order; memoized."""
+        names = self.rejects.get((vid, pid))
+        if names is None:
+            vec = self._states(vid)
+            names = self.rejects[vid, pid] = tuple(
+                self.rule_names[k] for k, d in enumerate(self.dfas)
+                if vec[k] is None or d.delta[vec[k]].get(d.class_of[pid]) is None)
+        return names
+
+    def final_rejecters(self, vid):
+        """Names of the rule automata that reject the closing boundary from
+        vector vid (empty when it accepts); memoized."""
+        names = self.final_rejects.get(vid)
+        if names is None:
+            vec = self._states(vid)
+            frame = self.frame_id
+            names = self.final_rejects[vid] = tuple(
+                self.rule_names[k] for k, d in enumerate(self.dfas)
+                if vec[k] is None or d.delta[vec[k]].get(d.class_of[frame]) not in d.finals)
+        return names
+
+
+_runtime_lock = threading.Lock()
 
 
 def runtime(desc):
-    if desc._runtime is None:
-        desc._runtime = _Runtime(desc)
-    return desc._runtime
+    """The search runtime of a description, built once even when several
+    threads ask for it first at the same time."""
+    rt = desc._runtime
+    if rt is None:
+        with _runtime_lock:
+            rt = desc._runtime
+            if rt is None:
+                rt = desc._runtime = _Runtime(desc)
+    return rt
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +268,6 @@ def analyze(surface, desc):
     pid_acc = []
     gloss_acc = []
 
-    pairs_by_lex = rt.pairs_by_lex
-    surf_names = rt.surf
-    is_null = rt.is_null
     step_vec = rt.step_vec
     tries = rt.tries
 
@@ -237,27 +290,15 @@ def analyze(surface, desc):
                     gloss_acc.append(gloss)
                     rec(tries[cont], vid, i, jumps + 1)
                     gloss_acc.pop()
-        for sym, child in node.arcs.items():
-            pids = pairs_by_lex.get(sym)
-            if not pids:
-                continue
-            for pid in pids:
-                if is_null[pid]:
-                    nvid = step_vec(vid, pid)
-                    if nvid is not None:
-                        lex_acc.append(sym)
-                        pid_acc.append(pid)
-                        rec(child, nvid, i, 0)
-                        lex_acc.pop()
-                        pid_acc.pop()
-                elif i < n and surf_names[pid] == surface[i]:
-                    nvid = step_vec(vid, pid)
-                    if nvid is not None:
-                        lex_acc.append(sym)
-                        pid_acc.append(pid)
-                        rec(child, nvid, i + 1, 0)
-                        lex_acc.pop()
-                        pid_acc.pop()
+        for sym, pid, child, consumes in (node.moves.get(surface[i], node.dels)
+                                          if i < n else node.dels):
+            nvid = step_vec(vid, pid)
+            if nvid is not None:
+                lex_acc.append(sym)
+                pid_acc.append(pid)
+                rec(child, nvid, i + consumes, 0)
+                lex_acc.pop()
+                pid_acc.pop()
 
     for root in desc.lexicon.roots:
         rec(tries[root], rt.init_vec, 0, 0)
@@ -287,52 +328,46 @@ def generate(lexical, desc, validate_morphotactics=False):
         return []
     if rt.init_vec is None:
         return []
-    out = set()
-    surf_acc = []
-
-    def rec(k, vid):
-        if k == len(syms):
-            if rt.vec_accepts(vid):
-                out.add("".join(surf_acc))
-            return
-        for pid in rt.pairs_by_lex[syms[k]]:
-            nvid = rt.step_vec(vid, pid)
-            if nvid is None:
-                continue
-            if rt.is_null[pid]:
-                rec(k + 1, nvid)
-            else:
-                surf_acc.append(rt.surf[pid])
-                rec(k + 1, nvid)
-                surf_acc.pop()
-
-    rec(0, rt.init_vec)
-    return sorted(out)
+    step_vec = rt.step_vec
+    is_null = rt.is_null
+    surf = rt.surf
+    # (vector id, surface prefix) after each lexical symbol
+    frontier = {(rt.init_vec, ""): None}
+    for sym in syms:
+        pids = rt.pairs_by_lex[sym]
+        nxt = {}
+        for vid, prefix in frontier:
+            for pid in pids:
+                nvid = step_vec(vid, pid)
+                if nvid is not None:
+                    nxt[nvid, prefix if is_null[pid] else prefix + surf[pid]] = None
+        frontier = nxt
+    return sorted({prefix for vid, prefix in frontier if rt.vec_accepts(vid)})
 
 
 def is_lexicon_path(lexical, desc):
     """True when the lexical symbol string spells a root-to-# lexicon path."""
     rt = runtime(desc)
-    lexicon = desc.lexicon
+    tries = rt.tries
     n = len(lexical)
-
-    def rec(node, i, jumps):
-        if i == n:
+    # Depth first: follow the arcs, stacking (trie node, position,
+    # continuation jumps in a row) for each continuation passed on the way.
+    stack = [(tries[root], 0, 0) for root in desc.lexicon.roots]
+    while stack:
+        node, i, jumps = stack.pop()
+        while node is not None:
             for gloss, cont in node.complete:
                 if cont == TERMINAL:
-                    return True
-                if jumps < 32 and rec(rt.tries[cont], i, jumps + 1):
-                    return True
-            return False
-        for gloss, cont in node.complete:
-            if cont != TERMINAL and jumps < 32 and rec(rt.tries[cont], i, jumps + 1):
-                return True
-        child = node.arcs.get(lexical[i])
-        if child is not None and rec(child, i + 1, 0):
-            return True
-        return False
-
-    return any(rec(rt.tries[root], 0, 0) for root in lexicon.roots)
+                    if i == n:
+                        return True
+                elif jumps < 32:
+                    stack.append((tries[cont], i, jumps + 1))
+            if i == n:
+                break
+            node = node.arcs.get(lexical[i])
+            i += 1
+            jumps = 0
+    return False
 
 
 def gloss_paths(root, tags, desc):
@@ -395,141 +430,107 @@ def lexicon_covers(surface, desc):
     """True when some lexicon path covers the surface with feasible pairs,
     rules ignored.  Separates the blocking layer in traces."""
     rt = runtime(desc)
+    tries = rt.tries
     n = len(surface)
+    stack = [(tries[root], 0) for root in desc.lexicon.roots]
     seen = set()
-
-    def rec(node, i):
-        key = (id(node), i)
-        if key in seen:
-            return False
-        seen.add(key)
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        node, i = state
         for gloss, cont in node.complete:
             if cont == TERMINAL:
                 if i == n:
                     return True
-            elif rec(rt.tries[cont], i):
-                return True
-        for sym, child in node.arcs.items():
-            for pid in rt.pairs_by_lex.get(sym, ()):
-                if rt.is_null[pid]:
-                    if rec(child, i):
-                        return True
-                elif i < n and rt.surf[pid] == surface[i]:
-                    if rec(child, i + 1):
-                        return True
-        return False
-
-    return any(rec(rt.tries[root], 0) for root in desc.lexicon.roots)
+            else:
+                stack.append((tries[cont], i))
+        for _, _, child, consumes in (node.moves.get(surface[i], node.dels)
+                                      if i < n else node.dels):
+            stack.append((child, i + consumes))
+    return False
 
 
 def trace(word, direction, desc):
     """Search trace: per step, which rule automata died.
 
-    On total failure the layer is decided by a rules-free search: when some
-    lexicon path covers the word, only the rules can have blocked it; the
-    named blockers come from the deepest failing frontier.
+    The search is analyze's (or generate's), stepping the same interned
+    rule vectors; only a pair that kills the vector is stepped again
+    automaton by automaton, to name the rules that rejected it.  On total
+    failure the layer is decided by a rules-free search: when some lexicon
+    path covers the word, only the rules can have blocked it; the named
+    blockers come from the deepest failing frontier.
     """
     if direction not in ("analyze", "generate"):
         raise ValueError("direction must be analyze or generate")
     rt = runtime(desc)
-    automata = desc.rule_automata
     steps = []
     best = {"depth": -1, "layer": "lexicon", "rules": [], "pair": None}
     accepted = [False]
 
-    def step_rules(svec, pid):
-        died = []
-        out = []
-        for k, ra in enumerate(automata):
-            d = ra.dfa
-            s = d.delta[svec[k]].get(d.class_of[pid]) if svec[k] is not None else None
-            if s is None:
-                died.append(ra.name)
-            out.append(s)
-        return out, died
-
-    def note(depth, pid, died):
-        steps.append(TraceStep(depth, rt.alphabet.name_of(pid), died))
-        if not died:
-            return
+    def step(depth, vid, pid):
+        """The vector after pair pid, or None after noting who rejected it."""
+        nvid = rt.step_vec(vid, pid)
+        if nvid is not None:
+            return nvid
+        died = rt.rejecters(vid, pid)
+        pair = rt.alphabet.name_of(pid)
+        steps.append(TraceStep(depth, pair, list(died)))
         if depth > best["depth"]:
-            best.update(depth=depth, layer="rules", rules=list(died),
-                        pair=rt.alphabet.name_of(pid))
+            best.update(depth=depth, layer="rules", rules=list(died), pair=pair)
         elif depth == best["depth"] and best["layer"] == "rules":
             for name in died:
                 if name not in best["rules"]:
                     best["rules"].append(name)
+        return None
 
-    def note_lexicon(depth):
-        if depth >= best["depth"]:
-            best.update(depth=depth, layer="lexicon", rules=[], pair=None)
-
-    start, _ = step_rules([d.dfa.start for d in automata], rt.frame_id)
-
-    def finals_ok(svec):
-        end, died = step_rules(svec, rt.frame_id)
-        bad = [ra.name for k, ra in enumerate(automata)
-               if end[k] is None or end[k] not in ra.dfa.finals]
-        return (not bad), bad
+    def end(depth, vid):
+        bad = rt.final_rejecters(vid)
+        if not bad:
+            accepted[0] = True
+        elif depth >= best["depth"]:
+            best.update(depth=depth, layer="rules", rules=list(bad), pair="#:#")
 
     if direction == "generate":
         syms = tokenize_lexical(word, desc.alphabet)
 
-        def rec(k, svec):
+        def rec(k, vid):
             if k == len(syms):
-                ok, bad = finals_ok(svec)
-                if ok:
-                    accepted[0] = True
-                elif k >= best["depth"]:
-                    best.update(depth=k, layer="rules", rules=bad, pair="#:#")
+                end(k, vid)
                 return
-            moved = False
             for pid in rt.pairs_by_lex[syms[k]]:
-                nvec, died = step_rules(svec, pid)
-                if died:
-                    note(k, pid, died)
-                    continue
-                moved = True
-                rec(k + 1, nvec)
-            if not moved:
-                pass
+                nvid = step(k, vid, pid)
+                if nvid is not None:
+                    rec(k + 1, nvid)
 
-        rec(0, start)
+        rec(0, rt.init_vec)
     else:
         n = len(word)
+        limit = 4 * n + 24
 
-        def reca(node, svec, i, jumps, depth):
-            if depth > 4 * n + 24:
+        def reca(node, vid, i, jumps, depth):
+            if depth > limit:
                 return
             progressed = False
             for gloss, cont in node.complete:
                 if cont == TERMINAL:
                     if i == n:
-                        ok, bad = finals_ok(svec)
-                        if ok:
-                            accepted[0] = True
-                        elif i >= best["depth"]:
-                            best.update(depth=i, layer="rules", rules=bad, pair="#:#")
-                else:
-                    if jumps < 32:
-                        reca(rt.tries[cont], svec, i, jumps + 1, depth)
-            for sym, child in node.arcs.items():
-                for pid in rt.pairs_by_lex.get(sym, ()):
-                    null = rt.is_null[pid]
-                    if not null and (i >= n or rt.surf[pid] != word[i]):
-                        continue
-                    nvec, died = step_rules(svec, pid)
-                    if died:
-                        # a consuming pair covers surface position i
-                        note(i if null else i + 1, pid, died)
-                        continue
+                        end(i, vid)
+                elif jumps < 32:
+                    reca(rt.tries[cont], vid, i, jumps + 1, depth)
+            for _, pid, child, consumes in (node.moves.get(word[i], node.dels)
+                                            if i < n else node.dels):
+                # a consuming pair covers surface position i
+                nvid = step(i + consumes, vid, pid)
+                if nvid is not None:
                     progressed = True
-                    reca(child, nvec, i + (0 if null else 1), 0, depth + 1)
-            if not progressed and i < n:
-                note_lexicon(i)
+                    reca(child, nvid, i + consumes, 0, depth + 1)
+            if not progressed and i < n and i >= best["depth"]:
+                best.update(depth=i, layer="lexicon", rules=[], pair=None)
 
         for root in desc.lexicon.roots:
-            reca(rt.tries[root], start, 0, 0, 0)
+            reca(rt.tries[root], rt.init_vec, 0, 0, 0)
 
     if accepted[0]:
         verdict = rulemod.Verdict(True, [])

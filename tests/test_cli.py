@@ -92,3 +92,10 @@ def test_test_command_runs_corpus(capsys, turkish):
     rc, out = run(capsys, ["test"])
     assert rc == 0
     assert "corpus cases pass" in out
+
+
+def test_generate_long_word_from_stdin(capsys):
+    rc, out = run(capsys, ["generate", "--input", "-"],
+                  stdin="ev^" + "-DA-kiN-lAr" * 120 + "\n")
+    assert rc == 0
+    assert out.split() == ["ev" + "dekiler" * 120]

@@ -1,7 +1,13 @@
+import copy
+import dataclasses
+import random
+import threading
+
 import pytest
 
 from twolevel import engine
 from twolevel.rules import run_all
+from twolevel.turkish import golden_suite, load_turkish
 
 
 def lexicals(analyses):
@@ -125,3 +131,101 @@ RULES
 """
     with pytest.raises(engine.DescriptionError):
         make_description(bad)
+
+
+LONG_LEXICAL = "ev^" + "-DA-kiN-lAr" * 120
+
+
+def test_generate_long_word_no_recursion_limit(turkish):
+    # 1,323 lexical symbols: deeper than the interpreter's recursion limit
+    expected = ["ev" + "dekiler" * 120]
+    assert engine.generate(LONG_LEXICAL, turkish) == expected
+    assert engine.generate(LONG_LEXICAL, turkish, validate_morphotactics=True) == expected
+    assert engine.is_lexicon_path(LONG_LEXICAL, turkish)
+    assert not engine.is_lexicon_path(LONG_LEXICAL[:-1], turkish)
+
+
+def perturbed_golden(desc, count, seed):
+    """`count` distinct seeded one-edit variants (substitute, delete or
+    insert one surface letter) of golden surfaces."""
+    rng = random.Random(seed)
+    letters = sorted({s.name for _, s in desc.alphabet.pairs
+                      if len(s.name) == 1 and s.name.isalpha()})
+    surfaces = sorted({c.surface for c in golden_suite()})
+    out = {}
+    while len(out) < count:
+        w = rng.choice(surfaces)
+        op = rng.randrange(3)
+        j = rng.randrange(len(w) + (op == 2))
+        if op == 0:
+            w2 = w[:j] + rng.choice(letters) + w[j + 1:]
+        elif op == 1:
+            w2 = w[:j] + w[j + 1:]
+        else:
+            w2 = w[:j] + rng.choice(letters) + w[j:]
+        if w2 and w2 != w:
+            out[w2] = None
+    return list(out)
+
+
+def test_trace_agrees_with_analyze(turkish):
+    for w in perturbed_golden(turkish, 300, seed=11):
+        readings = engine.analyze(w, turkish)
+        report = engine.trace(w, "analyze", turkish)
+        assert report.outcome.accepted == bool(readings), w
+        if not readings:
+            assert (report.layer == "rules") == engine.lexicon_covers(w, turkish), w
+        for a in readings:
+            assert a.surface(turkish.alphabet) == w
+
+
+def test_concurrent_calls_match_serial(turkish):
+    """Four threads share one fresh description from its first call on:
+    one runtime is built and every result equals a serial run's."""
+    cases = golden_suite()
+    words = sorted({c.surface for c in cases}) + perturbed_golden(turkish, 60, seed=5)
+    lexicals = sorted({c.lexical for c in cases if c.polarity == "positive"})
+
+    def run(desc, offset=0):
+        out = {}
+        for w in words[offset:] + words[:offset]:
+            out["A", w] = [(a.lexical, a.gloss, a.pairs) for a in engine.analyze(w, desc)]
+            r = engine.trace(w, "analyze", desc)
+            out["T", w] = (r.steps, r.outcome.accepted, r.outcome.blockers, r.layer)
+        for lex in lexicals:
+            out["G", lex] = engine.generate(lex, desc, validate_morphotactics=True)
+        return out
+
+    serial = run(turkish)
+    fresh = load_turkish(refresh=True)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(k):
+        barrier.wait()
+        results[k] = (engine.runtime(fresh), run(fresh, k * len(words) // 4))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len({id(rt) for rt, _ in results}) == 1
+    for _, out in results:
+        assert out == serial
+
+
+def test_trace_when_the_opening_boundary_kills_a_rule(turkish):
+    # every search dies at once; trace still names the rule at each step
+    desc = dataclasses.replace(turkish, rule_automata=copy.deepcopy(turkish.rule_automata),
+                               _runtime=None)
+    ra = desc.rule_automata[0]
+    del ra.dfa.delta[ra.dfa.start][ra.dfa.class_of[desc.alphabet.frame_id]]
+    assert engine.runtime(desc).init_vec is None
+    assert engine.analyze("evde", desc) == []
+    assert engine.generate("ev^-DA", desc) == []
+    for word, direction in (("evde", "analyze"), ("ev^-DA", "generate")):
+        report = engine.trace(word, direction, desc)
+        assert not report.outcome.accepted and report.layer == "rules"
+        assert ra.name in report.blocking_rules()
+        assert report.steps and all(ra.name in s.died for s in report.steps)
