@@ -94,14 +94,14 @@ def _words(args):
 def _batch(args, fn):
     words = _words(args)
     jobs = max(1, getattr(args, "jobs", 1))
-    t0 = time.time()
+    t0 = time.perf_counter()
     if jobs == 1:
         results = [fn(w) for w in words]
     else:
         # output order follows input order regardless of worker count
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(fn, words))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     misses = 0
     for block in results:
         text, found = block

@@ -157,6 +157,13 @@ class _Runtime:
         self.rule_names = [ra.name for ra in desc.rule_automata]
         self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
         self.final_rejects = {}   # vector id -> names rejecting at the closing boundary
+        # Closure tables of the rules-off search (lexicon_covers), filled on
+        # first use; at most one per trie node and one per sublexicon.
+        # Like the other memos they are filled without a lock: two threads
+        # may compute one table at once, but both results are equal, so
+        # either may win.
+        self.cover_nodes = {}     # trie node -> node_cover(node)
+        self.cover_classes = {}   # sublexicon name -> class_cover(name)
 
     def _index(self, node):
         """Fill node.moves and node.dels from its arcs."""
@@ -235,6 +242,73 @@ class _Runtime:
                 self.rule_names[k] for k, d in enumerate(self.dfas)
                 if vec[k] is None or d.delta[vec[k]].get(d.class_of[frame]) not in d.finals)
         return names
+
+    def node_cover(self, node):
+        """The rules-off table of a trie node, over the nodes its deletion
+        moves reach (itself included): surface char -> the children their
+        consuming moves reach, the continuation classes they complete, and
+        whether one of them completes with #; memoized."""
+        table = self.cover_nodes.get(node)
+        if table is None:
+            # A trie node has one parent, so neither list repeats a node.
+            closure = [node]
+            for k in closure:
+                closure.extend(m[2] for m in k.dels)
+            steps = {}
+            classes = {}
+            ends = False
+            for k in closure:
+                for c, moves in k.moves.items():
+                    steps.setdefault(c, []).extend([m[2] for m in moves if m[3]])
+                for gloss, cont in k.complete:
+                    if cont == TERMINAL:
+                        ends = True
+                    else:
+                        classes[cont] = None
+            table = self.cover_nodes[node] = (
+                {c: tuple(children) for c, children in steps.items()}, tuple(classes), ends)
+        return table
+
+    def class_cover(self, name):
+        """The rules-off table of a continuation class, over the full
+        closure of its trie root (deletions and continuation jumps): surface
+        char -> the children that consuming moves reach, and whether # is
+        reached; memoized."""
+        tables = self.cover_classes
+        table = tables.get(name)
+        if table is not None:
+            return table
+        # Depth first, so that a class's table is built after those of the
+        # classes its root completes: its root's table merged with theirs.
+        # A class that completes one of its ancestors on the path lies on a
+        # cycle; it merges the root tables of its whole closure instead.
+        path = [name]
+        while path:
+            cls = path[-1]
+            conts = self.node_cover(self.tries[cls])[1]
+            nxt = next((s for s in conts if s not in tables and s not in path), None)
+            if nxt is not None:
+                path.append(nxt)
+                continue
+            path.pop()
+            succ = [s for s in conts if s != cls]
+            if all(s in tables for s in succ):
+                parts = [self.node_cover(self.tries[cls])] + [tables[s] for s in succ]
+            else:
+                closure = [cls]
+                for k in closure:
+                    for s in self.node_cover(self.tries[k])[1]:
+                        if s not in closure:
+                            closure.append(s)
+                parts = [self.node_cover(self.tries[k]) for k in closure]
+            merged = {}
+            for part in parts:
+                for c, children in part[0].items():
+                    merged.setdefault(c, []).append(children)
+            # part[-1] is the ends flag of node and class tables alike
+            tables[cls] = ({c: tuple(set().union(*kids)) for c, kids in merged.items()},
+                           any(part[-1] for part in parts))
+        return tables[name]
 
 
 _runtime_lock = threading.Lock()
@@ -428,27 +502,37 @@ def generate_from_gloss(root, tags, desc):
 
 def lexicon_covers(surface, desc):
     """True when some lexicon path covers the surface with feasible pairs,
-    rules ignored.  Separates the blocking layer in traces."""
+    rules ignored.  Separates the blocking layer in traces.
+
+    The search steps a front of trie nodes one surface character at a time
+    through the runtime's closure tables (node_cover, class_cover), which
+    depend on the lexicon alone: the nodes reached without reading a
+    character are never visited one by one.
+    """
     rt = runtime(desc)
-    tries = rt.tries
-    n = len(surface)
-    stack = [(tries[root], 0) for root in desc.lexicon.roots]
-    seen = set()
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        node, i = state
-        for gloss, cont in node.complete:
-            if cont == TERMINAL:
-                if i == n:
-                    return True
-            else:
-                stack.append((tries[cont], i))
-        for _, _, child, consumes in (node.moves.get(surface[i], node.dels)
-                                      if i < n else node.dels):
-            stack.append((child, i + consumes))
+    node_tables, node_cover = rt.cover_nodes, rt.node_cover
+    class_tables, class_cover = rt.cover_classes, rt.class_cover
+    front = [rt.tries[root] for root in desc.lexicon.roots]
+    for c in surface:
+        nxt = set()
+        classes = set()
+        for node in front:
+            steps, conts, _ = node_tables.get(node) or node_cover(node)
+            if c in steps:
+                nxt.update(steps[c])
+            if conts:
+                classes.update(conts)
+        for cls in classes:
+            steps = (class_tables.get(cls) or class_cover(cls))[0]
+            if c in steps:
+                nxt.update(steps[c])
+        if not nxt:
+            return False
+        front = nxt
+    for node in front:
+        _, conts, ends = node_cover(node)
+        if ends or any(class_cover(cls)[1] for cls in conts):
+            return True
     return False
 
 
@@ -494,17 +578,20 @@ def trace(word, direction, desc):
 
     if direction == "generate":
         syms = tokenize_lexical(word, desc.alphabet)
-
-        def rec(k, vid):
+        # Depth first on an explicit stack, in the order of a recursive
+        # search: (symbol index, vector id, pair id to step next or None).
+        stack = [(0, rt.init_vec, None)]
+        while stack:
+            k, vid, pid = stack.pop()
+            if pid is not None:
+                vid = step(k, vid, pid)
+                if vid is None:
+                    continue
+                k += 1
             if k == len(syms):
                 end(k, vid)
-                return
-            for pid in rt.pairs_by_lex[syms[k]]:
-                nvid = step(k, vid, pid)
-                if nvid is not None:
-                    rec(k + 1, nvid)
-
-        rec(0, rt.init_vec)
+            else:
+                stack.extend((k, vid, p) for p in reversed(rt.pairs_by_lex[syms[k]]))
     else:
         n = len(word)
         limit = 4 * n + 24

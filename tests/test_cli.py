@@ -99,3 +99,10 @@ def test_generate_long_word_from_stdin(capsys):
                   stdin="ev^" + "-DA-kiN-lAr" * 120 + "\n")
     assert rc == 0
     assert out.split() == ["ev" + "dekiler" * 120]
+
+
+def test_trace_generate_long_word(capsys):
+    word = "ev^" + "-DA-kiN-lAr" * 120
+    rc, out = run(capsys, ["trace", "--direction", "generate", word])
+    assert rc == 0
+    assert out.splitlines()[0] == word + ": accepted"

@@ -1,11 +1,13 @@
 import copy
 import dataclasses
 import random
+import sys
 import threading
 
 import pytest
 
 from twolevel import engine
+from twolevel.lexicon import TERMINAL
 from twolevel.rules import run_all
 from twolevel.turkish import golden_suite, load_turkish
 
@@ -145,12 +147,22 @@ def test_generate_long_word_no_recursion_limit(turkish):
     assert not engine.is_lexicon_path(LONG_LEXICAL[:-1], turkish)
 
 
+def test_trace_generate_long_word_no_recursion_limit(turkish):
+    report = engine.trace(LONG_LEXICAL, "generate", turkish)
+    assert report.outcome.accepted and report.layer == "none"
+    assert max(s.position for s in report.steps) == len(LONG_LEXICAL) - 1
+
+
+def surface_letters(desc):
+    return sorted({s.name for _, s in desc.alphabet.pairs
+                   if len(s.name) == 1 and s.name.isalpha()})
+
+
 def perturbed_golden(desc, count, seed):
     """`count` distinct seeded one-edit variants (substitute, delete or
     insert one surface letter) of golden surfaces."""
     rng = random.Random(seed)
-    letters = sorted({s.name for _, s in desc.alphabet.pairs
-                      if len(s.name) == 1 and s.name.isalpha()})
+    letters = surface_letters(desc)
     surfaces = sorted({c.surface for c in golden_suite()})
     out = {}
     while len(out) < count:
@@ -179,6 +191,99 @@ def test_trace_agrees_with_analyze(turkish):
             assert a.surface(turkish.alphabet) == w
 
 
+def covers_reference(surface, desc):
+    """lexicon_covers as a plain search over (trie node, position) states,
+    following every deletion, consuming move and continuation jump."""
+    rt = engine.runtime(desc)
+    n = len(surface)
+    stack = [(rt.tries[root], 0) for root in desc.lexicon.roots]
+    seen = set()
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        node, i = state
+        for gloss, cont in node.complete:
+            if cont == TERMINAL:
+                if i == n:
+                    return True
+            else:
+                stack.append((rt.tries[cont], i))
+        for _, _, child, consumes in (node.moves.get(surface[i], node.dels)
+                                      if i < n else node.dels):
+            stack.append((child, i + consumes))
+    return False
+
+
+def test_lexicon_covers_matches_reference_search(turkish):
+    rng = random.Random(17)
+    letters = surface_letters(turkish)
+    randoms = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+               for _ in range(300)]
+    edge = ["", "xxxx", "-", "evde" * 30, "ev\u00e9de", "evdeQ"]
+    words = perturbed_golden(turkish, 300, seed=23) + randoms + edge
+    got = {w: engine.lexicon_covers(w, turkish) for w in words}
+    assert got == {w: covers_reference(w, turkish) for w in words}
+    assert got[""] and not got["xxxx"] and not got["evdeQ"]
+    assert any(got.values()) and not all(got.values())
+
+
+CYCLE_RULES = """ALPHABET
+a b c %-:0 ;
+SETS
+DEFINITIONS
+RULES
+"1.r" a:a => _ ;
+"""
+
+# A and B complete each other (a cycle of continuation classes); C is
+# completed through the deletion of '-'.
+CYCLE_LEXICON = """
+LEXICON Root
+:0 A ;
+
+LEXICON A
+:a B ;
+:0 B ;
+:- C ;
+
+LEXICON B
+:b A ;
+:0 A ;
+:0 # ;
+
+LEXICON C
+:cc # ;
+"""
+
+
+def test_lexicon_covers_with_a_continuation_cycle():
+    from conftest import make_description
+    words = [""]
+    for _ in range(5):
+        words += [w + ch for w in words if len(w) == len(words[-1]) for ch in "abcx"]
+    expected = None
+    for order in (words, words[::-1]):
+        desc = make_description(CYCLE_RULES, CYCLE_LEXICON)
+        got = {w: engine.lexicon_covers(w, desc) for w in order}
+        expected = expected or {w: covers_reference(w, desc) for w in words}
+        assert got == expected
+    assert expected["abacc"] and not expected["c"] and not expected["cca"]
+
+
+def test_cover_tables_are_bounded(turkish):
+    desc = load_turkish(refresh=True)
+    for w in perturbed_golden(desc, 300, seed=29):
+        engine.lexicon_covers(w, desc)
+    rt = engine.runtime(desc)
+    nodes = list(rt.tries.values())
+    for node in nodes:
+        nodes.extend(node.arcs.values())
+    assert 0 < len(rt.cover_nodes) <= len(nodes)
+    assert 0 < len(rt.cover_classes) <= len(desc.lexicon.sublexicons)
+
+
 def test_concurrent_calls_match_serial(turkish):
     """Four threads share one fresh description from its first call on:
     one runtime is built and every result equals a serial run's."""
@@ -192,11 +297,15 @@ def test_concurrent_calls_match_serial(turkish):
             out["A", w] = [(a.lexical, a.gloss, a.pairs) for a in engine.analyze(w, desc)]
             r = engine.trace(w, "analyze", desc)
             out["T", w] = (r.steps, r.outcome.accepted, r.outcome.blockers, r.layer)
+            out["C", w] = engine.lexicon_covers(w, desc)
         for lex in lexicals:
             out["G", lex] = engine.generate(lex, desc, validate_morphotactics=True)
         return out
 
     serial = run(turkish)
+    # rejected words at both layers, so the threads fill the closure tables
+    layers = {serial["T", w][3] for w in words}
+    assert {"none", "rules", "lexicon"} <= layers
     fresh = load_turkish(refresh=True)
     barrier = threading.Barrier(4)
     results = [None] * 4
@@ -206,10 +315,16 @@ def test_concurrent_calls_match_serial(turkish):
         results[k] = (engine.runtime(fresh), run(fresh, k * len(words) // 4))
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert len({id(rt) for rt, _ in results}) == 1
     for _, out in results:
         assert out == serial
