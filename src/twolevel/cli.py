@@ -137,7 +137,9 @@ def _dispatch(args):
                 return 2
         return 0
 
+    t0 = time.perf_counter()
     desc = _load(args)
+    load_s = time.perf_counter() - t0
 
     if args.command == "analyze":
         def run(word):
@@ -176,6 +178,10 @@ def _dispatch(args):
         print("ground rules: %d" % len(desc.ground_rules))
         print("constraint automata: %d (%d states)" % (len(desc.rule_automata), n_states))
         print("sublexicons: %d" % len(desc.lexicon.sublexicons))
+        print("compile time: %.3fs" % load_s)
+        largest = max(desc.rule_automata, key=lambda ra: ra.dfa.n_states, default=None)
+        if largest is not None:
+            print("largest automaton: %d states (%s)" % (largest.dfa.n_states, largest.name))
         return 0
 
     if args.command == "test":

@@ -72,13 +72,22 @@ def _collect_atoms(node, out):
 def partition_for(denotations, n_symbols):
     """Group pair ids by their membership signature across the denotations.
 
+    A pair's signature is a bitmask with bit k set when it is in
+    denotations[k]; ids outside range(n_symbols) are ignored.  Classes are
+    numbered in order of their first pair id.
+
     Returns (class_of list, classes as list of id-tuples).
     """
+    sig_of = [0] * n_symbols
+    for k, den in enumerate(denotations):
+        bit = 1 << k
+        for pid in den:
+            if 0 <= pid < n_symbols:
+                sig_of[pid] |= bit
     sigs = {}
     class_of = [0] * n_symbols
     classes = []
-    for pid in range(n_symbols):
-        sig = tuple((pid in d) for d in denotations)
+    for pid, sig in enumerate(sig_of):
         cid = sigs.get(sig)
         if cid is None:
             cid = len(classes)
@@ -183,46 +192,9 @@ def compile_regex(node, alphabet, decls, with_frame=False, allow_empty=False):
     nfa = _Nfa()
     start, end = _build_nfa(nfa, node, classes_of_den)
 
-    # epsilon closure
-    def closure(states):
-        stack = list(states)
-        seen = set(states)
-        while stack:
-            s = stack.pop()
-            for t in nfa.eps[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    init = closure({start})
-    subsets = {init: 0}
-    delta = [{}]
-    finals = set()
-    if end in init:
-        finals.add(0)
-    work = [init]
-    order = [init]
-    while work:
-        cur = work.pop()
-        ci = subsets[cur]
-        by_class = {}
-        for s in cur:
-            for cid, targets in nfa.arcs[s].items():
-                by_class.setdefault(cid, set()).update(targets)
-        for cid, targets in by_class.items():
-            nxt = closure(targets)
-            j = subsets.get(nxt)
-            if j is None:
-                j = len(delta)
-                subsets[nxt] = j
-                delta.append({})
-                work.append(nxt)
-                order.append(nxt)
-                if end in nxt:
-                    finals.add(j)
-            delta[ci][cid] = j
-    dfa = PairDfa(alphabet, class_of, len(classes), delta, 0, finals)
+    dfa = _nfa_determinize(
+        nfa, {start}, lambda subset: end in subset, alphabet, class_of, len(classes)
+    )
     return minimize(trim(dfa))
 
 
@@ -332,15 +304,10 @@ def _concat_dfas(parts, alphabet):
     for k in range(len(parts) - 1):
         for f in parts[k].finals:
             nfa.eps[bases[k] + f].add(bases[k + 1] + parts[k + 1].start)
-    last = parts[-1]
-    last_finals = {bases[-1] + f for f in last.finals}
-
-    def finals_pred(subset):
-        return bool(subset & last_finals)
-
-    dfa = _nfa_determinize(
-        nfa, {bases[0] + parts[0].start}, finals_pred, parts[0].alphabet, class_of, len(classes)
-    )
+    last_finals = {bases[-1] + f for f in parts[-1].finals}
+    dfa = _nfa_determinize(nfa, {bases[0] + parts[0].start},
+                           lambda subset: bool(subset & last_finals),
+                           parts[0].alphabet, class_of, len(classes))
     return minimize(trim(dfa))
 
 
@@ -362,11 +329,8 @@ def _closure_dfa(dfa, plus):
     for f in dfa.finals:
         nfa.eps[base + f].add(base + dfa.start)
     final_set = {base + f for f in dfa.finals}
-
-    def finals_pred(subset):
-        return bool(subset & final_set)
-
-    out = _nfa_determinize(nfa, {base + dfa.start}, finals_pred, dfa.alphabet, dfa.class_of, dfa.n_classes)
+    out = _nfa_determinize(nfa, {base + dfa.start}, lambda subset: bool(subset & final_set),
+                           dfa.alphabet, dfa.class_of, dfa.n_classes)
     if not plus:
         out = _add_epsilon(out)
     return minimize(trim(out))

@@ -329,7 +329,25 @@ def rule_holds(rule, pairs, alphabet, decls):
 # ---------------------------------------------------------------------------
 # Compilation
 
-def compile_rule(rule, alphabet, decls, allow_empty_atoms=False):
+def _regex_key(node):
+    """Structural key of a regex AST: node type, atom sides, macro name and
+    children.  (Not repr: Opt(a:) and Concat([a:]) both print "(a:)".)"""
+    if isinstance(node, rx.Atom):
+        return (rx.Atom, node.lex, node.surf)
+    head = (rx.MacroRef, node.name) if isinstance(node, rx.MacroRef) else (type(node),)
+    return head + tuple(_regex_key(c) for c in node.children())
+
+
+def _tracker(regex, alphabet, decls, allow_empty, trackers):
+    """The framed DFA of regex, compiled once per key in trackers."""
+    key = (_regex_key(regex), allow_empty)
+    if key not in trackers:
+        trackers[key] = dfalib.compile_regex(regex, alphabet, decls,
+                                             with_frame=True, allow_empty=allow_empty)
+    return trackers[key]
+
+
+def compile_rule(rule, alphabet, decls, allow_empty_atoms=False, *, _trackers=None):
     """Compile a ground rule to a constraint DFA over framed pair strings.
 
     Construction: deterministic position tracking.  Per context a left
@@ -338,6 +356,7 @@ def compile_rule(rule, alphabet, decls, allow_empty_atoms=False):
     absorbing finals) whose polarity says whether some licensed context must
     or must not complete.  Satisfied monitors drop out, violated negative
     monitors kill the state, and acceptance requires no open positive ones.
+    ``_trackers`` lets compile_check_set share trackers across its rules.
     """
     if not rule.is_ground():
         raise ExpansionError("compile_rule needs a ground rule")
@@ -348,19 +367,16 @@ def compile_rule(rule, alphabet, decls, allow_empty_atoms=False):
     frame = alphabet.frame_id
     n_syms = frame + 1
 
+    trackers = {} if _trackers is None else _trackers
+    any_pair = rx.Star(rx.Atom(None, None))  # wildcard includes the frame
     left = []
     right = []
     for lc, rc in rule.contexts:
-        any_pair = rx.Star(rx.Atom(None, None))  # wildcard includes the frame
         try:
-            ltrack = dfalib.compile_regex(
-                rx.Concat([any_pair, lc]), alphabet, decls,
-                with_frame=True, allow_empty=allow_empty_atoms,
-            )
-            rtrack = dfalib.compile_regex(
-                rx.Concat([rc, rx.Star(rx.Atom(None, None))]), alphabet, decls,
-                with_frame=True, allow_empty=allow_empty_atoms,
-            )
+            ltrack = _tracker(rx.Concat([any_pair, lc]), alphabet, decls,
+                              allow_empty_atoms, trackers)
+            rtrack = _tracker(rx.Concat([rc, any_pair]), alphabet, decls,
+                              allow_empty_atoms, trackers)
         except rx.EmptyAtom as e:
             raise UnknownPair("rule %s: %s" % (rule.name, e))
         left.append(ltrack)
@@ -547,4 +563,10 @@ def build_check_set(ground_rules, alphabet, decls):
 
 
 def compile_check_set(ground_rules, alphabet, decls):
-    return [compile_rule(r, alphabet, decls) for r in build_check_set(ground_rules, alphabet, decls)]
+    """Compile the check set; each distinct context tracker is compiled once
+    and shared by the rules that use it."""
+    trackers = {}
+    return [
+        compile_rule(r, alphabet, decls, _trackers=trackers)
+        for r in build_check_set(ground_rules, alphabet, decls)
+    ]

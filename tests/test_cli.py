@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 
 from twolevel.cli import main
@@ -85,7 +86,15 @@ def test_usage_error_exit_code(capsys):
 def test_compile_reports(capsys):
     rc, out = run(capsys, ["compile"])
     assert rc == 0
-    assert "feasible pairs: 136" in out
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "feasible pairs: 136",
+        "ground rules: 124",
+        "constraint automata: 198 (1841 states)",
+        "sublexicons: 372",
+    ]
+    assert re.fullmatch(r"compile time: \d+\.\d{3}s", lines[4])
+    assert re.fullmatch(r"largest automaton: 74 states \(.*23\.SIV-DELETION.*\)", lines[5])
 
 
 def test_test_command_runs_corpus(capsys, turkish):

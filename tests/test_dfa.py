@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolevel import dfa as dfalib
 from twolevel import pair_regex as rx
@@ -107,3 +109,34 @@ def test_dump_is_stable(env):
     d2 = a.dump()
     assert d1 == d2
     assert "state\t0" in d1 and "a:a" in d1
+
+
+def _partition_reference(denotations, n_symbols):
+    """partition_for by definition: one membership tuple per pair id."""
+    sigs = {}
+    class_of = [0] * n_symbols
+    classes = []
+    for pid in range(n_symbols):
+        sig = tuple(pid in d for d in denotations)
+        if sig not in sigs:
+            sigs[sig] = len(classes)
+            classes.append([])
+        class_of[pid] = sigs[sig]
+        classes[sigs[sig]].append(pid)
+    return class_of, [tuple(c) for c in classes]
+
+
+@st.composite
+def _denotation_lists(draw):
+    n_symbols = draw(st.integers(0, 40))
+    # ids past n_symbols and empty sets included; more than 64 sets at times
+    den = st.frozensets(st.integers(0, n_symbols + 8))
+    return draw(st.lists(den, max_size=70)), n_symbols
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_denotation_lists())
+def test_partition_for_matches_membership_signatures(case):
+    denotations, n_symbols = case
+    assert dfalib.partition_for(denotations, n_symbols) == _partition_reference(
+        denotations, n_symbols)

@@ -63,6 +63,13 @@ def test_generate_examples(turkish):
     assert engine.generate("ev^", turkish) == ["ev"]
 
 
+def test_generate_empty_string(turkish):
+    # the empty lexical string is the empty pair string, which every rule
+    # accepts; it is not a lexicon path
+    assert engine.generate("", turkish) == [""]
+    assert engine.generate("", turkish, validate_morphotactics=True) == []
+
+
 def test_generate_unknown_symbol(turkish):
     with pytest.raises(engine.TokenError):
         engine.generate("ev#Q", turkish)

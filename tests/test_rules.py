@@ -4,12 +4,14 @@ import random
 import pytest
 
 from twolevel import pair_regex as rx
+from twolevel import rules as rulemod
 from twolevel.rules import (
     EmptyCorrespondence,
     UnknownPair,
     ExpansionError,
     RuleSyntaxError,
     TwoLevelRule,
+    compile_check_set,
     compile_rule,
     expand_where,
     parse_rules_file,
@@ -385,3 +387,69 @@ def test_larhn_exclusion_property(turkish):
     default_l = [alpha.id_of(*p.split(":")) for p in
                  ("e:e", "v:v", "-:0", "L:l", "A:e", "r:r", "H:i", "N:0")]
     assert run_all(autos, default_l).accepted
+
+
+# ---------------------------------------------------------------------------
+# trackers shared across a check set
+
+def test_check_set_matches_standalone_compile(turkish):
+    # compile_check_set shares tracker DFAs among rules; each automaton must
+    # still be the one compile_rule builds for its rule alone
+    alpha, decls = turkish.alphabet, turkish.declarations
+    assert len(turkish.rule_automata) == 198
+    for ra in turkish.rule_automata:
+        alone = compile_rule(ra.rule, alpha, decls)
+        assert alone.dfa.dump() == ra.dfa.dump(), ra.name
+
+
+SHARED = """ALPHABET
+a b x a:b ;
+DEFINITIONS
+X = x ;
+RULES
+"""
+
+
+def test_tracker_key_tells_apart_what_repr_conflates(monkeypatch):
+    decls, _ = parse_rules_file(SHARED)
+    x = rx.Atom("x", "x")
+    ab = rx.Atom("a", "b")
+    macro = rx.parse_pair_regex("X", decls)
+    assert isinstance(macro, rx.MacroRef)
+    ground = [
+        TwoLevelRule("opt", ab, "<=", [(rx.Opt(x), rx.Epsilon())]),
+        TwoLevelRule("concat", ab, "<=", [(rx.Concat([x]), rx.Epsilon())]),
+        TwoLevelRule("macro", rx.Atom("b", "b"), "=>", [(rx.Epsilon(), macro)]),
+        TwoLevelRule("atom", rx.Atom("b", "b"), "/<=", [(rx.Epsilon(), x)]),
+    ]
+    assert repr(rx.Opt(x)) == repr(rx.Concat([x]))
+    assert rulemod._regex_key(rx.Opt(x)) != rulemod._regex_key(rx.Concat([x]))
+    assert rulemod._regex_key(macro) != rulemod._regex_key(x)
+    alpha = derive_feasible_pairs(decls, ground)
+
+    compiled = []
+    original = rulemod.dfalib.compile_regex
+
+    def recording(node, *args, **kwargs):
+        compiled.append(node)
+        return original(node, *args, **kwargs)
+
+    monkeypatch.setattr(rulemod.dfalib, "compile_regex", recording)
+    automata = compile_check_set(ground, alpha, decls)
+    monkeypatch.undo()
+
+    # 8 trackers requested: "opt" and "concat" share their RC.Sigma*, and
+    # "macro" and "atom" their Sigma*.LC
+    keys = [rulemod._regex_key(n) for n in compiled]
+    assert len(keys) == len(set(keys)) == 6
+    assert [ra.name for ra in automata] == ["opt", "concat", "macro", "atom"]
+    assert automata[0].dfa.dump() != automata[1].dfa.dump()
+
+    frame = alpha.frame_id
+    pids = list(alpha.all_ids())
+    for L in range(0, 6):
+        for w in itertools.product(pids, repeat=L):
+            framed = (frame,) + w + (frame,)
+            for ra in automata:
+                assert ra.dfa.accepts(framed) == rule_holds(ra.rule, w, alpha, decls), (
+                    ra.name, [alpha.name_of(p) for p in w])
