@@ -24,6 +24,17 @@ from .turkish import load_description, load_turkish, run_suite
 from .turkish.syllabify import SyllabifyError, syllabify_first
 
 
+def positive_int(text):
+    """argparse type of --jobs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+    return value
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="twolevel",
                                 description="two-level morphological analyzer/generator")
@@ -36,8 +47,9 @@ def _build_parser():
         if batch:
             sp.add_argument("word", nargs="*", help="words; empty with --input/- for stdin")
             sp.add_argument("--input", help="batch input file, '-' for standard input")
-            sp.add_argument("--jobs", type=int, default=1, help="worker count (>= 1)")
-            sp.add_argument("--stats", action="store_true", help="print words/second")
+            sp.add_argument("--jobs", type=positive_int, default=1, help="worker count (>= 1)")
+            sp.add_argument("--stats", action="store_true",
+                            help="print words/second and the runtime cache sizes")
             sp.add_argument("--strict", action="store_true",
                             help="exit 1 when any word has no output")
 
@@ -91,15 +103,14 @@ def _words(args):
     return words
 
 
-def _batch(args, fn):
+def _batch(args, fn, desc):
     words = _words(args)
-    jobs = max(1, getattr(args, "jobs", 1))
     t0 = time.perf_counter()
-    if jobs == 1:
+    if args.jobs == 1:
         results = [fn(w) for w in words]
     else:
         # output order follows input order regardless of worker count
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(fn, words))
     dt = time.perf_counter() - t0
     misses = 0
@@ -111,6 +122,8 @@ def _batch(args, fn):
     if args.stats:
         rate = len(words) / dt if dt > 0 else float("inf")
         sys.stderr.write("%d words in %.2fs: %.0f words/sec\n" % (len(words), dt, rate))
+        sys.stderr.write("runtime caches: %d interned vectors, %d vector transitions, "
+                         "%d live-move entries\n" % engine.runtime(desc).cache_sizes())
     return 1 if (args.strict and misses) else 0
 
 
@@ -154,7 +167,7 @@ def _dispatch(args):
                     lines.append("! blocked at %s layer: %s"
                                  % (report.layer, "; ".join(report.blocking_rules()) or "-"))
             return "\n".join(lines) + "\n", bool(analyses)
-        return _batch(args, run)
+        return _batch(args, run, desc)
 
     if args.command == "generate":
         def run(word):
@@ -170,7 +183,7 @@ def _dispatch(args):
                 lines.append("! blocked at %s layer: %s"
                              % (report.layer, "; ".join(report.blocking_rules()) or "-"))
             return "\n".join(lines) + "\n", False
-        return _batch(args, run)
+        return _batch(args, run, desc)
 
     if args.command == "compile":
         n_states = sum(ra.dfa.n_states for ra in desc.rule_automata)

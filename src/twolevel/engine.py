@@ -104,7 +104,7 @@ def _lexicon_symbols(lexicon):
 # Runtime structures
 
 class _Trie:
-    __slots__ = ("arcs", "complete", "moves", "dels")
+    __slots__ = ("arcs", "complete", "moves", "dels", "live")
 
     def __init__(self):
         self.arcs = {}
@@ -115,6 +115,9 @@ class _Trie:
         # holds the deletions alone.
         self.moves = {}
         self.dels = ()
+        # vid * n_codes + code -> the moves that survive the rules; see
+        # _Runtime.live_moves
+        self.live = {}
 
 
 class _Runtime:
@@ -122,6 +125,11 @@ class _Runtime:
         alphabet = desc.alphabet
         self.alphabet = alphabet
         self.dfas = [ra.dfa for ra in desc.rule_automata]
+        # step_vec's tables: the transitions of every automaton, and per
+        # pair id (the boundary pair included) its class in every automaton
+        self.deltas = [d.delta for d in self.dfas]
+        self.classes = [tuple(d.class_of[pid] for d in self.dfas)
+                        for pid in range(alphabet.frame_id + 1)]
         self.surf = [p[1].name for p in alphabet.pairs]
         self.is_null = [s == NULL for s in self.surf]
         self.pairs_by_lex = {k: tuple(v) for k, v in alphabet.by_lex.items()}
@@ -135,7 +143,16 @@ class _Runtime:
         self.frame_id = alphabet.frame_id
         self.init_vec = self.step_vec(self.start_vec, self.frame_id)
 
+        # Codes of the surface characters for live_moves: 0 stands for the
+        # end of the word and for any character that no pair realizes, as
+        # both leave the deletions alone.
+        chars = sorted({s for s in self.surf if s != NULL})
+        self.codes = {c: k for k, c in enumerate(chars, 1)}
+        self.code_chars = [None] + chars
+        self.n_codes = len(self.code_chars)
+
         self.tries = {}
+        self.nodes = []
         for name, entries in desc.lexicon.sublexicons.items():
             root = _Trie()
             nodes = [root]
@@ -152,6 +169,7 @@ class _Runtime:
             for node in nodes:
                 self._index(node)
             self.tries[name] = root
+            self.nodes.extend(nodes)
         self.lexicon = desc.lexicon
 
         self.rule_names = [ra.name for ra in desc.rule_automata]
@@ -192,21 +210,38 @@ class _Runtime:
         """Step all rule automata; None when any of them dies."""
         if vid is None:
             return None
-        cached = self.vec_trans[vid].get(pid, False)
+        trans = self.vec_trans[vid]
+        cached = trans.get(pid, False)
         if cached is not False:
             return cached
-        vec = self.vec_list[vid]
         out = []
-        dead = False
-        for k, d in enumerate(self.dfas):
-            s = d.delta[vec[k]].get(d.class_of[pid])
+        for delta, s, c in zip(self.deltas, self.vec_list[vid], self.classes[pid]):
+            s = delta[s].get(c)
             if s is None:
-                dead = True
-                break
+                trans[pid] = None
+                return None
             out.append(s)
-        res = None if dead else self._intern(tuple(out))
-        self.vec_trans[vid][pid] = res
+        res = trans[pid] = self._intern(tuple(out))
         return res
+
+    def live_moves(self, node, vid, code):
+        """The moves of trie node `node` that read surface code `code` (see
+        codes) and that no rule automaton rejects from vector vid, as
+        (lexical symbol, pair id, child, consumes, next vector id) in the
+        order of node.moves; memoized in node.live.  Like the other memos it
+        is filled without a lock: threads that race build equal tuples."""
+        live = []
+        for move in node.moves.get(self.code_chars[code], node.dels):
+            nvid = self.step_vec(vid, move[1])
+            if nvid is not None:
+                live.append(move + (nvid,))
+        live = node.live[vid * self.n_codes + code] = tuple(live)
+        return live
+
+    def cache_sizes(self):
+        """(interned vectors, vector transitions, live-move entries)."""
+        return (len(self.vec_list), sum(map(len, self.vec_trans)),
+                sum(len(node.live) for node in self.nodes))
 
     def vec_accepts(self, vid):
         return not self.final_rejecters(vid)
@@ -338,20 +373,22 @@ def analyze(surface, desc):
     n = len(surface)
     limit = 4 * n + 24
     results = {}
-    lex_acc = []
-    pid_acc = []
+    acc = []          # the live moves taken, as built by rt.live_moves
     gloss_acc = []
 
-    step_vec = rt.step_vec
+    codes = [rt.codes.get(c, 0) for c in surface]
+    codes.append(0)
+    n_codes = rt.n_codes
+    live_moves = rt.live_moves
     tries = rt.tries
 
     def finalize():
-        key = ("".join(lex_acc), "".join(gloss_acc))
+        key = ("".join(m[0] for m in acc), "".join(gloss_acc))
         if key not in results:
-            results[key] = tuple(pid_acc)
+            results[key] = tuple(m[1] for m in acc)
 
     def rec(node, vid, i, jumps):
-        if len(lex_acc) > limit:
+        if len(acc) > limit:
             return
         for gloss, cont in node.complete:
             if cont == TERMINAL:
@@ -364,15 +401,14 @@ def analyze(surface, desc):
                     gloss_acc.append(gloss)
                     rec(tries[cont], vid, i, jumps + 1)
                     gloss_acc.pop()
-        for sym, pid, child, consumes in (node.moves.get(surface[i], node.dels)
-                                          if i < n else node.dels):
-            nvid = step_vec(vid, pid)
-            if nvid is not None:
-                lex_acc.append(sym)
-                pid_acc.append(pid)
-                rec(child, nvid, i + consumes, 0)
-                lex_acc.pop()
-                pid_acc.pop()
+        code = codes[i]
+        moves = node.live.get(vid * n_codes + code)
+        if moves is None:
+            moves = live_moves(node, vid, code)
+        for move in moves:
+            acc.append(move)
+            rec(move[2], move[4], i + move[3], 0)
+            acc.pop()
 
     for root in desc.lexicon.roots:
         rec(tries[root], rt.init_vec, 0, 0)

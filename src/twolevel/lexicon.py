@@ -125,88 +125,6 @@ def _intern_form(text, table, line):
     return tuple(syms)
 
 
-# ---------------------------------------------------------------------------
-# Traversal
-
-class LexState:
-    """A position inside an entry: (entry, offset).  Offsets run over the
-    entry's form; offset == len(form) means the entry is complete."""
-
-    __slots__ = ("entry", "offset")
-
-    def __init__(self, entry, offset=0):
-        self.entry = entry
-        self.offset = offset
-
-    def at_end(self):
-        return self.offset >= len(self.entry.form)
-
-    def __eq__(self, other):
-        return self.entry is other.entry and self.offset == other.offset
-
-    def __hash__(self):
-        return hash((id(self.entry), self.offset))
-
-    def __repr__(self):
-        return "<%s/%s@%d>" % (self.entry.sublexicon, self.entry.gloss, self.offset)
-
-
-ACCEPT = "ACCEPT"
-
-
-def start_states(lexicon):
-    """Entry positions reachable before consuming any symbol, with the gloss
-    prefix each carries (link entries contribute their glosses eagerly)."""
-    out = []
-    for root in lexicon.roots:
-        _expand(lexicon, root, "", out, set())
-    return out
-
-
-def _expand(lexicon, subname, gloss, out, guard):
-    if subname == TERMINAL:
-        out.append((ACCEPT, gloss))
-        return
-    if (subname, gloss) in guard:
-        return
-    guard.add((subname, gloss))
-    for e in lexicon.sublexicons[subname]:
-        if e.form:
-            out.append((LexState(e, 0), gloss + e.gloss))
-        else:
-            _expand(lexicon, e.continuation, gloss + e.gloss, out, guard)
-
-
-def walk(lexicon, state, symbol):
-    """Successor (state, gloss suffix) pairs after consuming one lexical
-    symbol name; fanning out through entry ends and empty link entries."""
-    if state is ACCEPT:
-        return []
-    out = []
-    if not state.at_end():
-        if state.entry.form[state.offset].name == symbol:
-            out.append((LexState(state.entry, state.offset + 1), ""))
-        return out
-    nexts = []
-    _expand(lexicon, state.entry.continuation, "", nexts, set())
-    for st, gloss in nexts:
-        if st is ACCEPT:
-            continue
-        if st.entry.form[0].name == symbol:
-            out.append((LexState(st.entry, 1), gloss))
-    return out
-
-
-def can_accept(lexicon, state):
-    if state is ACCEPT:
-        return True
-    if not state.at_end():
-        return False
-    nexts = []
-    _expand(lexicon, state.entry.continuation, "", nexts, set())
-    return any(st is ACCEPT for st, _ in nexts)
-
-
 def enumerate_paths(lexicon, max_morphemes):
     """All root-to-# paths with at most max_morphemes non-empty entries.
 

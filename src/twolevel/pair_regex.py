@@ -380,17 +380,24 @@ def resolve_definitions(decls):
 # ---------------------------------------------------------------------------
 # Denotation and the reference matcher
 
+def regex_key(node):
+    """Structural key of a regex AST: node type, atom sides, macro name and
+    children.  (Not repr: Opt(a:) and Concat([a:]) both print "(a:)".)"""
+    if isinstance(node, Atom):
+        return (Atom, node.lex, node.surf)
+    head = (MacroRef, node.name) if isinstance(node, MacroRef) else (type(node),)
+    return head + tuple(regex_key(c) for c in node.children())
+
+
 def denote_atom(node, alphabet, decls, with_frame=True, allow_empty=False):
     """The set of pair ids an Atom / NotPair / Boundary node matches."""
-    # the cache entry pins the node: id() keys stay valid only while the
-    # node is alive
-    key = (id(node), with_frame)
-    cached = alphabet.denotation_cache.get(key)
-    if cached is not None and cached[0] is node:
-        out = cached[1]
-    else:
-        out = _denote_atom_uncached(node, alphabet, decls, with_frame)
-        alphabet.denotation_cache[key] = (node, out)
+    # Keyed by structure, so that the fresh but equal nodes of a repeated
+    # compile find their entries instead of adding new ones.
+    key = (regex_key(node), with_frame)
+    out = alphabet.denotation_cache.get(key)
+    if out is None:
+        out = alphabet.denotation_cache[key] = _denote_atom_uncached(
+            node, alphabet, decls, with_frame)
     if not out and not allow_empty:
         raise EmptyAtom("atom %r matches no feasible pair" % node)
     return out

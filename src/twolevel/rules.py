@@ -329,18 +329,9 @@ def rule_holds(rule, pairs, alphabet, decls):
 # ---------------------------------------------------------------------------
 # Compilation
 
-def _regex_key(node):
-    """Structural key of a regex AST: node type, atom sides, macro name and
-    children.  (Not repr: Opt(a:) and Concat([a:]) both print "(a:)".)"""
-    if isinstance(node, rx.Atom):
-        return (rx.Atom, node.lex, node.surf)
-    head = (rx.MacroRef, node.name) if isinstance(node, rx.MacroRef) else (type(node),)
-    return head + tuple(_regex_key(c) for c in node.children())
-
-
 def _tracker(regex, alphabet, decls, allow_empty, trackers):
     """The framed DFA of regex, compiled once per key in trackers."""
-    key = (_regex_key(regex), allow_empty)
+    key = (rx.regex_key(regex), allow_empty)
     if key not in trackers:
         trackers[key] = dfalib.compile_regex(regex, alphabet, decls,
                                              with_frame=True, allow_empty=allow_empty)

@@ -2,6 +2,8 @@ import io
 import re
 import sys
 
+import pytest
+
 from twolevel.cli import main
 
 
@@ -20,9 +22,15 @@ def run(capsys, args, stdin=None):
 
 
 def test_analyze_word(capsys):
-    rc, out = run(capsys, ["analyze", "evde"])
+    rc = main(["analyze", "--stats", "evde"])
+    out, err = capsys.readouterr()
     assert rc == 0
     assert "ev^-DA\t[ROOT=ev]+LOC" in out
+    lines = err.splitlines()
+    assert re.fullmatch(r"1 words in \d+\.\d\ds: \d+ words/sec", lines[0])
+    counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
+                          r"transitions, (\d+) live-move entries", lines[1])
+    assert counts and all(int(k) > 0 for k in counts.groups())
 
 
 def test_analyze_none_marker(capsys):
@@ -81,6 +89,14 @@ def test_usage_error_exit_code(capsys):
     rc, _ = run(capsys, ["generate", "--rules", "/nonexistent.twol",
                          "--lexicon", "/nonexistent.lex", "ev"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "x"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--jobs", jobs, "evde"])
+    assert exit_.value.code == 2
+    assert "--jobs: must be an integer >= 1, got %r" % jobs in capsys.readouterr().err
 
 
 def test_compile_reports(capsys):

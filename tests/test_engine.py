@@ -9,6 +9,7 @@ import pytest
 from twolevel import engine
 from twolevel.lexicon import TERMINAL
 from twolevel.rules import run_all
+from twolevel.symbols import NULL
 from twolevel.turkish import golden_suite, load_turkish
 
 
@@ -198,6 +199,91 @@ def test_trace_agrees_with_analyze(turkish):
             assert a.surface(turkish.alphabet) == w
 
 
+def analyze_reference(surface, desc):
+    """analyze without the live-move memo, as (lexical, gloss, pairs): the
+    search steps the rule vector for every move that can read the next
+    surface character."""
+    rt = engine.runtime(desc)
+    if rt.init_vec is None:
+        return []
+    n = len(surface)
+    limit = 4 * n + 24
+    results = {}
+    lex_acc, pid_acc, gloss_acc = [], [], []
+
+    def rec(node, vid, i, jumps):
+        if len(lex_acc) > limit:
+            return
+        for gloss, cont in node.complete:
+            if cont == TERMINAL:
+                if i == n and rt.vec_accepts(vid):
+                    key = ("".join(lex_acc), "".join(gloss_acc) + gloss)
+                    results.setdefault(key, tuple(pid_acc))
+            elif jumps < 32:
+                gloss_acc.append(gloss)
+                rec(rt.tries[cont], vid, i, jumps + 1)
+                gloss_acc.pop()
+        for sym, pid, child, consumes in (node.moves.get(surface[i], node.dels)
+                                          if i < n else node.dels):
+            nvid = rt.step_vec(vid, pid)
+            if nvid is not None:
+                lex_acc.append(sym)
+                pid_acc.append(pid)
+                rec(child, nvid, i + consumes, 0)
+                lex_acc.pop()
+                pid_acc.pop()
+
+    for root in desc.lexicon.roots:
+        rec(rt.tries[root], rt.init_vec, 0, 0)
+    return sorted((lex, gloss, pids) for (lex, gloss), pids in results.items())
+
+
+def random_surfaces(desc, count, seed):
+    rng = random.Random(seed)
+    letters = surface_letters(desc)
+    return ["".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+            for _ in range(count)]
+
+
+def test_analyze_matches_uncached_reference():
+    words = (sorted({c.surface for c in golden_suite()})
+             + perturbed_golden(load_turkish(), 300, seed=37)
+             + random_surfaces(load_turkish(), 300, seed=41)
+             + ["", "evd\u00e9", "evdeQ", "ev\u0301de", "evde" * 30])
+    expected = None
+    # each order fills the memo of a fresh description differently
+    for order in (words, words[::-1]):
+        desc = load_turkish(refresh=True)
+        got = {w: [(a.lexical, a.gloss, a.pairs) for a in engine.analyze(w, desc)]
+               for w in order}
+        expected = expected or {w: analyze_reference(w, desc) for w in words}
+        assert got == expected
+    assert any(expected.values()) and not all(expected.values())
+
+
+def test_live_moves_are_bounded():
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    for w in perturbed_golden(desc, 300, seed=43) + random_surfaces(desc, 300, seed=47):
+        engine.analyze(w, desc)
+
+    def keys():
+        return {(id(node), key) for node in rt.nodes for key in node.live}
+
+    # characters that no pair realizes share code 0 with the end of the word
+    engine.analyze("evde", desc)
+    engine.analyze("evQde", desc)
+    before = keys()
+    for ch in ("Q", "\u0301", "\u2603", "\x00", "#"):
+        assert ch not in rt.codes
+        engine.analyze("evde" + ch, desc)
+        engine.analyze("ev%sde" % ch, desc)
+        assert keys() == before, repr(ch)
+    assert rt.n_codes == len({s for s in rt.surf if s != NULL}) + 1
+    bound = len(rt.vec_list) * rt.n_codes
+    assert 0 < len(before) and all(0 <= key < bound for _, key in before)
+
+
 def covers_reference(surface, desc):
     """lexicon_covers as a plain search over (trie node, position) states,
     following every deletion, consuming move and continuation jump."""
@@ -310,6 +396,9 @@ def test_concurrent_calls_match_serial(turkish):
         return out
 
     serial = run(turkish)
+    # accepted and rejected words alike, so the threads fill the live moves
+    # of dead ends too
+    assert any(serial["A", w] for w in words) and not all(serial["A", w] for w in words)
     # rejected words at both layers, so the threads fill the closure tables
     layers = {serial["T", w][3] for w in words}
     assert {"none", "rules", "lexicon"} <= layers

@@ -1,13 +1,10 @@
 import pytest
 
 from twolevel.lexicon import (
-    ACCEPT,
     LexiconSyntaxError,
     LinkError,
     enumerate_paths,
     parse_lexicon_file,
-    start_states,
-    walk,
 )
 
 SMALL = """
@@ -62,22 +59,22 @@ def test_entry_needs_semicolon():
         parse_lexicon_file("LEXICON Root\nev Root\n")
 
 
-def test_walk_through_entry_and_fanout(small):
-    starts = [st for st, gloss in start_states(small) if st is not ACCEPT]
-    ev = [st for st in starts if st.entry.gloss == "[ROOT=ev]"]
-    assert len(ev) == 1
-    st = ev[0]
-    for sym in "ev^":
-        succ = walk(small, st, sym)
-        assert succ, sym
-        st = succ[0][0]
-    # the entry is complete; fans into Infl's entries (via the empty links)
-    succ = walk(small, st, "-")
-    assert {s.entry.gloss for s, _ in succ} == {"+PLU", "+POSS1s", "+ABL"}
+def test_enumerate_paths_through_entry_and_fanout(small):
+    # past ev^, the empty links of Infl fan out into the entries of Infl
+    # and Poss
+    two = enumerate_paths(small, 2)
+    assert {(lx, gl) for lx, gl in two if lx.startswith("ev^-")} == {
+        ("ev^-lAr", "[ROOT=ev]+PLU"),
+        ("ev^-m", "[ROOT=ev]+POSS1s"),
+        ("ev^-DAn", "[ROOT=ev]+ABL"),
+    }
 
 
-def test_walk_terminal_state_has_no_successors(small):
-    assert walk(small, ACCEPT, "e") == []
+def test_enumerate_paths_complete_entry_ends_the_path(small):
+    # ev^ reaches # through the empty links alone; without another
+    # morpheme nothing follows it
+    one = enumerate_paths(small, 1)
+    assert [(lx, gl) for lx, gl in one if lx.startswith("ev^")] == [("ev^", "[ROOT=ev]")]
 
 
 def test_enumerate_paths_counts_match_dfs_oracle(small):

@@ -402,6 +402,19 @@ def test_check_set_matches_standalone_compile(turkish):
         assert alone.dfa.dump() == ra.dfa.dump(), ra.name
 
 
+def test_denotation_cache_stops_growing(turkish):
+    # denote_atom keys its cache by regex structure: a repeated compile of
+    # the check set builds new but equal nodes and adds no entries
+    alpha, decls = turkish.alphabet, turkish.declarations
+    dumps = [ra.dfa.dump() for ra in turkish.rule_automata]
+    compile_check_set(turkish.ground_rules, alpha, decls)
+    size = len(alpha.denotation_cache)
+    for _ in range(2):
+        automata = compile_check_set(turkish.ground_rules, alpha, decls)
+        assert len(alpha.denotation_cache) == size
+        assert [ra.dfa.dump() for ra in automata] == dumps
+
+
 SHARED = """ALPHABET
 a b x a:b ;
 DEFINITIONS
@@ -423,8 +436,8 @@ def test_tracker_key_tells_apart_what_repr_conflates(monkeypatch):
         TwoLevelRule("atom", rx.Atom("b", "b"), "/<=", [(rx.Epsilon(), x)]),
     ]
     assert repr(rx.Opt(x)) == repr(rx.Concat([x]))
-    assert rulemod._regex_key(rx.Opt(x)) != rulemod._regex_key(rx.Concat([x]))
-    assert rulemod._regex_key(macro) != rulemod._regex_key(x)
+    assert rx.regex_key(rx.Opt(x)) != rx.regex_key(rx.Concat([x]))
+    assert rx.regex_key(macro) != rx.regex_key(x)
     alpha = derive_feasible_pairs(decls, ground)
 
     compiled = []
@@ -440,7 +453,7 @@ def test_tracker_key_tells_apart_what_repr_conflates(monkeypatch):
 
     # 8 trackers requested: "opt" and "concat" share their RC.Sigma*, and
     # "macro" and "atom" their Sigma*.LC
-    keys = [rulemod._regex_key(n) for n in compiled]
+    keys = [rx.regex_key(n) for n in compiled]
     assert len(keys) == len(set(keys)) == 6
     assert [ra.name for ra in automata] == ["opt", "concat", "macro", "atom"]
     assert automata[0].dfa.dump() != automata[1].dfa.dump()
