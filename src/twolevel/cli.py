@@ -17,22 +17,10 @@ no-parses, 2 usage or description errors.
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import engine
 from .turkish import load_description, load_turkish, run_suite
 from .turkish.syllabify import SyllabifyError, syllabify_first
-
-
-def positive_int(text):
-    """argparse type of --jobs."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
-    return value
 
 
 def _build_parser():
@@ -47,7 +35,6 @@ def _build_parser():
         if batch:
             sp.add_argument("word", nargs="*", help="words; empty with --input/- for stdin")
             sp.add_argument("--input", help="batch input file, '-' for standard input")
-            sp.add_argument("--jobs", type=positive_int, default=1, help="worker count (>= 1)")
             sp.add_argument("--stats", action="store_true",
                             help="print words/second and the runtime cache sizes")
             sp.add_argument("--strict", action="store_true",
@@ -106,12 +93,7 @@ def _words(args):
 def _batch(args, fn, desc):
     words = _words(args)
     t0 = time.perf_counter()
-    if args.jobs == 1:
-        results = [fn(w) for w in words]
-    else:
-        # output order follows input order regardless of worker count
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(fn, words))
+    results = [fn(w) for w in words]
     dt = time.perf_counter() - t0
     misses = 0
     for block in results:

@@ -61,10 +61,11 @@ class PairDfa:
 # Alphabet partitioning
 
 def _collect_atoms(node, out):
-    if isinstance(node, (rx.Atom, rx.Boundary, rx.NotPair)):
+    """The leaves of the expression's NFA: atoms, and differences, which
+    are compiled whole and spliced in."""
+    if isinstance(node, (rx.Atom, rx.Boundary, rx.NotPair, rx.Diff)):
         out.append(node)
-        if isinstance(node, rx.NotPair):
-            return
+        return
     for child in node.children():
         _collect_atoms(child, out)
 
@@ -112,151 +113,107 @@ class _Nfa:
         return len(self.eps) - 1
 
 
-def _build_nfa(nfa, node, classes_of_den):
-    """Thompson-style fragment; returns (start, end)."""
+def _build_nfa(nfa, node, leaves):
+    """Thompson-style fragment; returns (start, end).
+
+    ``leaves`` maps id(atom) to the classes it matches, and id(difference)
+    to its DFA and, per class of this expression, the DFA's class of that
+    class's pairs.  The DFA is copied in state by state.
+    """
     if isinstance(node, rx.MacroRef):
-        return _build_nfa(nfa, node.target, classes_of_den)
+        return _build_nfa(nfa, node.target, leaves)
     s = nfa.new_state()
     e = nfa.new_state()
     if isinstance(node, rx.Epsilon):
         nfa.eps[s].add(e)
     elif isinstance(node, (rx.Atom, rx.Boundary, rx.NotPair)):
-        for cid in classes_of_den[id(node)]:
+        for cid in leaves[id(node)]:
             nfa.arcs[s].setdefault(cid, set()).add(e)
+    elif isinstance(node, rx.Diff):
+        sub, sub_class = leaves[id(node)]
+        base = len(nfa.eps)
+        for row in sub.delta:
+            q = nfa.new_state()
+            for cid, c in enumerate(sub_class):
+                t = row.get(c)
+                if t is not None:
+                    nfa.arcs[q].setdefault(cid, set()).add(base + t)
+        nfa.eps[s].add(base + sub.start)
+        for f in sub.finals:
+            nfa.eps[base + f].add(e)
     elif isinstance(node, rx.Opt):
-        a, b = _build_nfa(nfa, node.item, classes_of_den)
+        a, b = _build_nfa(nfa, node.item, leaves)
         nfa.eps[s] |= {a, e}
         nfa.eps[b].add(e)
     elif isinstance(node, rx.Union):
         for item in node.items:
-            a, b = _build_nfa(nfa, item, classes_of_den)
+            a, b = _build_nfa(nfa, item, leaves)
             nfa.eps[s].add(a)
             nfa.eps[b].add(e)
     elif isinstance(node, rx.Concat):
         cur = s
         for item in node.items:
-            a, b = _build_nfa(nfa, item, classes_of_den)
+            a, b = _build_nfa(nfa, item, leaves)
             nfa.eps[cur].add(a)
             cur = b
         nfa.eps[cur].add(e)
     elif isinstance(node, (rx.Star, rx.Plus)):
-        a, b = _build_nfa(nfa, node.item, classes_of_den)
+        a, b = _build_nfa(nfa, node.item, leaves)
         nfa.eps[s].add(a)
         nfa.eps[b] |= {a, e}
         if isinstance(node, rx.Star):
             nfa.eps[s].add(e)
-    elif isinstance(node, rx.Diff):
-        raise ValueError("difference is compiled via DFA product")
     else:
         raise TypeError("cannot compile %r" % node)
     return s, e
-
-
-def _has_diff(node):
-    if isinstance(node, rx.Diff):
-        return True
-    if isinstance(node, rx.MacroRef):
-        return _has_diff(node.target)
-    return any(_has_diff(c) for c in node.children())
 
 
 def compile_regex(node, alphabet, decls, with_frame=False, allow_empty=False):
     """Compile a PairRegex to a trimmed, deterministic PairDfa.
 
     ``with_frame`` admits the boundary pair into the automaton alphabet
-    (rule compilation wants it; plain expressions usually do not).
+    (rule compilation wants it; plain expressions usually do not).  Each
+    difference is compiled on its own by product and spliced into the NFA,
+    so the expression is determinized once.
     """
     n_symbols = len(alphabet.pairs) + (1 if with_frame else 0)
-
-    if _has_diff(node):
-        # rebuild on a diff-free skeleton via products
-        return _compile_with_diff(node, alphabet, decls, with_frame, allow_empty)
 
     atoms = []
     _collect_atoms(node, atoms)
     dens = {}
     den_list = []
     for a in atoms:
-        d = rx.denote_atom(a, alphabet, decls, with_frame=with_frame, allow_empty=allow_empty)
-        if with_frame is False:
-            d = frozenset(x for x in d if x < n_symbols)
+        if id(a) in dens:
+            continue
+        if isinstance(a, rx.Diff):
+            d = product(compile_regex(a.left, alphabet, decls, with_frame, allow_empty),
+                        compile_regex(a.right, alphabet, decls, with_frame, allow_empty),
+                        "difference")
+            sub_classes = {}
+            for pid, c in enumerate(d.class_of):
+                sub_classes.setdefault(c, []).append(pid)
+            den_list.extend(sub_classes.values())
+        else:
+            d = rx.denote_atom(a, alphabet, decls, with_frame=with_frame, allow_empty=allow_empty)
+            den_list.append(d)
         dens[id(a)] = d
-        den_list.append(d)
     class_of, classes = partition_for(den_list, n_symbols)
-    # classes are signature-uniform: membership of the first member decides
-    classes_of_den = {
-        key: [cid for cid, members in enumerate(classes) if members and members[0] in den]
-        for key, den in dens.items()
-    }
+    # classes are signature-uniform: the first member speaks for the class
+    leaves = {}
+    for key, d in dens.items():
+        if isinstance(d, PairDfa):
+            leaves[key] = (d, [d.class_of[members[0]] for members in classes])
+        else:
+            leaves[key] = [cid for cid, members in enumerate(classes) if members[0] in d]
 
     nfa = _Nfa()
-    start, end = _build_nfa(nfa, node, classes_of_den)
+    start, end = _build_nfa(nfa, node, leaves)
 
-    dfa = _nfa_determinize(
-        nfa, {start}, lambda subset: end in subset, alphabet, class_of, len(classes)
-    )
-    return minimize(trim(dfa))
+    return minimize(_nfa_determinize(nfa, start, end, alphabet, class_of, len(classes)))
 
 
-def _compile_with_diff(node, alphabet, decls, with_frame, allow_empty):
-    if isinstance(node, rx.MacroRef):
-        return _compile_with_diff(node.target, alphabet, decls, with_frame, allow_empty)
-    if isinstance(node, rx.Diff):
-        a = compile_regex(node.left, alphabet, decls, with_frame, allow_empty)
-        b = compile_regex(node.right, alphabet, decls, with_frame, allow_empty)
-        return product(a, b, "difference")
-    if isinstance(node, rx.Union):
-        parts = [compile_regex(i, alphabet, decls, with_frame, allow_empty) for i in node.items]
-        out = parts[0]
-        for p in parts[1:]:
-            out = product(out, p, "union")
-        return out
-    if isinstance(node, rx.Concat):
-        parts = [compile_regex(i, alphabet, decls, with_frame, allow_empty) for i in node.items]
-        return _concat_dfas(parts, alphabet)
-    if isinstance(node, rx.Opt):
-        inner = compile_regex(node.item, alphabet, decls, with_frame, allow_empty)
-        return _add_epsilon(inner)
-    if isinstance(node, (rx.Star, rx.Plus)):
-        inner = compile_regex(node.item, alphabet, decls, with_frame, allow_empty)
-        return _closure_dfa(inner, plus=isinstance(node, rx.Plus))
-    return compile_regex(node, alphabet, decls, with_frame, allow_empty)
-
-
-def _dfa_to_nfa_frag(dfa, nfa, class_map):
-    base = len(nfa.eps)
-    for _ in range(dfa.n_states):
-        nfa.new_state()
-    for s in range(dfa.n_states):
-        for cid, t in dfa.delta[s].items():
-            for joint in class_map[id(dfa)][cid]:
-                nfa.arcs[base + s].setdefault(joint, set()).add(base + t)
-    return base
-
-
-def _joint_classes(dfas, n_symbols):
-    sigs = {}
-    class_of = [0] * n_symbols
-    classes = []
-    for pid in range(n_symbols):
-        sig = tuple(d.class_of[pid] for d in dfas)
-        cid = sigs.get(sig)
-        if cid is None:
-            cid = len(classes)
-            sigs[sig] = cid
-            classes.append(sig)
-        class_of[pid] = cid
-    # per-dfa: own class -> set of joint classes
-    cmap = {}
-    for k, d in enumerate(dfas):
-        m = {}
-        for joint, sig in enumerate(classes):
-            m.setdefault(sig[k], set()).add(joint)
-        cmap[id(d)] = m
-    return class_of, classes, cmap
-
-
-def _nfa_determinize(nfa, starts, finals_pred, alphabet, class_of, n_classes):
+def _nfa_determinize(nfa, start, end, alphabet, class_of, n_classes):
+    """Subset construction; a subset is final when it holds ``end``."""
     def closure(states):
         stack = list(states)
         seen = set(states)
@@ -268,12 +225,10 @@ def _nfa_determinize(nfa, starts, finals_pred, alphabet, class_of, n_classes):
                     stack.append(t)
         return frozenset(seen)
 
-    init = closure(starts)
+    init = closure([start])
     subsets = {init: 0}
     delta = [{}]
-    finals = set()
-    if finals_pred(init):
-        finals.add(0)
+    finals = {0} if end in init else set()
     work = [init]
     while work:
         cur = work.pop()
@@ -290,50 +245,10 @@ def _nfa_determinize(nfa, starts, finals_pred, alphabet, class_of, n_classes):
                 subsets[nxt] = j
                 delta.append({})
                 work.append(nxt)
-                if finals_pred(nxt):
+                if end in nxt:
                     finals.add(j)
             delta[ci][cid] = j
     return PairDfa(alphabet, class_of, n_classes, delta, 0, finals)
-
-
-def _concat_dfas(parts, alphabet):
-    n_symbols = len(parts[0].class_of)
-    class_of, classes, cmap = _joint_classes(parts, n_symbols)
-    nfa = _Nfa()
-    bases = [_dfa_to_nfa_frag(p, nfa, cmap) for p in parts]
-    for k in range(len(parts) - 1):
-        for f in parts[k].finals:
-            nfa.eps[bases[k] + f].add(bases[k + 1] + parts[k + 1].start)
-    last_finals = {bases[-1] + f for f in parts[-1].finals}
-    dfa = _nfa_determinize(nfa, {bases[0] + parts[0].start},
-                           lambda subset: bool(subset & last_finals),
-                           parts[0].alphabet, class_of, len(classes))
-    return minimize(trim(dfa))
-
-
-def _add_epsilon(dfa):
-    if dfa.start in dfa.finals:
-        return dfa
-    delta = [dict(dfa.delta[dfa.start])] + [dict(d) for d in dfa.delta]
-    shifted = [{c: t + 1 for c, t in d.items()} for d in delta]
-    finals = {f + 1 for f in dfa.finals}
-    finals.add(0)
-    out = PairDfa(dfa.alphabet, dfa.class_of, dfa.n_classes, shifted, 0, finals)
-    return minimize(trim(out))
-
-
-def _closure_dfa(dfa, plus):
-    nfa = _Nfa()
-    cmap = {id(dfa): {c: {c} for c in range(dfa.n_classes)}}
-    base = _dfa_to_nfa_frag(dfa, nfa, cmap)
-    for f in dfa.finals:
-        nfa.eps[base + f].add(base + dfa.start)
-    final_set = {base + f for f in dfa.finals}
-    out = _nfa_determinize(nfa, {base + dfa.start}, lambda subset: bool(subset & final_set),
-                           dfa.alphabet, dfa.class_of, dfa.n_classes)
-    if not plus:
-        out = _add_epsilon(out)
-    return minimize(trim(out))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +262,11 @@ def _check_alphabets(a, b):
 def product(a, b, mode="intersect"):
     """Textbook product; mode is intersect | union | difference."""
     _check_alphabets(a, b)
-    n_symbols = len(a.class_of)
-    class_of, classes, _ = _joint_classes([a, b], n_symbols)
+    # joint classes: one per distinct (class in a, class in b), numbered
+    # in order of their first pair id
+    sigs = {}
+    class_of = [sigs.setdefault(sig, len(sigs)) for sig in zip(a.class_of, b.class_of)]
+    classes = list(sigs)
 
     def is_final(sa, sb):
         fa = sa in a.finals if sa is not None else False
@@ -392,7 +310,7 @@ def product(a, b, mode="intersect"):
                 if is_final(*nxt):
                     finals.add(j)
             delta[ci][joint] = j
-    return minimize(trim(PairDfa(a.alphabet, class_of, len(classes), delta, 0, finals)))
+    return minimize(PairDfa(a.alphabet, class_of, len(classes), delta, 0, finals))
 
 
 def complement(a, alphabet=None):
@@ -408,7 +326,7 @@ def complement(a, alphabet=None):
             if c not in delta[s]:
                 delta[s][c] = sink
     finals = {s for s in range(n + 1) if s not in a.finals}
-    return minimize(trim(PairDfa(a.alphabet, a.class_of, a.n_classes, delta, a.start, finals)))
+    return minimize(PairDfa(a.alphabet, a.class_of, a.n_classes, delta, a.start, finals))
 
 
 def trim(a):
@@ -497,6 +415,3 @@ def equivalent(a, b):
             return False
     return True
 
-
-def is_empty(a):
-    return not trim(a).finals

@@ -589,6 +589,15 @@ def trace(word, direction, desc):
     best = {"depth": -1, "layer": "lexicon", "rules": [], "pair": None}
     accepted = [False]
 
+    def blame(depth, names, pair):
+        """Keep the rules that rejected at the deepest depth; a tie joins them."""
+        if depth > best["depth"]:
+            best.update(depth=depth, layer="rules", rules=list(names), pair=pair)
+        elif depth == best["depth"] and best["layer"] == "rules":
+            for name in names:
+                if name not in best["rules"]:
+                    best["rules"].append(name)
+
     def step(depth, vid, pid):
         """The vector after pair pid, or None after noting who rejected it."""
         nvid = rt.step_vec(vid, pid)
@@ -597,20 +606,16 @@ def trace(word, direction, desc):
         died = rt.rejecters(vid, pid)
         pair = rt.alphabet.name_of(pid)
         steps.append(TraceStep(depth, pair, list(died)))
-        if depth > best["depth"]:
-            best.update(depth=depth, layer="rules", rules=list(died), pair=pair)
-        elif depth == best["depth"] and best["layer"] == "rules":
-            for name in died:
-                if name not in best["rules"]:
-                    best["rules"].append(name)
+        if depth >= best["depth"]:  # most rejections are shallower
+            blame(depth, died, pair)
         return None
 
     def end(depth, vid):
         bad = rt.final_rejecters(vid)
         if not bad:
             accepted[0] = True
-        elif depth >= best["depth"]:
-            best.update(depth=depth, layer="rules", rules=list(bad), pair="#:#")
+        else:
+            blame(depth, bad, "#:#")
 
     if direction == "generate":
         syms = tokenize_lexical(word, desc.alphabet)

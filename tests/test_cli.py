@@ -2,8 +2,6 @@ import io
 import re
 import sys
 
-import pytest
-
 from twolevel.cli import main
 
 
@@ -57,7 +55,7 @@ def test_generate_many(capsys):
 
 
 def test_batch_stdin_order_is_input_order(capsys):
-    rc, out = run(capsys, ["analyze", "--input", "-", "--jobs", "4"],
+    rc, out = run(capsys, ["analyze", "--input", "-"],
                   stdin="evde\nbana\nsuyu\n")
     assert rc == 0
     heads = [line for line in out.splitlines() if line and "\t" not in line]
@@ -89,14 +87,6 @@ def test_usage_error_exit_code(capsys):
     rc, _ = run(capsys, ["generate", "--rules", "/nonexistent.twol",
                          "--lexicon", "/nonexistent.lex", "ev"])
     assert rc == 2
-
-
-@pytest.mark.parametrize("jobs", ["0", "-5", "x"])
-def test_jobs_below_one_is_a_usage_error(capsys, jobs):
-    with pytest.raises(SystemExit) as exit_:
-        main(["analyze", "--jobs", jobs, "evde"])
-    assert exit_.value.code == 2
-    assert "--jobs: must be an integer >= 1, got %r" % jobs in capsys.readouterr().err
 
 
 def test_compile_reports(capsys):

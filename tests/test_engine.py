@@ -125,6 +125,17 @@ def test_trace_kitapi_names_final_stop_family(turkish):
     assert any("15." in name for name in report.blocking_rules())
 
 
+def test_trace_joins_pair_and_boundary_rejecters_at_one_depth(turkish):
+    # at depth 10 one path dies on a pair (the passive rule among others)
+    # and another on the closing boundary; both sets of rules are named
+    report = engine.trace("zabıttakin", "analyze", turkish)
+    assert not report.outcome.accepted and report.layer == "rules"
+    names = report.blocking_rules()
+    assert "45.The passive voice rule, l:n" in names
+    assert "34.Instantiation of the pronominal n, N:n" in names
+    assert {depth for _, depth, _ in report.outcome.blockers} == {10}
+
+
 def test_trace_layers(turkish):
     assert engine.trace("evide", "analyze", turkish).layer == "rules"
     assert engine.trace("xxxx", "analyze", turkish).layer == "lexicon"

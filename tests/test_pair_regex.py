@@ -113,23 +113,35 @@ def test_optional_parens_and_difference(env):
     assert not d.accepts(ids(alpha, "b", "c"))
 
 
-def _random_regex(rng, symbols, depth):
+def _random_regex(rng, symbols, depth, leaves=()):
+    """A random expression; ``leaves`` are extra leaf nodes to draw from."""
     if depth == 0 or rng.random() < 0.3:
+        if leaves and rng.random() < 0.3:
+            return rng.choice(leaves)
         return rx.Atom(rng.choice(symbols), None) if rng.random() < 0.2 \
             else rx.Atom(rng.choice(symbols), rng.choice(symbols))
     kind = rng.choice(["cat", "alt", "star", "opt", "diff", "plus"])
     if kind == "cat":
-        return rx.Concat([_random_regex(rng, symbols, depth - 1) for _ in range(2)])
+        return rx.Concat([_random_regex(rng, symbols, depth - 1, leaves) for _ in range(2)])
     if kind == "alt":
-        return rx.Union([_random_regex(rng, symbols, depth - 1) for _ in range(2)])
+        return rx.Union([_random_regex(rng, symbols, depth - 1, leaves) for _ in range(2)])
     if kind == "star":
-        return rx.Star(_random_regex(rng, symbols, depth - 1))
+        return rx.Star(_random_regex(rng, symbols, depth - 1, leaves))
     if kind == "plus":
-        return rx.Plus(_random_regex(rng, symbols, depth - 1))
+        return rx.Plus(_random_regex(rng, symbols, depth - 1, leaves))
     if kind == "opt":
-        return rx.Opt(_random_regex(rng, symbols, depth - 1))
-    return rx.Diff(_random_regex(rng, symbols, depth - 1),
-                   _random_regex(rng, symbols, depth - 1))
+        return rx.Opt(_random_regex(rng, symbols, depth - 1, leaves))
+    return rx.Diff(_random_regex(rng, symbols, depth - 1, leaves),
+                   _random_regex(rng, symbols, depth - 1, leaves))
+
+
+def _words_upto(pids, length):
+    words = [()]
+    frontier = [()]
+    for _ in range(length):
+        frontier = [w + (p,) for w in frontier for p in pids]
+        words.extend(frontier)
+    return words
 
 
 def test_random_regex_dfa_matches_recursive_matcher():
@@ -138,14 +150,24 @@ def test_random_regex_dfa_matches_recursive_matcher():
     alpha = derive_feasible_pairs(decls)
     rng = random.Random(20240811)
     symbols = ["a", "b", "c"]
-    pids = list(alpha.all_ids())
-    words = [()]
-    frontier = [()]
-    for _ in range(6):
-        frontier = [w + (p,) for w in frontier for p in pids]
-        words.extend(frontier)
+    words = _words_upto(list(alpha.all_ids()), 6)
     for trial in range(60):
         node = _random_regex(rng, symbols, 4)
         d = dfalib.compile_regex(node, alpha, decls, allow_empty=True)
+        for w in words:
+            assert d.accepts(w) == rx.match(node, w, alpha, decls), (trial, w, node)
+
+
+def test_random_framed_regex_dfa_matches_recursive_matcher():
+    # as rule contexts are compiled: the boundary pair is in the alphabet,
+    # and the leaves include # and the full wildcard, which spans it
+    decls, _ = parse_declarations("ALPHABET\na b c ;\n")
+    alpha = derive_feasible_pairs(decls)
+    rng = random.Random(5)
+    leaves = (rx.Boundary(), rx.Atom(None, None))
+    words = _words_upto(list(alpha.all_ids(with_frame=True)), 5)
+    for trial in range(150):
+        node = _random_regex(rng, ["a", "b", "c"], 4, leaves)
+        d = dfalib.compile_regex(node, alpha, decls, with_frame=True, allow_empty=True)
         for w in words:
             assert d.accepts(w) == rx.match(node, w, alpha, decls), (trial, w, node)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -400,6 +401,17 @@ def test_check_set_matches_standalone_compile(turkish):
     for ra in turkish.rule_automata:
         alone = compile_rule(ra.rule, alpha, decls)
         assert alone.dfa.dump() == ra.dfa.dump(), ra.name
+
+
+def test_bundled_automata_are_pinned(turkish):
+    # every bundled constraint automaton, state numbering included; a
+    # change to the regex compiler that alters any of them shows here
+    h = hashlib.sha256()
+    for ra in turkish.rule_automata:
+        h.update(ra.name.encode())
+        h.update(ra.dfa.dump().encode())
+    assert h.hexdigest() == "30acc307f24f5f8d4253a5f86b02dec84d03deab55043496303a234807d93bd3"
+    assert sum(ra.dfa.n_states for ra in turkish.rule_automata) == 1841
 
 
 def test_denotation_cache_stops_growing(turkish):
