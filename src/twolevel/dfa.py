@@ -404,14 +404,3 @@ def minimize(a):
         if s in a.finals:
             finals.add(b)
     return PairDfa(a.alphabet, a.class_of, a.n_classes, rep_delta, block[a.start], finals)
-
-
-def equivalent(a, b):
-    """Decide L(a) == L(b) by emptiness of both difference products."""
-    _check_alphabets(a, b)
-    for x, y in ((a, b), (b, a)):
-        d = product(x, y, "difference")
-        if d.finals:
-            return False
-    return True
-

@@ -7,6 +7,7 @@ step advances the lexicon and the search is bounded.
 """
 
 import threading
+import unicodedata
 from dataclasses import dataclass, field
 
 from . import rules as rulemod
@@ -120,6 +121,22 @@ class _Trie:
         self.live = {}
 
 
+class _Frontier:
+    """The subset frontier of analyze: interned sets of (trie node, vector
+    id) states, closed under live deletions and continuation jumps; set id
+    0 is the empty set.  Per set: surface code -> next set id, and whether
+    some state ends the word (None until a word ends in the set).  Only
+    words without a reading extend it (_Runtime.extend_frontier)."""
+    __slots__ = ("ids", "sets", "trans", "accepts", "start")
+
+    def __init__(self):
+        self.ids = {frozenset(): 0}   # set -> set id
+        self.sets = [frozenset()]
+        self.trans = [{}]
+        self.accepts = [False]
+        self.start = None             # id of the roots' closure, built on first use
+
+
 class _Runtime:
     def __init__(self, desc):
         alphabet = desc.alphabet
@@ -138,10 +155,9 @@ class _Runtime:
         self.vecs = {}
         self.vec_list = []
         self.vec_trans = []
-        start = tuple(d.start for d in self.dfas)
-        self.start_vec = self._intern(start)
         self.frame_id = alphabet.frame_id
-        self.init_vec = self.step_vec(self.start_vec, self.frame_id)
+        self.init_vec = self.step_vec(self._intern(tuple(d.start for d in self.dfas)),
+                                      self.frame_id)
 
         # Codes of the surface characters for live_moves: 0 stands for the
         # end of the word and for any character that no pair realizes, as
@@ -182,6 +198,12 @@ class _Runtime:
         # either may win.
         self.cover_nodes = {}     # trie node -> node_cover(node)
         self.cover_classes = {}   # sublexicon name -> class_cover(name)
+
+        # The frontier is its own object rather than five more attributes
+        # here: CPython 3.11 reads the attributes of an instance that has
+        # 30 or more of them markedly slower, and every search reads this
+        # one's.
+        self.frontier = _Frontier()
 
     def _index(self, node):
         """Fill node.moves and node.dels from its arcs."""
@@ -238,10 +260,91 @@ class _Runtime:
         live = node.live[vid * self.n_codes + code] = tuple(live)
         return live
 
+    def _closure(self, states):
+        """The set of (trie node, vector id) states `states` closed under
+        live deletions and continuation jumps, as a frozenset without the
+        states whose node neither reads a character nor completes an entry
+        (the frontier steps only consuming moves and tests completions);
+        `states` is extended in place.  The deletions are stepped through
+        the vector transitions, not live_moves: a search has stepped them
+        already, but from these states it looked up the live moves of the
+        next character only, and the frontier adds no live-move entries."""
+        step_vec, tries = self.step_vec, self.tries
+        stack = list(states)
+        while stack:
+            node, vid = stack.pop()
+            reached = [(tries[cont], vid) for _, cont in node.complete
+                       if cont != TERMINAL] if node.complete else []
+            if node.dels:
+                trans = self.vec_trans[vid]
+                for _, pid, child, _ in node.dels:
+                    nvid = trans.get(pid, False)
+                    if nvid is False:
+                        nvid = step_vec(vid, pid)
+                    if nvid is not None:
+                        reached.append((child, nvid))
+            for state in reached:
+                if state not in states:
+                    states.add(state)
+                    stack.append(state)
+        return frozenset(state for state in states if state[0].moves or state[0].complete)
+
+    def _intern_set(self, states):
+        fr = self.frontier
+        sid = fr.ids.get(states)
+        if sid is None:
+            with self._lock:
+                sid = fr.ids.get(states)
+                if sid is None:
+                    sid = len(fr.sets)
+                    fr.sets.append(states)
+                    fr.trans.append({})
+                    fr.accepts.append(None)
+                    fr.ids[states] = sid
+        return sid
+
+    def extend_frontier(self, sid, codes):
+        """Fill the frontier's transitions from set sid (None: the start
+        set) over the surface codes, until they end or the set is empty,
+        and the accepting flag of the set where they end.  The search of
+        the word has just tested the closing boundary from that set's
+        states, so the flag costs no rule stepping; it is left unknown
+        elsewhere.  Like the other memos these are filled without a lock;
+        threads that race intern equal sets, so they store equal values."""
+        fr = self.frontier
+        if sid is None:
+            sid = fr.start
+            if sid is None:
+                sid = fr.start = self._intern_set(self._closure(
+                    {(self.tries[root], self.init_vec) for root in self.lexicon.roots}))
+        n_codes = self.n_codes
+        for code in codes:
+            if not sid:
+                break
+            trans = fr.trans[sid]
+            nxt = trans.get(code)
+            if nxt is None:
+                states = set()
+                for node, vid in fr.sets[sid]:
+                    moves = node.live.get(vid * n_codes + code)
+                    if moves is None:
+                        moves = self.live_moves(node, vid, code)
+                    for m in moves:
+                        if m[3]:
+                            states.add((m[2], m[4]))
+                nxt = trans[code] = self._intern_set(self._closure(states)) if states else 0
+            sid = nxt
+        if sid and fr.accepts[sid] is None:
+            fr.accepts[sid] = any(
+                self.vec_accepts(vid) for node, vid in fr.sets[sid]
+                if any(cont == TERMINAL for _, cont in node.complete))
+
     def cache_sizes(self):
-        """(interned vectors, vector transitions, live-move entries)."""
+        """(interned vectors, vector transitions, live-move entries,
+        frontier sets, frontier transitions)."""
         return (len(self.vec_list), sum(map(len, self.vec_trans)),
-                sum(len(node.live) for node in self.nodes))
+                sum(len(node.live) for node in self.nodes),
+                len(self.frontier.sets), sum(map(len, self.frontier.trans)))
 
     def vec_accepts(self, vid):
         return not self.final_rejecters(vid)
@@ -366,17 +469,41 @@ def runtime(desc):
 
 def analyze(surface, desc):
     """All analyses of a surface word: lexicon path + all rules + exact
-    surface match.  Deterministic order, duplicates merged."""
+    surface match.  Deterministic order, duplicates merged.
+
+    The word is first walked through the runtime's subset frontier, the
+    sets of states reachable on the surface prefixes of earlier words
+    without a reading: when the walk empties or ends in a set that cannot
+    end the word, there is no reading and no search is run.  Every word
+    with a reading is found by the search."""
+    surface = unicodedata.normalize("NFC", surface)
     rt = runtime(desc)
     if rt.init_vec is None:
         return []
     n = len(surface)
+    codes = [rt.codes.get(c, 0) for c in surface]
+
+    fr = rt.frontier
+    sid = fr.start
+    i = 0
+    if sid is not None:
+        trans = fr.trans
+        while i < n:
+            nxt = trans[sid].get(codes[i])
+            if nxt is None:
+                break
+            if not nxt:
+                return []
+            sid = nxt
+            i += 1
+        else:
+            if fr.accepts[sid] is False:
+                return []
+
     limit = 4 * n + 24
     results = {}
     acc = []          # the live moves taken, as built by rt.live_moves
     gloss_acc = []
-
-    codes = [rt.codes.get(c, 0) for c in surface]
     codes.append(0)
     n_codes = rt.n_codes
     live_moves = rt.live_moves
@@ -412,6 +539,8 @@ def analyze(surface, desc):
 
     for root in desc.lexicon.roots:
         rec(tries[root], rt.init_vec, 0, 0)
+    if not results:
+        rt.extend_frontier(sid, codes[i:n])
     out = [Analysis(lex, gloss, pids) for (lex, gloss), pids in results.items()]
     out.sort(key=lambda a: (a.lexical, a.gloss))
     return out
@@ -422,7 +551,7 @@ def analyze(surface, desc):
 
 def tokenize_lexical(text, alphabet):
     syms = []
-    for ch in text:
+    for ch in unicodedata.normalize("NFC", text):
         if ch not in alphabet.by_lex:
             raise TokenError("unknown lexical symbol %r" % ch)
         syms.append(ch)
@@ -457,6 +586,7 @@ def generate(lexical, desc, validate_morphotactics=False):
 
 def is_lexicon_path(lexical, desc):
     """True when the lexical symbol string spells a root-to-# lexicon path."""
+    lexical = unicodedata.normalize("NFC", lexical)
     rt = runtime(desc)
     tries = rt.tries
     n = len(lexical)
@@ -545,6 +675,7 @@ def lexicon_covers(surface, desc):
     depend on the lexicon alone: the nodes reached without reading a
     character are never visited one by one.
     """
+    surface = unicodedata.normalize("NFC", surface)
     rt = runtime(desc)
     node_tables, node_cover = rt.cover_nodes, rt.node_cover
     class_tables, class_cover = rt.cover_classes, rt.class_cover
@@ -584,19 +715,22 @@ def trace(word, direction, desc):
     """
     if direction not in ("analyze", "generate"):
         raise ValueError("direction must be analyze or generate")
+    word = unicodedata.normalize("NFC", word)
     rt = runtime(desc)
     steps = []
-    best = {"depth": -1, "layer": "lexicon", "rules": [], "pair": None}
+    # the rules that rejected at the deepest depth, each with its pair
+    best = {"depth": -1, "layer": "lexicon", "rules": {}}
     accepted = [False]
 
     def blame(depth, names, pair):
         """Keep the rules that rejected at the deepest depth; a tie joins them."""
         if depth > best["depth"]:
-            best.update(depth=depth, layer="rules", rules=list(names), pair=pair)
+            best.update(depth=depth, layer="rules", rules=dict.fromkeys(names, pair))
         elif depth == best["depth"] and best["layer"] == "rules":
+            rules = best["rules"]
             for name in names:
-                if name not in best["rules"]:
-                    best["rules"].append(name)
+                if name not in rules:
+                    rules[name] = pair
 
     def step(depth, vid, pid):
         """The vector after pair pid, or None after noting who rejected it."""
@@ -655,7 +789,7 @@ def trace(word, direction, desc):
                     progressed = True
                     reca(child, nvid, i + consumes, 0, depth + 1)
             if not progressed and i < n and i >= best["depth"]:
-                best.update(depth=i, layer="lexicon", rules=[], pair=None)
+                best.update(depth=i, layer="lexicon", rules={})
 
         for root in desc.lexicon.roots:
             reca(rt.tries[root], rt.init_vec, 0, 0, 0)
@@ -669,8 +803,7 @@ def trace(word, direction, desc):
         else:
             covered = is_lexicon_path(word, desc)
         layer = "rules" if covered else "lexicon"
-        blockers = best["rules"] if best["layer"] == "rules" else []
         verdict = rulemod.Verdict(
-            False, [(name, best["depth"], best["pair"] or "") for name in blockers]
+            False, [(name, best["depth"], pair) for name, pair in best["rules"].items()]
         )
     return TraceReport(steps, verdict, layer)

@@ -1,5 +1,6 @@
 import pytest
 
+from twolevel import dfa as dfalib
 from twolevel.turkish import load_turkish
 
 
@@ -26,3 +27,8 @@ def make_description(rules_text, lexicon_text=None):
         lexicon.order.append("Root")
         lexicon.roots = ["Root"]
     return engine.compile_description(decls, ground, lexicon, alphabet)
+
+
+def equivalent(a, b):
+    """Decide L(a) == L(b) by emptiness of both difference products."""
+    return not any(dfalib.product(x, y, "difference").finals for x, y in ((a, b), (b, a)))

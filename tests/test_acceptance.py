@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import equivalent
 from twolevel import dfa as dfalib
 from twolevel import engine
 from twolevel import pair_regex as rx
@@ -259,10 +260,10 @@ def test_criterion_dfa_algebra():
                            {s for s in range(b_n) if rng.random() < 0.45})
         m = dfalib.minimize(a)
         ok = dfalib.minimize(m).n_states == m.n_states
-        ok = ok and dfalib.equivalent(a, m)
+        ok = ok and equivalent(a, m)
         lhs = dfalib.complement(dfalib.product(a, b, "union"))
         rhs = dfalib.product(dfalib.complement(a), dfalib.complement(b), "intersect")
-        ok = ok and dfalib.equivalent(lhs, rhs)
+        ok = ok and equivalent(lhs, rhs)
         if not ok:
             bad += 1
             print("ALGEBRA FAIL on sample", k)

@@ -20,15 +20,18 @@ def run(capsys, args, stdin=None):
 
 
 def test_analyze_word(capsys):
-    rc = main(["analyze", "--stats", "evde"])
+    rc = main(["analyze", "--stats", "evde", "evdeQ"])
     out, err = capsys.readouterr()
     assert rc == 0
     assert "ev^-DA\t[ROOT=ev]+LOC" in out
     lines = err.splitlines()
-    assert re.fullmatch(r"1 words in \d+\.\d\ds: \d+ words/sec", lines[0])
+    assert re.fullmatch(r"2 words in \d+\.\d\ds: \d+ words/sec", lines[0])
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
-                          r"transitions, (\d+) live-move entries", lines[1])
+                          r"transitions, (\d+) live-move entries, (\d+) frontier sets, "
+                          r"(\d+) frontier transitions", lines[1])
+    # the word without a reading builds the start set and its successors
     assert counts and all(int(k) > 0 for k in counts.groups())
+    assert int(counts[4]) >= 2
 
 
 def test_analyze_none_marker(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import equivalent
 from twolevel import dfa as dfalib
 from twolevel import pair_regex as rx
 from twolevel.symbols import derive_feasible_pairs, parse_declarations
@@ -46,7 +47,7 @@ def test_minimize_idempotent(env):
 
 def test_complement_involution(env):
     a = compile_(env, "a [b c]* (a)")
-    assert dfalib.equivalent(dfalib.complement(dfalib.complement(a)), a)
+    assert equivalent(dfalib.complement(dfalib.complement(a)), a)
 
 
 def test_union_difference(env):
@@ -94,11 +95,11 @@ def test_random_dfa_properties(env):
         a = _random_dfa(rng, alpha)
         b = _random_dfa(rng, alpha)
         m = dfalib.minimize(a)
-        assert dfalib.equivalent(a, m)
+        assert equivalent(a, m)
         assert dfalib.minimize(m).n_states == m.n_states
         lhs = dfalib.complement(dfalib.product(a, b, "union"))
         rhs = dfalib.product(dfalib.complement(a), dfalib.complement(b), "intersect")
-        assert dfalib.equivalent(lhs, rhs)
+        assert equivalent(lhs, rhs)
         for w in rng.sample(words, 25):
             assert m.accepts(w) == a.accepts(w)
 

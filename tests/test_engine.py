@@ -3,6 +3,7 @@ import dataclasses
 import random
 import sys
 import threading
+import unicodedata
 
 import pytest
 
@@ -130,15 +131,38 @@ def test_trace_joins_pair_and_boundary_rejecters_at_one_depth(turkish):
     # and another on the closing boundary; both sets of rules are named
     report = engine.trace("zabıttakin", "analyze", turkish)
     assert not report.outcome.accepted and report.layer == "rules"
-    names = report.blocking_rules()
-    assert "45.The passive voice rule, l:n" in names
-    assert "34.Instantiation of the pronominal n, N:n" in names
-    assert {depth for _, depth, _ in report.outcome.blockers} == {10}
+    # each rule keeps the pair it rejected
+    assert report.outcome.blockers == [
+        ("23.SIV-DELETION (H,A,E):0 + 33.High vowel epenthesis in word bases"
+         " + 37.The -Hyor head vowel and the causative head vowel drop"
+         " + 49.Allomorphic variations of -(sH)n and -(sH)nHz, H:0", 10, "H:0"),
+        ("45.The passive voice rule, l:n", 10, "l:n"),
+        ("34.Instantiation of the pronominal n, N:n", 10, "#:#"),
+        ("39.D drop in the causative heads", 10, "D:0"),
+        ("23.SIV-DELETION (H,A,E):0 + 43.The -LArHN rule, A:0"
+         " + 52.A:0 preceding the -Hyor suffix", 10, "A:0"),
+        ("32.Degemination", 10, "l:0"),
+    ]
 
 
 def test_trace_layers(turkish):
     assert engine.trace("evide", "analyze", turkish).layer == "rules"
     assert engine.trace("xxxx", "analyze", turkish).layer == "lexicon"
+
+
+def test_decomposed_input_is_normalized(turkish):
+    for word in ("şehirde", "kitapçı"):
+        nfd = unicodedata.normalize("NFD", word)
+        assert nfd != word
+        readings = engine.analyze(word, turkish)
+        assert readings and engine.analyze(nfd, turkish) == readings
+        assert engine.lexicon_covers(nfd, turkish)
+        assert engine.trace(nfd, "analyze", turkish).outcome.accepted
+        for a in readings:
+            lexical = unicodedata.normalize("NFD", a.lexical)
+            assert engine.tokenize_lexical(lexical, turkish.alphabet) == list(a.lexical)
+            assert engine.generate(lexical, turkish, validate_morphotactics=True) == [word]
+            assert engine.trace(lexical, "generate", turkish).outcome.accepted
 
 
 def test_insertion_pairs_rejected():
@@ -272,6 +296,9 @@ def test_analyze_matches_uncached_reference():
     assert any(expected.values()) and not all(expected.values())
 
 
+UNKNOWN_CHARS = ("Q", "\u0301", "\u2603", "\x00", "#")
+
+
 def test_live_moves_are_bounded():
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
@@ -281,11 +308,14 @@ def test_live_moves_are_bounded():
     def keys():
         return {(id(node), key) for node in rt.nodes for key in node.live}
 
-    # characters that no pair realizes share code 0 with the end of the word
+    # characters that no pair realizes share code 0 with the end of the
+    # word; NFC composes "evde\u0301" into "evd\u00e9", whose unknown
+    # character stands at position 3, as Q does in "evdQ"
     engine.analyze("evde", desc)
     engine.analyze("evQde", desc)
+    engine.analyze("evdQ", desc)
     before = keys()
-    for ch in ("Q", "\u0301", "\u2603", "\x00", "#"):
+    for ch in UNKNOWN_CHARS:
         assert ch not in rt.codes
         engine.analyze("evde" + ch, desc)
         engine.analyze("ev%sde" % ch, desc)
@@ -293,6 +323,36 @@ def test_live_moves_are_bounded():
     assert rt.n_codes == len({s for s in rt.surf if s != NULL}) + 1
     bound = len(rt.vec_list) * rt.n_codes
     assert 0 < len(before) and all(0 <= key < bound for _, key in before)
+
+
+def test_frontier_sends_unknown_characters_to_the_empty_set():
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    assert engine.analyze("evQde", desc) == []
+    # the empty set, the start set and the sets after "e" and "ev"
+    fr = rt.frontier
+    assert len(fr.sets) == 4
+    ev = fr.trans[fr.trans[fr.start][rt.codes["e"]]][rt.codes["v"]]
+    assert fr.trans[ev] == {0: 0}
+    sizes = rt.cache_sizes()
+    for ch in UNKNOWN_CHARS:
+        assert engine.analyze("ev%sde" % ch, desc) == []
+        assert rt.cache_sizes() == sizes, repr(ch)
+
+
+def test_frontier_is_built_once_and_only_for_words_without_reading():
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    accepted = sorted({c.surface for c in golden_suite() if c.polarity == "positive"})
+    assert all(engine.analyze(w, desc) for w in accepted)
+    assert rt.frontier.start is None and rt.cache_sizes()[3:] == (1, 0)
+    batch = perturbed_golden(desc, 300, seed=53) + random_surfaces(desc, 300, seed=59)
+    first = [engine.analyze(w, desc) for w in batch]
+    assert any(first) and not all(first)
+    sizes = rt.cache_sizes()
+    assert sizes[3] > 1
+    assert [engine.analyze(w, desc) for w in batch] == first
+    assert rt.cache_sizes() == sizes
 
 
 def covers_reference(surface, desc):
@@ -362,11 +422,17 @@ LEXICON C
 """
 
 
+def cycle_words(length):
+    """Every string of up to `length` letters over abcx."""
+    words = [""]
+    for _ in range(length):
+        words += [w + ch for w in words if len(w) == len(words[-1]) for ch in "abcx"]
+    return words
+
+
 def test_lexicon_covers_with_a_continuation_cycle():
     from conftest import make_description
-    words = [""]
-    for _ in range(5):
-        words += [w + ch for w in words if len(w) == len(words[-1]) for ch in "abcx"]
+    words = cycle_words(5)
     expected = None
     for order in (words, words[::-1]):
         desc = make_description(CYCLE_RULES, CYCLE_LEXICON)
@@ -374,6 +440,27 @@ def test_lexicon_covers_with_a_continuation_cycle():
         expected = expected or {w: covers_reference(w, desc) for w in words}
         assert got == expected
     assert expected["abacc"] and not expected["c"] and not expected["cca"]
+
+
+def test_analyze_matches_reference_with_a_continuation_cycle():
+    from conftest import make_description
+    # The search follows up to 32 continuation jumps in a row around the
+    # A-B cycle before each letter, so its time (and the reference's)
+    # grows about 16-fold per letter; the frontier closes the cycle once.
+    words = cycle_words(3)
+    expected = None
+    for order in (words, words[::-1]):
+        desc = make_description(CYCLE_RULES, CYCLE_LEXICON)
+        got = {w: [(a.lexical, a.gloss, a.pairs) for a in engine.analyze(w, desc)]
+               for w in order}
+        expected = expected or {w: analyze_reference(w, desc) for w in words}
+        assert got == expected
+        # the words without a reading are now answered by the frontier alone
+        sizes = engine.runtime(desc).cache_sizes()
+        assert sizes[3] > 1
+        assert all(engine.analyze(w, desc) == [] for w in order if not expected[w])
+        assert engine.runtime(desc).cache_sizes() == sizes
+    assert expected["acc"] and not expected["c"] and not expected["cca"]
 
 
 def test_cover_tables_are_bounded(turkish):
@@ -433,6 +520,11 @@ def test_concurrent_calls_match_serial(turkish):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len({id(rt) for rt, _ in results}) == 1
+    # the frontier was filled, and no set lost its id or its row
+    fr = results[0][0].frontier
+    assert len(fr.sets) > 1 and fr.start is not None
+    assert len(fr.trans) == len(fr.accepts) == len(fr.sets)
+    assert all(fr.ids[s] == k for k, s in enumerate(fr.sets))
     for _, out in results:
         assert out == serial
 
