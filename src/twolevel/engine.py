@@ -58,11 +58,7 @@ class TraceReport:
     layer: str = "lexicon"   # which layer stopped the word: lexicon | rules
 
     def blocking_rules(self):
-        names = []
-        for name, _, _ in self.outcome.blockers:
-            if name not in names:
-                names.append(name)
-        return names
+        return [name for name, _, _ in self.outcome.blockers]
 
 
 @dataclass
@@ -500,50 +496,79 @@ def analyze(surface, desc):
             if fr.accepts[sid] is False:
                 return []
 
-    limit = 4 * n + 24
-    results = {}
-    acc = []          # the live moves taken, as built by rt.live_moves
-    gloss_acc = []
     codes.append(0)
-    n_codes = rt.n_codes
-    live_moves = rt.live_moves
-    tries = rt.tries
-
-    def finalize():
-        key = ("".join(m[0] for m in acc), "".join(gloss_acc))
-        if key not in results:
-            results[key] = tuple(m[1] for m in acc)
-
-    def rec(node, vid, i, jumps):
-        if len(acc) > limit:
-            return
-        for gloss, cont in node.complete:
-            if cont == TERMINAL:
-                if i == n and rt.vec_accepts(vid):
-                    gloss_acc.append(gloss)
-                    finalize()
-                    gloss_acc.pop()
-            else:
-                if jumps < 32:
-                    gloss_acc.append(gloss)
-                    rec(tries[cont], vid, i, jumps + 1)
-                    gloss_acc.pop()
-        code = codes[i]
-        moves = node.live.get(vid * n_codes + code)
-        if moves is None:
-            moves = live_moves(node, vid, code)
-        for move in moves:
-            acc.append(move)
-            rec(move[2], move[4], i + move[3], 0)
-            acc.pop()
-
-    for root in desc.lexicon.roots:
-        rec(tries[root], rt.init_vec, 0, 0)
+    results = _search(rt, desc.lexicon.roots, codes, n)
     if not results:
         rt.extend_frontier(sid, codes[i:n])
     out = [Analysis(lex, gloss, pids) for (lex, gloss), pids in results.items()]
     out.sort(key=lambda a: (a.lexical, a.gloss))
     return out
+
+
+def _search(rt, roots, codes, n, observe=None):
+    """analyze's search, depth first in the order of a recursive one, on an
+    explicit stack: (lexical, gloss) -> the pair ids of the first path
+    found.  `codes` are the word's surface codes and a final 0.  A path
+    takes at most 4n+24 moves and 32 continuation jumps in a row.
+    `observe(node, vid, i, live)` sees each state and its live moves, which
+    leave in rt.vec_trans[vid] an entry for every move reading the state's
+    code; vector id None (the opening boundary killed a rule) has none."""
+    limit = 4 * n + 24
+    results = {}
+    n_codes = rt.n_codes
+    live_moves = rt.live_moves
+    tries = rt.tries
+    # (node, vid, i, jumps in a row, moves taken, the moves as a (last,
+    # rest) list, the glosses)
+    stack = [(tries[root], rt.init_vec, 0, 0, 0, None, "") for root in reversed(roots)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, vid, i, jumps, depth, moves, glosses = pop()
+        while True:
+            code = codes[i]
+            if vid is None:
+                live = ()
+            else:
+                live = node.live.get(vid * n_codes + code)
+                if live is None:
+                    live = live_moves(node, vid, code)
+            if observe is not None:
+                observe(node, vid, i, live)
+            if node.complete:
+                # the jumps come before the moves: all wait on the stack
+                if depth < limit:
+                    for move in reversed(live):
+                        push((move[2], move[4], i + move[3], 0, depth + 1, (move, moves), glosses))
+                # a reading found here cannot also be found below a jump
+                # with other pairs, as every move adds a lexical symbol
+                for gloss, cont in reversed(node.complete):
+                    if cont != TERMINAL:
+                        if jumps < 32:
+                            push((tries[cont], vid, i, jumps + 1, depth, moves, glosses + gloss))
+                    elif i == n and rt.vec_accepts(vid):
+                        path, rest = [], moves
+                        while rest is not None:
+                            move, rest = rest
+                            path.append(move)
+                        key = ("".join(m[0] for m in reversed(path)), glosses + gloss)
+                        if key not in results:
+                            results[key] = tuple(m[1] for m in reversed(path))
+                break
+            if not live or depth == limit:
+                break
+            # the first move is taken at once (most states have at most
+            # one), the others wait on the stack
+            depth += 1
+            if len(live) > 1:
+                for move in live[:0:-1]:
+                    push((move[2], move[4], i + move[3], 0, depth, (move, moves), glosses))
+            move = live[0]
+            node = move[2]
+            vid = move[4]
+            i += move[3]
+            jumps = 0
+            moves = (move, moves)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +590,19 @@ def generate(lexical, desc, validate_morphotactics=False):
     syms = tokenize_lexical(lexical, desc.alphabet)
     if validate_morphotactics and not is_lexicon_path(lexical, desc):
         return []
-    if rt.init_vec is None:
-        return []
+    return sorted({prefix for vid, prefix in _realize(rt, syms) if rt.vec_accepts(vid)})
+
+
+def _realize(rt, syms, dead=None):
+    """generate's frontier: {(vector id, surface prefix): None} after the
+    lexical symbols syms.  `dead(k, vid, pid)` hears of each pair pid that
+    kills vector vid at symbol index k.  Vector id None (the opening
+    boundary killed a rule) has no successors, so the frontier empties."""
     step_vec = rt.step_vec
     is_null = rt.is_null
     surf = rt.surf
-    # (vector id, surface prefix) after each lexical symbol
     frontier = {(rt.init_vec, ""): None}
-    for sym in syms:
+    for k, sym in enumerate(syms):
         pids = rt.pairs_by_lex[sym]
         nxt = {}
         for vid, prefix in frontier:
@@ -580,8 +610,10 @@ def generate(lexical, desc, validate_morphotactics=False):
                 nvid = step_vec(vid, pid)
                 if nvid is not None:
                     nxt[nvid, prefix if is_null[pid] else prefix + surf[pid]] = None
+                elif dead is not None:
+                    dead(k, vid, pid)
         frontier = nxt
-    return sorted({prefix for vid, prefix in frontier if rt.vec_accepts(vid)})
+    return frontier
 
 
 def is_lexicon_path(lexical, desc):
@@ -706,104 +738,69 @@ def lexicon_covers(surface, desc):
 def trace(word, direction, desc):
     """Search trace: per step, which rule automata died.
 
-    The search is analyze's (or generate's), stepping the same interned
-    rule vectors; only a pair that kills the vector is stepped again
-    automaton by automaton, to name the rules that rejected it.  On total
-    failure the layer is decided by a rules-free search: when some lexicon
-    path covers the word, only the rules can have blocked it; the named
-    blockers come from the deepest failing frontier.
+    trace observes analyze's search (_search) or generate's frontier
+    (_realize) and names the rules only for the pairs that kill a rule
+    vector.  On total failure a rules-free search decides the layer: when
+    some lexicon path covers the word, only the rules can have blocked it,
+    and the blockers are the rules that rejected at the deepest depth
+    (unless the lexicon dead-ends there too), in check-set order, each with
+    its first pair; otherwise no rule is named.
     """
     if direction not in ("analyze", "generate"):
         raise ValueError("direction must be analyze or generate")
     word = unicodedata.normalize("NFC", word)
     rt = runtime(desc)
     steps = []
-    # the rules that rejected at the deepest depth, each with its pair
-    best = {"depth": -1, "layer": "lexicon", "rules": {}}
-    accepted = [False]
+    # every failure: (depth, names of the rejecting rules, pair); a lexicon
+    # dead end names no rule
+    failures = []
 
-    def blame(depth, names, pair):
-        """Keep the rules that rejected at the deepest depth; a tie joins them."""
-        if depth > best["depth"]:
-            best.update(depth=depth, layer="rules", rules=dict.fromkeys(names, pair))
-        elif depth == best["depth"] and best["layer"] == "rules":
-            rules = best["rules"]
-            for name in names:
-                if name not in rules:
-                    rules[name] = pair
-
-    def step(depth, vid, pid):
-        """The vector after pair pid, or None after noting who rejected it."""
-        nvid = rt.step_vec(vid, pid)
-        if nvid is not None:
-            return nvid
+    def dead(depth, vid, pid):
         died = rt.rejecters(vid, pid)
         pair = rt.alphabet.name_of(pid)
         steps.append(TraceStep(depth, pair, list(died)))
-        if depth >= best["depth"]:  # most rejections are shallower
-            blame(depth, died, pair)
-        return None
+        failures.append((depth, died, pair))
 
     def end(depth, vid):
+        """True when vid accepts the closing boundary; else note its rejecters."""
         bad = rt.final_rejecters(vid)
-        if not bad:
-            accepted[0] = True
-        else:
-            blame(depth, bad, "#:#")
+        if bad:
+            failures.append((depth, bad, "#:#"))
+        return not bad
 
     if direction == "generate":
         syms = tokenize_lexical(word, desc.alphabet)
-        # Depth first on an explicit stack, in the order of a recursive
-        # search: (symbol index, vector id, pair id to step next or None).
-        stack = [(0, rt.init_vec, None)]
-        while stack:
-            k, vid, pid = stack.pop()
-            if pid is not None:
-                vid = step(k, vid, pid)
-                if vid is None:
-                    continue
-                k += 1
-            if k == len(syms):
-                end(k, vid)
-            else:
-                stack.extend((k, vid, p) for p in reversed(rt.pairs_by_lex[syms[k]]))
+        frontier = _realize(rt, syms, dead)
+        accepted = any(end(len(syms), vid) for vid, _ in frontier)
+        covers = is_lexicon_path
     else:
         n = len(word)
-        limit = 4 * n + 24
+        codes = [rt.codes.get(c, 0) for c in word] + [0]
 
-        def reca(node, vid, i, jumps, depth):
-            if depth > limit:
-                return
-            progressed = False
-            for gloss, cont in node.complete:
-                if cont == TERMINAL:
-                    if i == n:
-                        end(i, vid)
-                elif jumps < 32:
-                    reca(rt.tries[cont], vid, i, jumps + 1, depth)
-            for _, pid, child, consumes in (node.moves.get(word[i], node.dels)
-                                            if i < n else node.dels):
-                # a consuming pair covers surface position i
-                nvid = step(i + consumes, vid, pid)
-                if nvid is not None:
-                    progressed = True
-                    reca(child, nvid, i + consumes, 0, depth + 1)
-            if not progressed and i < n and i >= best["depth"]:
-                best.update(depth=i, layer="lexicon", rules={})
+        def observe(node, vid, i, live):
+            if i == n and any(cont == TERMINAL for _, cont in node.complete):
+                end(n, vid)
+            trans = rt.vec_trans[vid] if vid is not None else {}
+            for _, pid, _, consumes in node.moves.get(rt.code_chars[codes[i]], node.dels):
+                if trans.get(pid) is None:
+                    # a consuming pair covers surface position i
+                    dead(i + consumes, vid, pid)
+            if not live and i < n:
+                failures.append((i, (), None))
 
-        for root in desc.lexicon.roots:
-            reca(rt.tries[root], rt.init_vec, 0, 0, 0)
+        accepted = bool(_search(rt, desc.lexicon.roots, codes, n, observe))
+        covers = lexicon_covers
 
-    if accepted[0]:
-        verdict = rulemod.Verdict(True, [])
-        layer = "none"
-    else:
-        if direction == "analyze":
-            covered = lexicon_covers(word, desc)
-        else:
-            covered = is_lexicon_path(word, desc)
-        layer = "rules" if covered else "lexicon"
-        verdict = rulemod.Verdict(
-            False, [(name, best["depth"], pair) for name, pair in best["rules"].items()]
-        )
-    return TraceReport(steps, verdict, layer)
+    if accepted:
+        return TraceReport(steps, rulemod.Verdict(True, []), "none")
+    covered = covers(word, desc)
+    deepest = max((f[0] for f in failures), default=-1)
+    last = [(names, pair) for depth, names, pair in failures if depth == deepest]
+    rules = {}
+    if covered and all(names for names, _ in last):
+        for names, pair in last:
+            for name in names:
+                rules.setdefault(name, pair)
+    blockers = [(name, deepest, rules[name])
+                for name in dict.fromkeys(rt.rule_names) if name in rules]
+    return TraceReport(steps, rulemod.Verdict(False, blockers), "rules" if covered else "lexicon")

@@ -86,6 +86,13 @@ def test_trace_command(capsys):
     assert "rejected at the rules layer" in out
 
 
+def test_analyze_trace_at_the_lexicon_layer_names_no_rule(capsys):
+    word = "srfifovfvnkifffğ"
+    rc, out = run(capsys, ["analyze", "--trace", word])
+    assert rc == 0
+    assert out.splitlines() == [word, "*NONE*", "! blocked at lexicon layer: -"]
+
+
 def test_usage_error_exit_code(capsys):
     rc, _ = run(capsys, ["generate", "--rules", "/nonexistent.twol",
                          "--lexicon", "/nonexistent.lex", "ev"])
@@ -122,5 +129,16 @@ def test_generate_long_word_from_stdin(capsys):
 def test_trace_generate_long_word(capsys):
     word = "ev^" + "-DA-kiN-lAr" * 120
     rc, out = run(capsys, ["trace", "--direction", "generate", word])
+    assert rc == 0
+    assert out.splitlines()[0] == word + ": accepted"
+
+
+def test_analyze_and_trace_long_word(capsys):
+    word = "ev" + "dekiler" * 120
+    rc, out = run(capsys, ["analyze", word])
+    assert rc == 0
+    assert out.splitlines() == [word, "ev^" + "-DA-kiN-lAr" * 120
+                                + "\t[ROOT=ev]" + "+LOC+REL+PLU" * 120]
+    rc, out = run(capsys, ["trace", word])
     assert rc == 0
     assert out.splitlines()[0] == word + ": accepted"

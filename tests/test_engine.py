@@ -6,6 +6,8 @@ import threading
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolevel import engine
 from twolevel.lexicon import TERMINAL
@@ -131,23 +133,59 @@ def test_trace_joins_pair_and_boundary_rejecters_at_one_depth(turkish):
     # and another on the closing boundary; both sets of rules are named
     report = engine.trace("zabıttakin", "analyze", turkish)
     assert not report.outcome.accepted and report.layer == "rules"
-    # each rule keeps the pair it rejected
+    # each rule keeps the pair it rejected; blockers are in check-set order
     assert report.outcome.blockers == [
+        ("23.SIV-DELETION (H,A,E):0 + 43.The -LArHN rule, A:0"
+         " + 52.A:0 preceding the -Hyor suffix", 10, "A:0"),
         ("23.SIV-DELETION (H,A,E):0 + 33.High vowel epenthesis in word bases"
          " + 37.The -Hyor head vowel and the causative head vowel drop"
          " + 49.Allomorphic variations of -(sH)n and -(sH)nHz, H:0", 10, "H:0"),
-        ("45.The passive voice rule, l:n", 10, "l:n"),
+        ("32.Degemination", 10, "l:0"),
         ("34.Instantiation of the pronominal n, N:n", 10, "#:#"),
         ("39.D drop in the causative heads", 10, "D:0"),
-        ("23.SIV-DELETION (H,A,E):0 + 43.The -LArHN rule, A:0"
-         " + 52.A:0 preceding the -Hyor suffix", 10, "A:0"),
-        ("32.Degemination", 10, "l:0"),
+        ("45.The passive voice rule, l:n", 10, "l:n"),
     ]
+    names = report.blocking_rules()
+    assert names == [name for name in dict.fromkeys(engine.runtime(turkish).rule_names)
+                     if name in names]
+
+
+def test_trace_names_no_rule_at_the_lexicon_layer(turkish):
+    # the search dies at depth 2 on a rule, but no lexicon path covers the
+    # word, so the rules are not to blame
+    report = engine.trace("srfifovfvnkifffğ", "analyze", turkish)
+    assert not report.outcome.accepted and report.layer == "lexicon"
+    assert report.blocking_rules() == []
+
+
+DELETION_RULES = """ALPHABET
+a b b:0 ;
+SETS
+DEFINITIONS
+RULES
+"1.d" b:0 => a _ ;
+"""
+
+
+def test_trace_steps_are_in_visiting_order():
+    # a state's dead pairs are noted when it is visited, before those of
+    # the states below it: b:0 dies at the root (position 0) before it
+    # dies below a:a, though a:a comes first among the root's moves
+    from conftest import make_description
+    desc = make_description(DELETION_RULES, "LEXICON Root\n:abb # ;\n:b # ;\n")
+    report = engine.trace("ab", "analyze", desc)
+    assert report.outcome.accepted
+    assert [(s.position, s.pair, s.died) for s in report.steps] == [
+        (0, "b:0", ["1.d"]), (1, "b:0", ["1.d"]), (2, "b:0", ["1.d"])]
 
 
 def test_trace_layers(turkish):
     assert engine.trace("evide", "analyze", turkish).layer == "rules"
     assert engine.trace("xxxx", "analyze", turkish).layer == "lexicon"
+    # a lexicon path covers çin, but the deepest failure is a state with
+    # no live move where no rule rejected: no rule is named
+    report = engine.trace("çin", "analyze", turkish)
+    assert report.layer == "rules" and report.blocking_rules() == []
 
 
 def test_decomposed_input_is_normalized(turkish):
@@ -196,6 +234,22 @@ def test_trace_generate_long_word_no_recursion_limit(turkish):
     assert max(s.position for s in report.steps) == len(LONG_LEXICAL) - 1
 
 
+LONG_SURFACE = "ev" + "dekiler" * 120
+
+
+def test_analyze_long_word_no_recursion_limit(turkish):
+    # 842 surface characters: a path of more moves than the interpreter's
+    # recursion limit
+    readings = engine.analyze(LONG_SURFACE, turkish)
+    assert [a.lexical for a in readings] == [LONG_LEXICAL]
+    assert readings[0].surface(turkish.alphabet) == LONG_SURFACE
+
+
+def test_trace_analyze_long_word_no_recursion_limit(turkish):
+    report = engine.trace(LONG_SURFACE, "analyze", turkish)
+    assert report.outcome.accepted and report.layer == "none"
+
+
 def surface_letters(desc):
     return sorted({s.name for _, s in desc.alphabet.pairs
                    if len(s.name) == 1 and s.name.isalpha()})
@@ -232,6 +286,18 @@ def test_trace_agrees_with_analyze(turkish):
             assert (report.layer == "rules") == engine.lexicon_covers(w, turkish), w
         for a in readings:
             assert a.surface(turkish.alphabet) == w
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trace_agrees_with_analyze_on_any_string(turkish, data):
+    letters = surface_letters(turkish) + list(UNKNOWN_CHARS)
+    w = data.draw(st.text(alphabet=st.sampled_from(letters), max_size=12))
+    readings = engine.analyze(w, turkish)
+    report = engine.trace(w, "analyze", turkish)
+    assert report.outcome.accepted == bool(readings)
+    if not readings:
+        assert (report.layer == "rules") == engine.lexicon_covers(w, turkish)
 
 
 def analyze_reference(surface, desc):
@@ -271,6 +337,43 @@ def analyze_reference(surface, desc):
     for root in desc.lexicon.roots:
         rec(rt.tries[root], rt.init_vec, 0, 0)
     return sorted((lex, gloss, pids) for (lex, gloss), pids in results.items())
+
+
+def visits_reference(surface, desc):
+    """The (trie node, vector id, position) states of analyze's search, in
+    the order of a recursive search: the continuation jumps of a state,
+    then its moves, each followed by all states below it."""
+    rt = engine.runtime(desc)
+    n = len(surface)
+    limit = 4 * n + 24
+    order = []
+
+    def rec(node, vid, i, jumps, depth):
+        order.append((node, vid, i))
+        for gloss, cont in node.complete:
+            if cont != TERMINAL and jumps < 32:
+                rec(rt.tries[cont], vid, i, jumps + 1, depth)
+        if depth < limit:
+            for sym, pid, child, consumes in (node.moves.get(surface[i], node.dels)
+                                              if i < n else node.dels):
+                nvid = rt.step_vec(vid, pid)
+                if nvid is not None:
+                    rec(child, nvid, i + consumes, 0, depth + 1)
+
+    for root in desc.lexicon.roots:
+        rec(rt.tries[root], rt.init_vec, 0, 0, 0)
+    return order
+
+
+def test_search_visits_states_in_recursive_order(turkish):
+    rt = engine.runtime(turkish)
+    words = sorted({c.surface for c in golden_suite()}) + perturbed_golden(turkish, 100, seed=61)
+    for w in words:
+        seen = []
+        codes = [rt.codes.get(c, 0) for c in w] + [0]
+        engine._search(rt, turkish.lexicon.roots, codes, len(w),
+                       lambda node, vid, i, live: seen.append((node, vid, i)))
+        assert seen == visits_reference(w, turkish), w
 
 
 def random_surfaces(desc, count, seed):
