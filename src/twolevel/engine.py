@@ -133,6 +133,37 @@ class _Frontier:
         self.start = None             # id of the roots' closure, built on first use
 
 
+class _Glosses:
+    """The lexicon as _gloss_walk reads it: root gloss -> the start entries,
+    each with whether its lexical strings need an is_lexicon_path check,
+    and per sublexicon its glossed entries by gloss and its gloss-less
+    ones.  An entry is (form text, continuation); like tokenize_lexical,
+    the walk reads each character of the text as a lexical symbol."""
+    __slots__ = ("starts", "subs")
+
+    def __init__(self, lexicon):
+        # The sublexicons reached from a root through empty-form entries:
+        # a gloss path from one of them spells a lexicon path by itself.
+        bare = list(lexicon.roots)
+        for name in bare:
+            for e in lexicon.sublexicons[name]:
+                if not e.form and e.continuation != TERMINAL and e.continuation not in bare:
+                    bare.append(e.continuation)
+        self.starts = {}
+        self.subs = {}
+        for name, entries in lexicon.sublexicons.items():
+            tagged, links = {}, []
+            for e in entries:
+                entry = (e.form_text(), e.continuation)
+                if e.gloss.startswith("[ROOT="):
+                    self.starts.setdefault(e.gloss, []).append((entry, name not in bare))
+                if e.gloss:
+                    tagged.setdefault(e.gloss, []).append(entry)
+                else:
+                    links.append(entry)
+            self.subs[name] = (tagged, links)
+
+
 class _Runtime:
     def __init__(self, desc):
         alphabet = desc.alphabet
@@ -200,6 +231,7 @@ class _Runtime:
         # 30 or more of them markedly slower, and every search reads this
         # one's.
         self.frontier = _Frontier()
+        self.glosses = None       # _Glosses, built by the first gloss walk
 
     def _index(self, node):
         """Fill node.moves and node.dels from its arcs."""
@@ -593,15 +625,17 @@ def generate(lexical, desc, validate_morphotactics=False):
     return sorted({prefix for vid, prefix in _realize(rt, syms) if rt.vec_accepts(vid)})
 
 
-def _realize(rt, syms, dead=None):
+def _realize(rt, syms, dead=None, frontier=None):
     """generate's frontier: {(vector id, surface prefix): None} after the
-    lexical symbols syms.  `dead(k, vid, pid)` hears of each pair pid that
-    kills vector vid at symbol index k.  Vector id None (the opening
-    boundary killed a rule) has no successors, so the frontier empties."""
+    lexical symbols syms, from `frontier` (default: the start of a word).
+    `dead(k, vid, pid)` hears of each pair pid that kills vector vid at
+    symbol index k.  Vector id None (the opening boundary killed a rule)
+    has no successors, so the frontier empties."""
     step_vec = rt.step_vec
     is_null = rt.is_null
     surf = rt.surf
-    frontier = {(rt.init_vec, ""): None}
+    if frontier is None:
+        frontier = {(rt.init_vec, ""): None}
     for k, sym in enumerate(syms):
         pids = rt.pairs_by_lex[sym]
         nxt = {}
@@ -622,24 +656,97 @@ def is_lexicon_path(lexical, desc):
     rt = runtime(desc)
     tries = rt.tries
     n = len(lexical)
-    # Depth first: follow the arcs, stacking (trie node, position,
-    # continuation jumps in a row) for each continuation passed on the way.
-    stack = [(tries[root], 0, 0) for root in desc.lexicon.roots]
+    # Depth first: follow the arcs, stacking (sublexicon, position) for each
+    # continuation passed on the way.  Only trie roots are reached in more
+    # than one way, so walking from each (sublexicon, position) once visits
+    # every (trie node, position) at most once, continuation cycles included.
+    stack = [(root, 0) for root in desc.lexicon.roots]
+    seen = set()
     while stack:
-        node, i, jumps = stack.pop()
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        name, i = state
+        node = tries[name]
         while node is not None:
-            for gloss, cont in node.complete:
-                if cont == TERMINAL:
-                    if i == n:
-                        return True
-                elif jumps < 32:
-                    stack.append((tries[cont], i, jumps + 1))
+            if node.complete:
+                for gloss, cont in node.complete:
+                    if cont == TERMINAL:
+                        if i == n:
+                            return True
+                    else:
+                        stack.append((cont, i))
             if i == n:
                 break
             node = node.arcs.get(lexical[i])
             i += 1
-            jumps = 0
     return False
+
+
+def _gloss_walk(rt, root, tags, frontier):
+    """The gloss paths of [ROOT=root] followed by the tags, in one iterative
+    walk of the continuation graph: a gloss-less entry keeps the tag index,
+    an entry glossed +tags[k] places tag k, and a path ends at # with every
+    tag placed, after at most 48 entries behind its root entry.  Yields each
+    path as (its entries' texts as a (text, rest) list, generate's frontier
+    after it, whether its lexical string needs an is_lexicon_path check).
+    The walk steps `frontier`, the frontier before the root entry, through
+    each entry once for all the paths that share it; None steps nothing.
+
+    Raises MorphotacticsError naming the first tag that no path places.
+    """
+    glosses = rt.glosses
+    if glosses is None:
+        # threads that race build equal indexes
+        glosses = rt.glosses = _Glosses(rt.lexicon)
+    starts = glosses.starts.get("[ROOT=%s]" % root)
+    if not starts:
+        raise MorphotacticsError("unknown root %r" % root, tag=None)
+    subs = glosses.subs
+    n = len(tags)
+    wants = ["+" + tag for tag in tags]
+    best = -1
+    found = False
+    # (entry, tags placed, entries behind the root entry, the frontier and
+    # the texts before the entry, check)
+    stack = [(entry, 0, 0, frontier, None, check) for entry, check in reversed(starts)]
+    while stack:
+        (text, sub), k, depth, frontier, texts, check = stack.pop()
+        texts = (text, texts)
+        if text and frontier is not None:
+            frontier = _realize(rt, text, frontier=frontier)
+        if sub == TERMINAL:
+            if k == n:
+                found = True
+                yield texts, frontier, check
+            continue
+        tagged, links = subs[sub]
+        matched = tagged.get(wants[k], ()) if k < n else ()
+        if matched:
+            best = max(best, k)
+        if depth == 48:
+            continue
+        # an entry to # with a tag left ends no path
+        for entries, placed in ((links, k), (matched, k + 1)):
+            for entry in entries:
+                if entry[1] != TERMINAL or placed == n:
+                    stack.append((entry, placed, depth + 1, frontier, texts, check))
+    if not found:
+        bad = tags[best + 1] if best + 1 < n else (tags[0] if tags else "#")
+        raise MorphotacticsError(
+            "no morphotactic path for %s + %s (stuck at %r)" % (root, "+".join(tags), bad),
+            tag=bad,
+        )
+
+
+def _lexical(texts):
+    """The lexical string of a path's (text, rest) list."""
+    out = []
+    while texts is not None:
+        text, texts = texts
+        out.append(text)
+    return "".join(reversed(out))
 
 
 def gloss_paths(root, tags, desc):
@@ -648,50 +755,22 @@ def gloss_paths(root, tags, desc):
     Raises MorphotacticsError naming the first tag that cannot be placed.
     """
     rt = runtime(desc)
-    lexicon = desc.lexicon
-    want = "[ROOT=%s]" % root
-    starts = []
-    for name, entries in lexicon.sublexicons.items():
-        for e in entries:
-            if e.gloss == want:
-                starts.append(e)
-    if not starts:
-        raise MorphotacticsError("unknown root %r" % root, tag=None)
-
-    best = [-1]
-    found = []
-
-    def rec(subname, k, lexical, depth):
-        if depth > 48:
-            return
-        if subname == TERMINAL:
-            if k == len(tags):
-                found.append(lexical)
-            return
-        for e in lexicon.sublexicons[subname]:
-            if e.gloss:
-                if k < len(tags) and e.gloss == "+" + tags[k]:
-                    if k > best[0]:
-                        best[0] = k
-                    rec(e.continuation, k + 1, lexical + e.form_text(), depth + 1)
-            else:
-                rec(e.continuation, k, lexical + e.form_text(), depth + 1)
-
-    for e in starts:
-        rec(e.continuation, 0, e.form_text(), 0)
-    if not found:
-        bad = tags[best[0] + 1] if best[0] + 1 < len(tags) else (tags[0] if tags else "#")
-        raise MorphotacticsError(
-            "no morphotactic path for %s + %s (stuck at %r)" % (root, "+".join(tags), bad),
-            tag=bad,
-        )
-    return sorted(set(found))
+    return sorted({_lexical(texts) for texts, _, _ in _gloss_walk(rt, root, tags, None)})
 
 
 def generate_from_gloss(root, tags, desc):
+    """All surface forms of [ROOT=root] followed by the tags: the validated
+    generate of every gloss_paths string, sorted, in one walk that steps
+    generate's frontier along the paths.
+
+    Raises MorphotacticsError as gloss_paths does.
+    """
+    rt = runtime(desc)
     out = set()
-    for lexical in gloss_paths(root, tags, desc):
-        out.update(generate(lexical, desc, validate_morphotactics=True))
+    for texts, frontier, check in _gloss_walk(rt, root, tags, {(rt.init_vec, ""): None}):
+        surfaces = [prefix for vid, prefix in frontier if rt.vec_accepts(vid)]
+        if surfaces and (not check or is_lexicon_path(_lexical(texts), desc)):
+            out.update(surfaces)
     return sorted(out)
 
 

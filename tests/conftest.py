@@ -32,3 +32,14 @@ def make_description(rules_text, lexicon_text=None):
 def equivalent(a, b):
     """Decide L(a) == L(b) by emptiness of both difference products."""
     return not any(dfalib.product(x, y, "difference").finals for x, y in ((a, b), (b, a)))
+
+
+def gloss_reference(root, tags, desc):
+    """generate_from_gloss as a composition: gloss_paths, then the validated
+    generate of every lexical string."""
+    from twolevel import engine
+
+    out = set()
+    for lexical in engine.gloss_paths(root, tags, desc):
+        out.update(engine.generate(lexical, desc, validate_morphotactics=True))
+    return sorted(out)

@@ -142,3 +142,16 @@ def test_analyze_and_trace_long_word(capsys):
     rc, out = run(capsys, ["trace", word])
     assert rc == 0
     assert out.splitlines()[0] == word + ": accepted"
+
+
+def test_generate_validated_with_a_continuation_cycle(capsys, tmp_path):
+    # is_lexicon_path tries each (sublexicon, position) once, so a string
+    # that no path of a cyclic lexicon spells is rejected in linear time
+    from test_engine import CYCLE_LEXICON, CYCLE_RULES
+    rules, lexicon = tmp_path / "cycle.twol", tmp_path / "cycle.lex"
+    rules.write_text(CYCLE_RULES, encoding="utf-8")
+    lexicon.write_text(CYCLE_LEXICON, encoding="utf-8")
+    rc, out = run(capsys, ["generate", "--validate-morphotactics", "--rules", str(rules),
+                           "--lexicon", str(lexicon), "ab" * 50 + "c", "ab" * 50 + "-cc"])
+    assert rc == 0
+    assert out.split() == ["*NONE*", "ab" * 50 + "cc"]

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
 import random
+import re
 import sys
 import threading
+import time
 import unicodedata
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import engine
-from twolevel.lexicon import TERMINAL
+from twolevel.lexicon import TERMINAL, enumerate_paths
 from twolevel.rules import run_all
 from twolevel.symbols import NULL
 from twolevel.turkish import golden_suite, load_turkish
@@ -101,6 +103,108 @@ def test_generate_from_gloss_rejects_bad_order(turkish):
     with pytest.raises(engine.MorphotacticsError) as err:
         engine.generate_from_gloss("araba", ["ABL", "PLU"], turkish)
     assert err.value.tag == "PLU"
+
+
+def gloss_outcome(fn, root, tags, desc):
+    """fn(root, tags, desc), or the message and tag of the
+    MorphotacticsError it raises."""
+    try:
+        return fn(root, tags, desc)
+    except engine.MorphotacticsError as e:
+        return ("error", str(e), e.tag)
+
+
+def test_generate_from_gloss_matches_reference(turkish):
+    # a seeded sample of the 4-morpheme glosses, each also with its tags
+    # permuted, extended by one tag and truncated
+    from conftest import gloss_reference
+    items = set()
+    for _, gloss in enumerate_paths(turkish.lexicon, 4):
+        m = re.fullmatch(r"\[ROOT=([^]]+)\]((?:\+[^+]+)*)", gloss)
+        if m:
+            items.add((m[1], tuple(m[2].split("+")[1:])))
+    rng = random.Random(41)
+    every_tag = sorted({t for _, tags in items for t in tags})
+    cases = []
+    for root, tags in rng.sample(sorted(items), 500):
+        tags = list(tags)
+        shuffled = rng.sample(tags, len(tags))
+        cases += [(root, tags), (root, shuffled), (root, tags + [rng.choice(every_tag)]),
+                  (root, tags[:rng.randrange(len(tags) + 1)])]
+    kinds = set()
+    for root, tags in cases:
+        got = gloss_outcome(engine.generate_from_gloss, root, tags, turkish)
+        assert got == gloss_outcome(gloss_reference, root, tags, turkish), (root, tags)
+        kinds.add(type(got))
+    assert kinds == {list, tuple}   # readings and errors both occur
+
+
+GLOSS_RULES = """ALPHABET
+a b c ;
+SETS
+DEFINITIONS
+RULES
+"1.b" b:b => a _ ;
+"""
+
+# [ROOT=p] is reached only behind the prefix entry c.
+GLOSS_LEXICON = """
+LEXICON Root
+:0 Bare ;
+[PRE]:c Prefixed ;
+
+LEXICON Bare
+[ROOT=a]:a Suffix ;
+[ROOT=b]:b Suffix ;
+[ROOT=c]:c # ;
+
+LEXICON Prefixed
+[ROOT=p]:aa Suffix ;
+
+LEXICON Suffix
+:0 # ;
++X:b # ;
+"""
+
+
+def test_generate_from_gloss_checks_roots_behind_a_prefix():
+    from conftest import gloss_reference, make_description
+    desc = make_description(GLOSS_RULES, GLOSS_LEXICON)
+    # the gloss paths of p spell aa and aab, which no lexicon path spells
+    assert engine.gloss_paths("p", ["X"], desc) == ["aab"]
+    assert not engine.is_lexicon_path("aab", desc)
+    assert engine.generate("caab", desc, validate_morphotactics=True) == ["caab"]
+    # b:b needs an a before it: the frontier of [ROOT=b] empties at its
+    # root entry, but its gloss paths exist, so nothing is raised
+    cases = [("p", [], []), ("p", ["X"], []), ("a", [], ["a"]), ("a", ["X"], ["ab"]),
+             ("b", [], []), ("b", ["X"], []), ("c", [], ["c"])]
+    for root, tags, expected in cases:
+        assert engine.generate_from_gloss(root, tags, desc) == expected, (root, tags)
+        assert gloss_reference(root, tags, desc) == expected, (root, tags)
+    for root, tags, tag in [("a", ["X", "X"], "X"), ("b", ["Y"], "Y"), ("c", ["X"], "X"),
+                            ("q", [], None)]:
+        got = gloss_outcome(engine.generate_from_gloss, root, tags, desc)
+        assert got[0] == "error" and got[2] == tag
+        assert got == gloss_outcome(gloss_reference, root, tags, desc)
+
+
+def test_gloss_paths_end_within_48_entries_after_the_root():
+    from conftest import make_description
+    desc = make_description(GLOSS_RULES, "LEXICON Root\n[ROOT=r]:b Loop ;\n"
+                                         "LEXICON Loop\n:a Loop ;\n:0 # ;\n")
+    # m entries a, then the entry to #: m + 1 entries after the root entry
+    assert engine.gloss_paths("r", [], desc) == ["b" + "a" * m for m in range(48)]
+
+
+def test_gloss_paths(turkish):
+    # kırmızı is a noun root and, behind RUP-, an intensified one
+    assert engine.gloss_paths("kırmızı", [], turkish) == ["kır^mızı", "kırmızı"]
+    assert engine.generate_from_gloss("kırmızı", [], turkish) == ["kırmızı"]
+    assert engine.gloss_paths("ev", ["PLU", "POSS1p", "ABL"], turkish) == ["ev^-lAr-(H)mHz-DAn"]
+    for fn in (engine.gloss_paths, engine.generate_from_gloss):
+        with pytest.raises(engine.MorphotacticsError) as err:
+            fn("nosuchroot", ["PLU"], turkish)
+        assert err.value.tag is None
 
 
 def test_trace_accepted_has_no_blockers(turkish):
@@ -531,6 +635,43 @@ def cycle_words(length):
     for _ in range(length):
         words += [w + ch for w in words if len(w) == len(words[-1]) for ch in "abcx"]
     return words
+
+
+def lexicon_strings(lexicon, length):
+    """The lexical strings of at most `length` symbols that root-to-# paths
+    spell, by enumerating the paths; a path that reaches a sublexicon twice
+    with no symbol in between is left out, as cutting that loop spells the
+    same string."""
+    out = set()
+    stack = [(root, "", (root,)) for root in lexicon.roots]
+    while stack:
+        name, text, since = stack.pop()
+        for e in lexicon.sublexicons[name]:
+            t = text + e.form_text()
+            if len(t) > length:
+                continue
+            if e.continuation == TERMINAL:
+                out.add(t)
+            elif e.form:
+                stack.append((e.continuation, t, (e.continuation,)))
+            elif e.continuation not in since:
+                stack.append((e.continuation, t, since + (e.continuation,)))
+    return out
+
+
+def test_is_lexicon_path_with_a_continuation_cycle():
+    from conftest import make_description
+    desc = make_description(CYCLE_RULES, CYCLE_LEXICON)
+    paths = lexicon_strings(desc.lexicon, 5)
+    assert {"", "ab", "abab", "a-cc", "-cc"} <= paths and "ababx" not in paths
+    for w in cycle_words(5) + sorted(paths):
+        assert engine.is_lexicon_path(w, desc) == (w in paths), w
+    # each (sublexicon, position) is tried once, so the A-B cycle costs
+    # time linear in the length
+    start = time.perf_counter()
+    assert not engine.is_lexicon_path("ab" * 50 + "x", desc)
+    assert engine.is_lexicon_path("ab" * 50 + "-cc", desc)
+    assert time.perf_counter() - start < 1
 
 
 def test_lexicon_covers_with_a_continuation_cycle():
