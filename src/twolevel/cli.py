@@ -105,7 +105,8 @@ def _batch(args, fn, desc):
         rate = len(words) / dt if dt > 0 else float("inf")
         sys.stderr.write("%d words in %.2fs: %.0f words/sec\n" % (len(words), dt, rate))
         sys.stderr.write("runtime caches: %d interned vectors, %d vector transitions, "
-                         "%d live-move entries, %d frontier sets, %d frontier transitions\n"
+                         "%d live-move entries, %d frontier sets, %d frontier transitions, "
+                         "%d rules-off fronts, %d rules-off transitions\n"
                          % engine.runtime(desc).cache_sizes())
     return 1 if (args.strict and misses) else 0
 

@@ -8,6 +8,7 @@ step advances the lexicon and the search is bounded.
 
 import threading
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 
 from . import rules as rulemod
@@ -101,9 +102,10 @@ def _lexicon_symbols(lexicon):
 # Runtime structures
 
 class _Trie:
-    __slots__ = ("arcs", "complete", "moves", "dels", "live")
+    __slots__ = ("arcs", "complete", "moves", "dels", "live", "num")
 
     def __init__(self):
+        self.num = None      # position in _Runtime.nodes
         self.arcs = {}
         self.complete = []   # (gloss, continuation)
         # Surface index, filled by _Runtime: surface char -> the moves
@@ -118,19 +120,37 @@ class _Trie:
 
 
 class _Frontier:
-    """The subset frontier of analyze: interned sets of (trie node, vector
-    id) states, closed under live deletions and continuation jumps; set id
-    0 is the empty set.  Per set: surface code -> next set id, and whether
-    some state ends the word (None until a word ends in the set).  Only
-    words without a reading extend it (_Runtime.extend_frontier)."""
+    """A lazily determinized automaton over interned sets; set id 0 is the
+    empty set.  Per set: surface code -> next set id, and whether the set
+    ends the word (None until known).  analyze's subset frontier
+    (_Runtime.frontier) interns frozensets of (trie node, vector id) states
+    closed under live deletions and continuation jumps, and only words
+    without a reading extend it (_Runtime.extend_frontier).  The rules-off
+    front of lexicon_covers (_Runtime.covers) interns sets of trie nodes
+    as the bytes of their sorted numbers (_Runtime.front_key)."""
     __slots__ = ("ids", "sets", "trans", "accepts", "start")
 
-    def __init__(self):
-        self.ids = {frozenset(): 0}   # set -> set id
-        self.sets = [frozenset()]
+    def __init__(self, empty=frozenset()):
+        self.ids = {empty: 0}         # set -> set id
+        self.sets = [empty]
         self.trans = [{}]
         self.accepts = [False]
-        self.start = None             # id of the roots' closure, built on first use
+        self.start = None             # id of the start set, built on first use
+
+    def intern(self, key, lock):
+        """The id of set `key`; a new set gets its id and its rows under
+        `lock`."""
+        sid = self.ids.get(key)
+        if sid is None:
+            with lock:
+                sid = self.ids.get(key)
+                if sid is None:
+                    sid = len(self.sets)
+                    self.sets.append(key)
+                    self.trans.append({})
+                    self.accepts.append(None)
+                    self.ids[key] = sid
+        return sid
 
 
 class _Glosses:
@@ -213,9 +233,12 @@ class _Runtime:
                 self._index(node)
             self.tries[name] = root
             self.nodes.extend(nodes)
+        for k, node in enumerate(self.nodes):
+            node.num = k
         self.lexicon = desc.lexicon
 
         self.rule_names = [ra.name for ra in desc.rule_automata]
+        self.pair_names = [alphabet.name_of(pid) for pid in range(self.frame_id + 1)]
         self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
         self.final_rejects = {}   # vector id -> names rejecting at the closing boundary
         # Closure tables of the rules-off search (lexicon_covers), filled on
@@ -225,6 +248,7 @@ class _Runtime:
         # either may win.
         self.cover_nodes = {}     # trie node -> node_cover(node)
         self.cover_classes = {}   # sublexicon name -> class_cover(name)
+        self.covers = None        # _Frontier of rules-off fronts, built by the first lexicon_covers
 
         # The frontier is its own object rather than five more attributes
         # here: CPython 3.11 reads the attributes of an instance that has
@@ -317,20 +341,6 @@ class _Runtime:
                     stack.append(state)
         return frozenset(state for state in states if state[0].moves or state[0].complete)
 
-    def _intern_set(self, states):
-        fr = self.frontier
-        sid = fr.ids.get(states)
-        if sid is None:
-            with self._lock:
-                sid = fr.ids.get(states)
-                if sid is None:
-                    sid = len(fr.sets)
-                    fr.sets.append(states)
-                    fr.trans.append({})
-                    fr.accepts.append(None)
-                    fr.ids[states] = sid
-        return sid
-
     def extend_frontier(self, sid, codes):
         """Fill the frontier's transitions from set sid (None: the start
         set) over the surface codes, until they end or the set is empty,
@@ -343,8 +353,9 @@ class _Runtime:
         if sid is None:
             sid = fr.start
             if sid is None:
-                sid = fr.start = self._intern_set(self._closure(
-                    {(self.tries[root], self.init_vec) for root in self.lexicon.roots}))
+                sid = fr.start = fr.intern(self._closure(
+                    {(self.tries[root], self.init_vec) for root in self.lexicon.roots}),
+                    self._lock)
         n_codes = self.n_codes
         for code in codes:
             if not sid:
@@ -360,7 +371,8 @@ class _Runtime:
                     for m in moves:
                         if m[3]:
                             states.add((m[2], m[4]))
-                nxt = trans[code] = self._intern_set(self._closure(states)) if states else 0
+                nxt = trans[code] = (fr.intern(self._closure(states), self._lock)
+                                     if states else 0)
             sid = nxt
         if sid and fr.accepts[sid] is None:
             fr.accepts[sid] = any(
@@ -369,10 +381,14 @@ class _Runtime:
 
     def cache_sizes(self):
         """(interned vectors, vector transitions, live-move entries,
-        frontier sets, frontier transitions)."""
+        frontier sets, frontier transitions, rules-off fronts, rules-off
+        transitions); the rules-off counts are 0 before the first
+        lexicon_covers."""
+        covers = self.covers
         return (len(self.vec_list), sum(map(len, self.vec_trans)),
                 sum(len(node.live) for node in self.nodes),
-                len(self.frontier.sets), sum(map(len, self.frontier.trans)))
+                len(self.frontier.sets), sum(map(len, self.frontier.trans)),
+                len(covers.sets) if covers else 0, sum(map(len, covers.trans)) if covers else 0)
 
     def vec_accepts(self, vid):
         return not self.final_rejecters(vid)
@@ -475,6 +491,55 @@ class _Runtime:
             tables[cls] = ({c: tuple(set().union(*kids)) for c, kids in merged.items()},
                            any(part[-1] for part in parts))
         return tables[name]
+
+    def _front_type(self):
+        """The array type code of a rules-off front's node numbers."""
+        return "H" if len(self.nodes) <= 1 << 16 else "I"
+
+    def front_key(self, nodes):
+        """The interned form of a rules-off front: the bytes of its trie
+        nodes' numbers, sorted."""
+        return array(self._front_type(), sorted(node.num for node in nodes)).tobytes()
+
+    def step_front(self, fr, sid, code):
+        """The id of the rules-off front that front sid of fr reaches on
+        surface code `code` (not 0): the children of the consuming moves
+        from its nodes' node tables and from the class tables of the
+        classes they complete; memoized in fr.trans.  Like the other memos
+        it is filled without a lock: threads that race intern equal fronts."""
+        c = self.code_chars[code]
+        nodes = self.nodes
+        node_tables, node_cover = self.cover_nodes, self.node_cover
+        class_tables, class_cover = self.cover_classes, self.class_cover
+        nxt = set()
+        classes = set()
+        for k in array(self._front_type(), fr.sets[sid]):
+            node = nodes[k]
+            steps, conts, _ = node_tables.get(node) or node_cover(node)
+            if c in steps:
+                nxt.update(steps[c])
+            if conts:
+                classes.update(conts)
+        for cls in classes:
+            steps = (class_tables.get(cls) or class_cover(cls))[0]
+            if c in steps:
+                nxt.update(steps[c])
+        nid = fr.trans[sid][code] = fr.intern(self.front_key(nxt), self._lock) if nxt else 0
+        return nid
+
+    def front_ends(self, fr, sid):
+        """Whether a path through the lexicon ends at rules-off front sid
+        of fr, through its nodes' deletion closures and the classes they
+        complete; memoized in fr.accepts."""
+        nodes = self.nodes
+        ends = False
+        for k in array(self._front_type(), fr.sets[sid]):
+            _, conts, here = self.node_cover(nodes[k])
+            if here or any(self.class_cover(cls)[1] for cls in conts):
+                ends = True
+                break
+        fr.accepts[sid] = ends
+        return ends
 
 
 _runtime_lock = threading.Lock()
@@ -781,37 +846,40 @@ def lexicon_covers(surface, desc):
     """True when some lexicon path covers the surface with feasible pairs,
     rules ignored.  Separates the blocking layer in traces.
 
-    The search steps a front of trie nodes one surface character at a time
-    through the runtime's closure tables (node_cover, class_cover), which
-    depend on the lexicon alone: the nodes reached without reading a
-    character are never visited one by one.
+    The search steps a front of trie nodes one surface character at a
+    time.  The fronts are interned in the runtime's rules-off _Frontier,
+    with the front each surface code leads to and whether a path ends
+    there, so the words of a batch that share a prefix step it once (lazy
+    determinization).  New transitions come from closure tables
+    (node_cover, class_cover) that depend on the lexicon alone: the nodes
+    reached without reading a character are never visited one by one.
+    A character that no pair realizes leads to the empty front, 0.
     """
     surface = unicodedata.normalize("NFC", surface)
     rt = runtime(desc)
-    node_tables, node_cover = rt.cover_nodes, rt.node_cover
-    class_tables, class_cover = rt.cover_classes, rt.class_cover
-    front = [rt.tries[root] for root in desc.lexicon.roots]
+    fr = rt.covers
+    if fr is None:
+        # threads that race build equal starts; each goes on with its own
+        fr = _Frontier(b"")
+        fr.start = fr.intern(rt.front_key(rt.tries[root] for root in desc.lexicon.roots),
+                             rt._lock)
+        rt.covers = fr
+    sid = fr.start
+    trans, codes = fr.trans, rt.codes
     for c in surface:
-        nxt = set()
-        classes = set()
-        for node in front:
-            steps, conts, _ = node_tables.get(node) or node_cover(node)
-            if c in steps:
-                nxt.update(steps[c])
-            if conts:
-                classes.update(conts)
-        for cls in classes:
-            steps = (class_tables.get(cls) or class_cover(cls))[0]
-            if c in steps:
-                nxt.update(steps[c])
+        code = codes.get(c)
+        if code is None:
+            return False
+        nxt = trans[sid].get(code)
+        if nxt is None:
+            nxt = rt.step_front(fr, sid, code)
         if not nxt:
             return False
-        front = nxt
-    for node in front:
-        _, conts, ends = node_cover(node)
-        if ends or any(class_cover(cls)[1] for cls in conts):
-            return True
-    return False
+        sid = nxt
+    ends = fr.accepts[sid]
+    if ends is None:
+        ends = rt.front_ends(fr, sid)
+    return ends
 
 
 def trace(word, direction, desc):
@@ -836,7 +904,7 @@ def trace(word, direction, desc):
 
     def dead(depth, vid, pid):
         died = rt.rejecters(vid, pid)
-        pair = rt.alphabet.name_of(pid)
+        pair = rt.pair_names[pid]
         steps.append(TraceStep(depth, pair, list(died)))
         failures.append((depth, died, pair))
 

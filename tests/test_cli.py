@@ -20,7 +20,7 @@ def run(capsys, args, stdin=None):
 
 
 def test_analyze_word(capsys):
-    rc = main(["analyze", "--stats", "evde", "evdeQ"])
+    rc = main(["analyze", "--trace", "--stats", "evde", "evdeQ"])
     out, err = capsys.readouterr()
     assert rc == 0
     assert "ev^-DA\t[ROOT=ev]+LOC" in out
@@ -28,10 +28,12 @@ def test_analyze_word(capsys):
     assert re.fullmatch(r"2 words in \d+\.\d\ds: \d+ words/sec", lines[0])
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
                           r"transitions, (\d+) live-move entries, (\d+) frontier sets, "
-                          r"(\d+) frontier transitions", lines[1])
-    # the word without a reading builds the start set and its successors
+                          r"(\d+) frontier transitions, (\d+) rules-off fronts, "
+                          r"(\d+) rules-off transitions", lines[1])
+    # the word without a reading builds the start set and its successors,
+    # and its trace the rules-off fronts of its prefixes
     assert counts and all(int(k) > 0 for k in counts.groups())
-    assert int(counts[4]) >= 2
+    assert int(counts[4]) >= 2 and int(counts[6]) >= 4
 
 
 def test_analyze_none_marker(capsys):

@@ -552,7 +552,8 @@ def test_frontier_is_built_once_and_only_for_words_without_reading():
     rt = engine.runtime(desc)
     accepted = sorted({c.surface for c in golden_suite() if c.polarity == "positive"})
     assert all(engine.analyze(w, desc) for w in accepted)
-    assert rt.frontier.start is None and rt.cache_sizes()[3:] == (1, 0)
+    # nor does analyze build a rules-off front
+    assert rt.frontier.start is None and rt.cache_sizes()[3:] == (1, 0, 0, 0)
     batch = perturbed_golden(desc, 300, seed=53) + random_surfaces(desc, 300, seed=59)
     first = [engine.analyze(w, desc) for w in batch]
     assert any(first) and not all(first)
@@ -598,6 +599,11 @@ def test_lexicon_covers_matches_reference_search(turkish):
     assert got == {w: covers_reference(w, turkish) for w in words}
     assert got[""] and not got["xxxx"] and not got["evdeQ"]
     assert any(got.values()) and not all(got.values())
+    # a second pass reads the memoized fronts alone
+    rt = engine.runtime(turkish)
+    sizes = rt.cache_sizes()[5:]
+    assert {w: engine.lexicon_covers(w, turkish) for w in words} == got
+    assert rt.cache_sizes()[5:] == sizes
 
 
 CYCLE_RULES = """ALPHABET
@@ -683,6 +689,10 @@ def test_lexicon_covers_with_a_continuation_cycle():
         got = {w: engine.lexicon_covers(w, desc) for w in order}
         expected = expected or {w: covers_reference(w, desc) for w in words}
         assert got == expected
+        # a second pass reads the memoized fronts alone
+        sizes = engine.runtime(desc).cache_sizes()[5:]
+        assert {w: engine.lexicon_covers(w, desc) for w in order} == expected
+        assert engine.runtime(desc).cache_sizes()[5:] == sizes
     assert expected["abacc"] and not expected["c"] and not expected["cca"]
 
 
@@ -717,6 +727,39 @@ def test_cover_tables_are_bounded(turkish):
         nodes.extend(node.arcs.values())
     assert 0 < len(rt.cover_nodes) <= len(nodes)
     assert 0 < len(rt.cover_classes) <= len(desc.lexicon.sublexicons)
+
+
+def test_rules_off_fronts_are_bounded():
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    assert rt.covers is None and rt.cache_sizes()[5:] == (0, 0)
+    rng = random.Random(67)
+    letters = surface_letters(desc) + list(UNKNOWN_CHARS)
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+             for _ in range(2000)] + ["evde"]
+    got = {w: engine.lexicon_covers(w, desc) for w in words}
+    assert got == {w: covers_reference(w, desc) for w in words}
+    fr = rt.covers
+    fronts, transitions = rt.cache_sizes()[5:]
+    assert fronts == len(fr.sets) and transitions == sum(map(len, fr.trans))
+    # the empty front, the start front and at most one new front and one
+    # transition per character read
+    read = sum(map(len, words))
+    assert 2 < fronts <= 2 + read and transitions <= read
+    # unknown characters are not read: no transition has code 0
+    assert all(0 < code < rt.n_codes for trans in fr.trans for code in trans)
+    # each word's walk over the transitions ends in the front that holds its
+    # answer (the empty front 0 holds False)
+    for w, covered in got.items():
+        sid = fr.start
+        for c in unicodedata.normalize("NFC", w):
+            sid = fr.trans[sid].get(rt.codes.get(c), 0)
+        assert fr.accepts[sid] is covered, w
+    for ch in UNKNOWN_CHARS:
+        assert ch not in rt.codes
+        assert not any(engine.lexicon_covers(w + ch, desc) for w in words[:100])
+        assert not engine.lexicon_covers("ev%sde" % ch, desc)
+        assert rt.cache_sizes()[5:] == (fronts, transitions), repr(ch)
 
 
 def test_concurrent_calls_match_serial(turkish):
@@ -769,6 +812,11 @@ def test_concurrent_calls_match_serial(turkish):
     assert len(fr.sets) > 1 and fr.start is not None
     assert len(fr.trans) == len(fr.accepts) == len(fr.sets)
     assert all(fr.ids[s] == k for k, s in enumerate(fr.sets))
+    # and so were the rules-off fronts
+    covers = results[0][0].covers
+    assert len(covers.sets) > 1 and covers.start is not None
+    assert len(covers.trans) == len(covers.accepts) == len(covers.sets)
+    assert all(covers.ids[s] == k for k, s in enumerate(covers.sets))
     for _, out in results:
         assert out == serial
 
