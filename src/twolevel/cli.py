@@ -106,7 +106,8 @@ def _batch(args, fn, desc):
         sys.stderr.write("%d words in %.2fs: %.0f words/sec\n" % (len(words), dt, rate))
         sys.stderr.write("runtime caches: %d interned vectors, %d vector transitions, "
                          "%d live-move entries, %d frontier sets, %d frontier transitions, "
-                         "%d rules-off fronts, %d rules-off transitions\n"
+                         "%d rules-off fronts, %d rules-off transitions, "
+                         "%d bundle states, %d bundle transitions\n"
                          % engine.runtime(desc).cache_sizes())
     return 1 if (args.strict and misses) else 0
 

@@ -29,7 +29,8 @@ def test_analyze_word(capsys):
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
                           r"transitions, (\d+) live-move entries, (\d+) frontier sets, "
                           r"(\d+) frontier transitions, (\d+) rules-off fronts, "
-                          r"(\d+) rules-off transitions", lines[1])
+                          r"(\d+) rules-off transitions, (\d+) bundle states, "
+                          r"(\d+) bundle transitions", lines[1])
     # the word without a reading builds the start set and its successors,
     # and its trace the rules-off fronts of its prefixes
     assert counts and all(int(k) > 0 for k in counts.groups())

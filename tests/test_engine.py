@@ -553,7 +553,7 @@ def test_frontier_is_built_once_and_only_for_words_without_reading():
     accepted = sorted({c.surface for c in golden_suite() if c.polarity == "positive"})
     assert all(engine.analyze(w, desc) for w in accepted)
     # nor does analyze build a rules-off front
-    assert rt.frontier.start is None and rt.cache_sizes()[3:] == (1, 0, 0, 0)
+    assert rt.frontier.start is None and rt.cache_sizes()[3:7] == (1, 0, 0, 0)
     batch = perturbed_golden(desc, 300, seed=53) + random_surfaces(desc, 300, seed=59)
     first = [engine.analyze(w, desc) for w in batch]
     assert any(first) and not all(first)
@@ -601,9 +601,9 @@ def test_lexicon_covers_matches_reference_search(turkish):
     assert any(got.values()) and not all(got.values())
     # a second pass reads the memoized fronts alone
     rt = engine.runtime(turkish)
-    sizes = rt.cache_sizes()[5:]
+    sizes = rt.cache_sizes()[5:7]
     assert {w: engine.lexicon_covers(w, turkish) for w in words} == got
-    assert rt.cache_sizes()[5:] == sizes
+    assert rt.cache_sizes()[5:7] == sizes
 
 
 CYCLE_RULES = """ALPHABET
@@ -690,9 +690,9 @@ def test_lexicon_covers_with_a_continuation_cycle():
         expected = expected or {w: covers_reference(w, desc) for w in words}
         assert got == expected
         # a second pass reads the memoized fronts alone
-        sizes = engine.runtime(desc).cache_sizes()[5:]
+        sizes = engine.runtime(desc).cache_sizes()[5:7]
         assert {w: engine.lexicon_covers(w, desc) for w in order} == expected
-        assert engine.runtime(desc).cache_sizes()[5:] == sizes
+        assert engine.runtime(desc).cache_sizes()[5:7] == sizes
     assert expected["abacc"] and not expected["c"] and not expected["cca"]
 
 
@@ -732,7 +732,7 @@ def test_cover_tables_are_bounded(turkish):
 def test_rules_off_fronts_are_bounded():
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
-    assert rt.covers is None and rt.cache_sizes()[5:] == (0, 0)
+    assert rt.covers is None and rt.cache_sizes()[5:7] == (0, 0)
     rng = random.Random(67)
     letters = surface_letters(desc) + list(UNKNOWN_CHARS)
     words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
@@ -740,7 +740,7 @@ def test_rules_off_fronts_are_bounded():
     got = {w: engine.lexicon_covers(w, desc) for w in words}
     assert got == {w: covers_reference(w, desc) for w in words}
     fr = rt.covers
-    fronts, transitions = rt.cache_sizes()[5:]
+    fronts, transitions = rt.cache_sizes()[5:7]
     assert fronts == len(fr.sets) and transitions == sum(map(len, fr.trans))
     # the empty front, the start front and at most one new front and one
     # transition per character read
@@ -759,7 +759,7 @@ def test_rules_off_fronts_are_bounded():
         assert ch not in rt.codes
         assert not any(engine.lexicon_covers(w + ch, desc) for w in words[:100])
         assert not engine.lexicon_covers("ev%sde" % ch, desc)
-        assert rt.cache_sizes()[5:] == (fronts, transitions), repr(ch)
+        assert rt.cache_sizes()[5:7] == (fronts, transitions), repr(ch)
 
 
 def test_concurrent_calls_match_serial(turkish):
@@ -817,8 +817,76 @@ def test_concurrent_calls_match_serial(turkish):
     assert len(covers.sets) > 1 and covers.start is not None
     assert len(covers.trans) == len(covers.accepts) == len(covers.sets)
     assert all(covers.ids[s] == k for k, s in enumerate(covers.sets))
+    # and so were the bundles: no tuple lost its id or its row
+    for bundle in results[0][0].bundles:
+        assert len(bundle.tuples) > 1 and len(bundle.trans) == len(bundle.tuples)
+        assert all(bundle.ids[t] == k for k, t in enumerate(bundle.tuples))
     for _, out in results:
         assert out == serial
+
+
+def check_vectors_against_automata(desc):
+    """Every interned vector and pair id: step_vec, rejecters and
+    final_rejecters equal a flat recomputation that steps each automaton's
+    delta on its own."""
+    rt = engine.runtime(desc)
+    names, frame = rt.rule_names, rt.frame_id
+    classes = [[d.class_of[pid] for d in rt.dfas] for pid in range(frame + 1)]
+    n_vectors = len(rt.vec_list)
+    for vid in range(n_vectors):
+        states = rt._states(vid)
+        assert len(states) == len(rt.dfas)
+        rows = [d.delta[q] for d, q in zip(rt.dfas, states)]
+        for pid in range(frame + 1):
+            nxt = [row.get(c) for row, c in zip(rows, classes[pid])]
+            rejecting = tuple(name for name, q in zip(names, nxt) if q is None)
+            nvid = rt.step_vec(vid, pid)
+            assert (None if nvid is None else rt._states(nvid)) == (
+                None if rejecting else tuple(nxt)), (vid, pid)
+            assert rt.rejecters(vid, pid) == rejecting, (vid, pid)
+        closing = tuple(name for name, d, row, c in zip(names, rt.dfas, rows, classes[frame])
+                        if row.get(c) not in d.finals)
+        assert rt.final_rejecters(vid) == closing, vid
+    return n_vectors
+
+
+def test_runtime_keeps_fewer_than_30_attributes(turkish):
+    # CPython 3.11 reads the attributes of an instance with 30 or more of
+    # them markedly slower, and every search reads the runtime's
+    assert len(vars(engine.runtime(turkish))) < 30
+
+
+def test_bundled_vectors_match_the_automata():
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    assert len(rt.bundles) == 13 and [len(b.dfas) for b in rt.bundles] == [16] * 12 + [6]
+    for w in sorted({c.surface for c in golden_suite()}) + perturbed_golden(desc, 50, seed=71):
+        engine.analyze(w, desc)
+    assert check_vectors_against_automata(desc) > 100
+    # each bundle row maps a joint class to a tuple id or to the dead
+    # marker, which is remembered too
+    steps = {b: {nxt for row in b.trans for nxt in row.values()} for b in rt.bundles}
+    assert all(steps[b] <= {engine._DEAD, *range(len(b.tuples))} for b in rt.bundles)
+    assert any(engine._DEAD in nxt for nxt in steps.values())
+    # the start vector and what the opening boundary makes of it
+    start = rt._states(0)
+    assert start == tuple(d.start for d in rt.dfas)
+    assert rt._states(rt.init_vec) == tuple(d.delta[d.start][d.class_of[rt.frame_id]]
+                                            for d in rt.dfas)
+
+
+def test_bundled_vectors_of_a_description_smaller_than_a_bundle():
+    from conftest import make_description
+    for rules, lexicon, words in ((CYCLE_RULES, CYCLE_LEXICON, cycle_words(2)),
+                                  (DELETION_RULES, "LEXICON Root\n:abb # ;\n:b # ;\n",
+                                   ["ab", "abb", "b", "ba", "a", ""])):
+        desc = make_description(rules, lexicon)
+        rt = engine.runtime(desc)
+        assert len(rt.bundles) == 1 and len(rt.bundles[0].dfas) == len(rt.dfas) < 16
+        for w in words:
+            engine.analyze(w, desc)
+            engine.trace(w, "analyze", desc)
+        assert check_vectors_against_automata(desc) >= 1
 
 
 def test_trace_when_the_opening_boundary_kills_a_rule(turkish):
