@@ -104,11 +104,9 @@ def _batch(args, fn, desc):
     if args.stats:
         rate = len(words) / dt if dt > 0 else float("inf")
         sys.stderr.write("%d words in %.2fs: %.0f words/sec\n" % (len(words), dt, rate))
-        sys.stderr.write("runtime caches: %d interned vectors, %d vector transitions, "
-                         "%d live-move entries, %d frontier sets, %d frontier transitions, "
-                         "%d rules-off fronts, %d rules-off transitions, "
-                         "%d bundle states, %d bundle transitions\n"
-                         % engine.runtime(desc).cache_sizes())
+        sizes = engine.runtime(desc).cache_sizes()
+        sys.stderr.write("runtime caches: %s\n"
+                         % ", ".join("%d %s" % (n, name) for name, n in sizes.items()))
     return 1 if (args.strict and misses) else 0
 
 

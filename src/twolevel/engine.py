@@ -120,38 +120,49 @@ class _Trie:
         self.live = {}
 
 
-class _Frontier:
+class _Table:
+    """Interned keys, each with its id (its index in keys) and a memo row
+    of transitions (trans[id], filled by the owner)."""
+    __slots__ = ("ids", "keys", "trans")
+
+    def __init__(self):
+        self.ids = {}                 # key -> id
+        self.keys = []
+        self.trans = []
+
+    def intern(self, key, lock):
+        """The id of `key`; a new key gets its id and its row under `lock`,
+        so that threads that race cannot give one key two ids, or an id
+        another key's row."""
+        kid = self.ids.get(key)
+        if kid is None:
+            with lock:
+                kid = self.ids.get(key)
+                if kid is None:
+                    kid = len(self.keys)
+                    self.keys.append(key)
+                    self.trans.append({})
+                    self.ids[key] = kid
+        return kid
+
+
+class _Frontier(_Table):
     """A lazily determinized automaton over interned sets; set id 0 is the
     empty set.  Per set: surface code -> next set id, and whether the set
-    ends the word (None until known).  analyze's subset frontier
+    ends the word (accepts; absent until known).  analyze's subset frontier
     (_Runtime.frontier) interns frozensets of (trie node, vector id) states
     closed under live deletions and continuation jumps, and only words
     without a reading extend it (_Runtime.extend_frontier).  The rules-off
     front of lexicon_covers (_Runtime.covers) interns sets of trie nodes
     as the bytes of their sorted numbers (_Runtime.front_key)."""
-    __slots__ = ("ids", "sets", "trans", "accepts", "start")
+    __slots__ = ("accepts", "start")
 
     def __init__(self, empty=frozenset()):
-        self.ids = {empty: 0}         # set -> set id
-        self.sets = [empty]
+        self.ids = {empty: 0}
+        self.keys = [empty]
         self.trans = [{}]
-        self.accepts = [False]
+        self.accepts = {0: False}     # set id -> whether it ends the word
         self.start = None             # id of the start set, built on first use
-
-    def intern(self, key, lock):
-        """The id of set `key`; a new set gets its id and its rows under
-        `lock`."""
-        sid = self.ids.get(key)
-        if sid is None:
-            with lock:
-                sid = self.ids.get(key)
-                if sid is None:
-                    sid = len(self.sets)
-                    self.sets.append(key)
-                    self.trans.append({})
-                    self.accepts.append(None)
-                    self.ids[key] = sid
-        return sid
 
 
 class _Glosses:
@@ -192,13 +203,13 @@ _BUNDLE = 16
 _DEAD = -1
 
 
-class _Bundle:
+class _Bundle(_Table):
     """A run of consecutive rule automata stepped as one lazily built
     product: interned tuples of their states, and per tuple joint class ->
     next tuple id, or _DEAD when some automaton of the run dies.  A pair's
     joint class (of_pair[pid]) numbers its tuple of classes in the run's
     automata (joint)."""
-    __slots__ = ("first", "dfas", "deltas", "of_pair", "joint", "ids", "tuples", "trans")
+    __slots__ = ("first", "dfas", "deltas", "of_pair", "joint")
 
     def __init__(self, first, dfas, n_pairs):
         self.first = first            # check-set index of dfas[0]
@@ -208,23 +219,7 @@ class _Bundle:
         self.of_pair = [joint.setdefault(tuple(d.class_of[pid] for d in dfas), len(joint))
                         for pid in range(n_pairs)]
         self.joint = list(joint)
-        self.ids = {}                 # tuple of states -> tuple id
-        self.tuples = []
-        self.trans = []
-
-    def intern(self, states, lock):
-        """The id of tuple `states`; a new tuple gets its id and its row
-        under `lock`."""
-        bid = self.ids.get(states)
-        if bid is None:
-            with lock:
-                bid = self.ids.get(states)
-                if bid is None:
-                    bid = len(self.tuples)
-                    self.tuples.append(states)
-                    self.trans.append({})
-                    self.ids[states] = bid
-        return bid
+        super().__init__()            # the tuples of states
 
     def step(self, bid, c, lock):
         """The id of the tuple that tuple bid reaches on joint class c, or
@@ -234,7 +229,7 @@ class _Bundle:
         nxt = row.get(c)
         if nxt is None:
             out = []
-            for delta, q, k in zip(self.deltas, self.tuples[bid], self.joint[c]):
+            for delta, q, k in zip(self.deltas, self.keys[bid], self.joint[c]):
                 q = delta[q].get(k)
                 if q is None:
                     row[c] = _DEAD
@@ -261,13 +256,23 @@ class _Runtime:
         self.pairs_by_lex = {k: tuple(v) for k, v in alphabet.by_lex.items()}
 
         self._lock = threading.Lock()
-        self.vecs = {}
-        self.vec_list = []
-        self.vec_trans = []
+        # The interned rule vectors; every search reads their keys and
+        # rows, each in one attribute load.
+        self.vectors = _Table()
+        self.vec_list = self.vectors.keys
+        self.vec_trans = self.vectors.trans
         self.frame_id = alphabet.frame_id
-        start = tuple(b.intern(tuple(d.start for d in b.dfas), self._lock)
-                      for b in self.bundles)
-        self.init_vec = self.step_vec(self._intern(start), self.frame_id)
+        self.rule_names = [ra.name for ra in desc.rule_automata]
+        self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
+        self.final_rejects = {}   # vector id -> names rejecting at the closing boundary
+        start = self.vectors.intern(tuple(b.intern(tuple(d.start for d in b.dfas), self._lock)
+                                          for b in self.bundles), self._lock)
+        self.init_vec = self.step_vec(start, self.frame_id)
+        if self.init_vec is None:
+            # every automaton compile_rule builds reads the opening
+            # boundary, so only a hand-built description gets here
+            raise DescriptionError("the opening boundary #:# kills rule(s) %s"
+                                   % ", ".join(self.rejecters(start, self.frame_id)))
 
         # Codes of the surface characters for live_moves: 0 stands for the
         # end of the word and for any character that no pair realizes, as
@@ -300,10 +305,7 @@ class _Runtime:
             node.num = k
         self.lexicon = desc.lexicon
 
-        self.rule_names = [ra.name for ra in desc.rule_automata]
         self.pair_names = [alphabet.name_of(pid) for pid in range(self.frame_id + 1)]
-        self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
-        self.final_rejects = {}   # vector id -> names rejecting at the closing boundary
         # Closure tables of the rules-off search (lexicon_covers), filled on
         # first use; at most one per trie node and one per sublexicon.
         # Like the other memos they are filled without a lock: two threads
@@ -331,23 +333,9 @@ class _Runtime:
         node.moves = {c: tuple(m for m in every if not m[3] or self.surf[m[1]] == c)
                       for c in chars}
 
-    def _intern(self, vec):
-        vid = self.vecs.get(vec)
-        if vid is None:
-            with self._lock:
-                vid = self.vecs.get(vec)
-                if vid is None:
-                    vid = len(self.vec_list)
-                    self.vec_list.append(vec)
-                    self.vec_trans.append({})
-                    self.vecs[vec] = vid
-        return vid
-
     def step_vec(self, vid, pid):
         """Step all rule automata, bundle by bundle; None when any of them
         dies.  A bundle steps its own automata only on a miss of its memo."""
-        if vid is None:
-            return None
         trans = self.vec_trans[vid]
         cached = trans.get(pid, False)
         if cached is not False:
@@ -361,7 +349,7 @@ class _Runtime:
                 trans[pid] = None
                 return None
             out.append(nxt)
-        res = trans[pid] = self._intern(tuple(out))
+        res = trans[pid] = self.vectors.intern(tuple(out), self._lock)
         return res
 
     def live_moves(self, node, vid, code):
@@ -430,7 +418,7 @@ class _Runtime:
             nxt = trans.get(code)
             if nxt is None:
                 states = set()
-                for node, vid in fr.sets[sid]:
+                for node, vid in fr.keys[sid]:
                     moves = node.live.get(vid * n_codes + code)
                     if moves is None:
                         moves = self.live_moves(node, vid, code)
@@ -440,37 +428,37 @@ class _Runtime:
                 nxt = trans[code] = (fr.intern(self._closure(states), self._lock)
                                      if states else 0)
             sid = nxt
-        if sid and fr.accepts[sid] is None:
+        if sid and sid not in fr.accepts:
             fr.accepts[sid] = any(
-                self.vec_accepts(vid) for node, vid in fr.sets[sid]
+                not self.final_rejecters(vid) for node, vid in fr.keys[sid]
                 if any(cont == TERMINAL for _, cont in node.complete))
 
     def cache_sizes(self):
-        """(interned vectors, vector transitions, live-move entries,
-        frontier sets, frontier transitions, rules-off fronts, rules-off
-        transitions, bundle states, bundle transitions); the rules-off
-        counts are 0 before the first lexicon_covers."""
-        covers = self.covers
-        return (len(self.vec_list), sum(map(len, self.vec_trans)),
-                sum(len(node.live) for node in self.nodes),
-                len(self.frontier.sets), sum(map(len, self.frontier.trans)),
-                len(covers.sets) if covers else 0, sum(map(len, covers.trans)) if covers else 0,
-                sum(len(b.tuples) for b in self.bundles),
-                sum(len(row) for b in self.bundles for row in b.trans))
+        """The sizes of the runtime's tables by name, in the order analyze
+        --stats prints them: the keys and the transitions of each _Table,
+        and the live-move entries; the rules-off counts are 0 before the
+        first lexicon_covers."""
+        def keys(*tables):
+            return sum(len(t.keys) for t in tables if t)
 
-    def vec_accepts(self, vid):
-        return not self.final_rejecters(vid)
+        def rows(*tables):
+            return sum(len(row) for t in tables if t for row in t.trans)
+
+        return {"interned vectors": keys(self.vectors),
+                "vector transitions": rows(self.vectors),
+                "live-move entries": sum(len(node.live) for node in self.nodes),
+                "frontier sets": keys(self.frontier),
+                "frontier transitions": rows(self.frontier),
+                "rules-off fronts": keys(self.covers),
+                "rules-off transitions": rows(self.covers),
+                "bundle states": keys(*self.bundles),
+                "bundle transitions": rows(*self.bundles)}
 
     def _states(self, vid):
         """The states of every rule automaton in vector vid, from its
-        bundles' tuples.  None stands for the start vector after the opening
-        boundary when that already kills some automata (then init_vec is
-        None); their states are None."""
-        if vid is not None:
-            return tuple(chain.from_iterable(
-                bundle.tuples[b] for bundle, b in zip(self.bundles, self.vec_list[vid])))
-        frame = self.frame_id
-        return tuple(d.delta[d.start].get(d.class_of[frame]) for d in self.dfas)
+        bundles' tuples."""
+        return tuple(chain.from_iterable(
+            bundle.keys[b] for bundle, b in zip(self.bundles, self.vec_list[vid])))
 
     def rejecters(self, vid, pid):
         """Names of the rule automata that reject pair pid from vector vid,
@@ -478,17 +466,12 @@ class _Runtime:
         read automaton by automaton."""
         names = self.rejects.get((vid, pid))
         if names is None:
-            if vid is None:
-                runs = [(0, self.dfas, self._states(None))]
-            else:
-                runs = [(bundle.first, bundle.dfas, bundle.tuples[b])
-                        for bundle, b, c in zip(self.bundles, self.vec_list[vid], self.classes[pid])
-                        if bundle.step(b, c, self._lock) < 0]
             names = self.rejects[vid, pid] = tuple(
-                self.rule_names[first + k]
-                for first, dfas, states in runs
-                for k, (d, q) in enumerate(zip(dfas, states))
-                if q is None or d.delta[q].get(d.class_of[pid]) is None)
+                self.rule_names[bundle.first + k]
+                for bundle, b, c in zip(self.bundles, self.vec_list[vid], self.classes[pid])
+                if bundle.step(b, c, self._lock) < 0
+                for k, (d, q) in enumerate(zip(bundle.dfas, bundle.keys[b]))
+                if d.delta[q].get(d.class_of[pid]) is None)
         return names
 
     def final_rejecters(self, vid):
@@ -500,7 +483,7 @@ class _Runtime:
             frame = self.frame_id
             names = self.final_rejects[vid] = tuple(
                 self.rule_names[k] for k, d in enumerate(self.dfas)
-                if vec[k] is None or d.delta[vec[k]].get(d.class_of[frame]) not in d.finals)
+                if d.delta[vec[k]].get(d.class_of[frame]) not in d.finals)
         return names
 
     def node_cover(self, node):
@@ -591,7 +574,7 @@ class _Runtime:
         class_tables, class_cover = self.cover_classes, self.class_cover
         nxt = set()
         classes = set()
-        for k in array(self._front_type(), fr.sets[sid]):
+        for k in array(self._front_type(), fr.keys[sid]):
             node = nodes[k]
             steps, conts, _ = node_tables.get(node) or node_cover(node)
             if c in steps:
@@ -611,7 +594,7 @@ class _Runtime:
         complete; memoized in fr.accepts."""
         nodes = self.nodes
         ends = False
-        for k in array(self._front_type(), fr.sets[sid]):
+        for k in array(self._front_type(), fr.keys[sid]):
             _, conts, here = self.node_cover(nodes[k])
             if here or any(self.class_cover(cls)[1] for cls in conts):
                 ends = True
@@ -649,8 +632,6 @@ def analyze(surface, desc):
     with a reading is found by the search."""
     surface = unicodedata.normalize("NFC", surface)
     rt = runtime(desc)
-    if rt.init_vec is None:
-        return []
     n = len(surface)
     codes = [rt.codes.get(c, 0) for c in surface]
 
@@ -668,7 +649,7 @@ def analyze(surface, desc):
             sid = nxt
             i += 1
         else:
-            if fr.accepts[sid] is False:
+            if fr.accepts.get(sid) is False:
                 return []
 
     codes.append(0)
@@ -687,7 +668,7 @@ def _search(rt, roots, codes, n, observe=None):
     takes at most 4n+24 moves and 32 continuation jumps in a row.
     `observe(node, vid, i, live)` sees each state and its live moves, which
     leave in rt.vec_trans[vid] an entry for every move reading the state's
-    code; vector id None (the opening boundary killed a rule) has none."""
+    code."""
     limit = 4 * n + 24
     results = {}
     n_codes = rt.n_codes
@@ -701,12 +682,9 @@ def _search(rt, roots, codes, n, observe=None):
         node, vid, i, jumps, depth, moves, glosses = pop()
         while True:
             code = codes[i]
-            if vid is None:
-                live = ()
-            else:
-                live = node.live.get(vid * n_codes + code)
-                if live is None:
-                    live = live_moves(node, vid, code)
+            live = node.live.get(vid * n_codes + code)
+            if live is None:
+                live = live_moves(node, vid, code)
             if observe is not None:
                 observe(node, vid, i, live)
             if node.complete:
@@ -720,7 +698,7 @@ def _search(rt, roots, codes, n, observe=None):
                     if cont != TERMINAL:
                         if jumps < 32:
                             push((tries[cont], vid, i, jumps + 1, depth, moves, glosses + gloss))
-                    elif i == n and rt.vec_accepts(vid):
+                    elif i == n and not rt.final_rejecters(vid):
                         path, rest = [], moves
                         while rest is not None:
                             move, rest = rest
@@ -765,15 +743,14 @@ def generate(lexical, desc, validate_morphotactics=False):
     syms = tokenize_lexical(lexical, desc.alphabet)
     if validate_morphotactics and not is_lexicon_path(lexical, desc):
         return []
-    return sorted({prefix for vid, prefix in _realize(rt, syms) if rt.vec_accepts(vid)})
+    return sorted({prefix for vid, prefix in _realize(rt, syms) if not rt.final_rejecters(vid)})
 
 
 def _realize(rt, syms, dead=None, frontier=None):
     """generate's frontier: {(vector id, surface prefix): None} after the
     lexical symbols syms, from `frontier` (default: the start of a word).
     `dead(k, vid, pid)` hears of each pair pid that kills vector vid at
-    symbol index k.  Vector id None (the opening boundary killed a rule)
-    has no successors, so the frontier empties."""
+    symbol index k."""
     step_vec = rt.step_vec
     is_null = rt.is_null
     surf = rt.surf
@@ -911,7 +888,7 @@ def generate_from_gloss(root, tags, desc):
     rt = runtime(desc)
     out = set()
     for texts, frontier, check in _gloss_walk(rt, root, tags, {(rt.init_vec, ""): None}):
-        surfaces = [prefix for vid, prefix in frontier if rt.vec_accepts(vid)]
+        surfaces = [prefix for vid, prefix in frontier if not rt.final_rejecters(vid)]
         if surfaces and (not check or is_lexicon_path(_lexical(texts), desc)):
             out.update(surfaces)
     return sorted(out)
@@ -954,7 +931,7 @@ def lexicon_covers(surface, desc):
         if not nxt:
             return False
         sid = nxt
-    ends = fr.accepts[sid]
+    ends = fr.accepts.get(sid)
     if ends is None:
         ends = rt.front_ends(fr, sid)
     return ends
@@ -1005,7 +982,7 @@ def trace(word, direction, desc):
         def observe(node, vid, i, live):
             if i == n and any(cont == TERMINAL for _, cont in node.complete):
                 end(n, vid)
-            trans = rt.vec_trans[vid] if vid is not None else {}
+            trans = rt.vec_trans[vid]
             for _, pid, _, consumes in node.moves.get(rt.code_chars[codes[i]], node.dels):
                 if trans.get(pid) is None:
                     # a consuming pair covers surface position i

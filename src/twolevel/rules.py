@@ -378,7 +378,6 @@ def compile_rule(rule, alphabet, decls, allow_empty_atoms=False, *, _trackers=No
     need_neg = rule.op in ("<=", "<=>", "/<=")
 
     # joint pair classes over all component automata plus CP / lexC membership
-    dens = [cp_ids, lex_ids, frozenset([frame])]
     sigs = {}
     class_of = [0] * n_syms
     class_rep = []
@@ -413,7 +412,6 @@ def compile_rule(rule, alphabet, decls, allow_empty_atoms=False, *, _trackers=No
     init = (init_l, frozenset())
     states = {init: 0}
     delta = [{}]
-    meta = [init]
     work = [init]
     while work:
         cur = work.pop()
@@ -470,7 +468,6 @@ def compile_rule(rule, alphabet, decls, allow_empty_atoms=False, *, _trackers=No
                 j = len(delta)
                 states[nxt] = j
                 delta.append({})
-                meta.append(nxt)
                 work.append(nxt)
             delta[ci][cid] = j
 
@@ -513,11 +510,6 @@ def run_all(automata, pairs, alphabet=None):
 # ---------------------------------------------------------------------------
 # Effective check set for a whole description
 
-def _cp_key(rule, alphabet, decls):
-    ids, _ = _cp_sets(rule, alphabet, decls)
-    return ids
-
-
 def build_check_set(ground_rules, alphabet, decls):
     """Turn ground rules into the effective parallel constraint set.
 
@@ -529,7 +521,7 @@ def build_check_set(ground_rules, alphabet, decls):
     pos_groups = {}
     out_rules = []
     for rule in ground_rules:
-        key = _cp_key(rule, alphabet, decls)
+        key, _ = _cp_sets(rule, alphabet, decls)
         if rule.op in ("=>", "<=>"):
             grp = pos_groups.get(key)
             if grp is None:

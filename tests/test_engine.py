@@ -409,8 +409,6 @@ def analyze_reference(surface, desc):
     search steps the rule vector for every move that can read the next
     surface character."""
     rt = engine.runtime(desc)
-    if rt.init_vec is None:
-        return []
     n = len(surface)
     limit = 4 * n + 24
     results = {}
@@ -421,7 +419,7 @@ def analyze_reference(surface, desc):
             return
         for gloss, cont in node.complete:
             if cont == TERMINAL:
-                if i == n and rt.vec_accepts(vid):
+                if i == n and not rt.final_rejecters(vid):
                     key = ("".join(lex_acc), "".join(gloss_acc) + gloss)
                     results.setdefault(key, tuple(pid_acc))
             elif jumps < 32:
@@ -538,7 +536,7 @@ def test_frontier_sends_unknown_characters_to_the_empty_set():
     assert engine.analyze("evQde", desc) == []
     # the empty set, the start set and the sets after "e" and "ev"
     fr = rt.frontier
-    assert len(fr.sets) == 4
+    assert len(fr.keys) == 4
     ev = fr.trans[fr.trans[fr.start][rt.codes["e"]]][rt.codes["v"]]
     assert fr.trans[ev] == {0: 0}
     sizes = rt.cache_sizes()
@@ -553,14 +551,23 @@ def test_frontier_is_built_once_and_only_for_words_without_reading():
     accepted = sorted({c.surface for c in golden_suite() if c.polarity == "positive"})
     assert all(engine.analyze(w, desc) for w in accepted)
     # nor does analyze build a rules-off front
-    assert rt.frontier.start is None and rt.cache_sizes()[3:7] == (1, 0, 0, 0)
+    sizes = rt.cache_sizes()
+    assert rt.frontier.start is None
+    assert [sizes[name] for name in ("frontier sets", "frontier transitions", "rules-off fronts",
+                                     "rules-off transitions")] == [1, 0, 0, 0]
     batch = perturbed_golden(desc, 300, seed=53) + random_surfaces(desc, 300, seed=59)
     first = [engine.analyze(w, desc) for w in batch]
     assert any(first) and not all(first)
     sizes = rt.cache_sizes()
-    assert sizes[3] > 1
+    assert sizes["frontier sets"] > 1
     assert [engine.analyze(w, desc) for w in batch] == first
     assert rt.cache_sizes() == sizes
+
+
+def rules_off_sizes(rt):
+    """The counts of rules-off fronts and transitions in cache_sizes()."""
+    sizes = rt.cache_sizes()
+    return sizes["rules-off fronts"], sizes["rules-off transitions"]
 
 
 def covers_reference(surface, desc):
@@ -601,9 +608,9 @@ def test_lexicon_covers_matches_reference_search(turkish):
     assert any(got.values()) and not all(got.values())
     # a second pass reads the memoized fronts alone
     rt = engine.runtime(turkish)
-    sizes = rt.cache_sizes()[5:7]
+    sizes = rules_off_sizes(rt)
     assert {w: engine.lexicon_covers(w, turkish) for w in words} == got
-    assert rt.cache_sizes()[5:7] == sizes
+    assert rules_off_sizes(rt) == sizes
 
 
 CYCLE_RULES = """ALPHABET
@@ -690,9 +697,9 @@ def test_lexicon_covers_with_a_continuation_cycle():
         expected = expected or {w: covers_reference(w, desc) for w in words}
         assert got == expected
         # a second pass reads the memoized fronts alone
-        sizes = engine.runtime(desc).cache_sizes()[5:7]
+        sizes = rules_off_sizes(engine.runtime(desc))
         assert {w: engine.lexicon_covers(w, desc) for w in order} == expected
-        assert engine.runtime(desc).cache_sizes()[5:7] == sizes
+        assert rules_off_sizes(engine.runtime(desc)) == sizes
     assert expected["abacc"] and not expected["c"] and not expected["cca"]
 
 
@@ -711,7 +718,7 @@ def test_analyze_matches_reference_with_a_continuation_cycle():
         assert got == expected
         # the words without a reading are now answered by the frontier alone
         sizes = engine.runtime(desc).cache_sizes()
-        assert sizes[3] > 1
+        assert sizes["frontier sets"] > 1
         assert all(engine.analyze(w, desc) == [] for w in order if not expected[w])
         assert engine.runtime(desc).cache_sizes() == sizes
     assert expected["acc"] and not expected["c"] and not expected["cca"]
@@ -732,7 +739,7 @@ def test_cover_tables_are_bounded(turkish):
 def test_rules_off_fronts_are_bounded():
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
-    assert rt.covers is None and rt.cache_sizes()[5:7] == (0, 0)
+    assert rt.covers is None and rules_off_sizes(rt) == (0, 0)
     rng = random.Random(67)
     letters = surface_letters(desc) + list(UNKNOWN_CHARS)
     words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
@@ -740,8 +747,8 @@ def test_rules_off_fronts_are_bounded():
     got = {w: engine.lexicon_covers(w, desc) for w in words}
     assert got == {w: covers_reference(w, desc) for w in words}
     fr = rt.covers
-    fronts, transitions = rt.cache_sizes()[5:7]
-    assert fronts == len(fr.sets) and transitions == sum(map(len, fr.trans))
+    fronts, transitions = rules_off_sizes(rt)
+    assert fronts == len(fr.keys) and transitions == sum(map(len, fr.trans))
     # the empty front, the start front and at most one new front and one
     # transition per character read
     read = sum(map(len, words))
@@ -754,12 +761,22 @@ def test_rules_off_fronts_are_bounded():
         sid = fr.start
         for c in unicodedata.normalize("NFC", w):
             sid = fr.trans[sid].get(rt.codes.get(c), 0)
-        assert fr.accepts[sid] is covered, w
+        assert fr.accepts.get(sid) is covered, w
     for ch in UNKNOWN_CHARS:
         assert ch not in rt.codes
         assert not any(engine.lexicon_covers(w + ch, desc) for w in words[:100])
         assert not engine.lexicon_covers("ev%sde" % ch, desc)
-        assert rt.cache_sizes()[5:7] == (fronts, transitions), repr(ch)
+        assert rules_off_sizes(rt) == (fronts, transitions), repr(ch)
+
+
+def check_table(table):
+    """An interned table is consistent and filled: key k has id k, there is
+    one transition row per key, and accept flags exist only for interned
+    ids."""
+    assert len(table.keys) > 1
+    assert len(table.ids) == len(table.keys) == len(table.trans)
+    assert all(table.ids[key] == k for k, key in enumerate(table.keys))
+    assert set(getattr(table, "accepts", ())) <= set(range(len(table.keys)))
 
 
 def test_concurrent_calls_match_serial(turkish):
@@ -807,20 +824,11 @@ def test_concurrent_calls_match_serial(turkish):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len({id(rt) for rt, _ in results}) == 1
-    # the frontier was filled, and no set lost its id or its row
-    fr = results[0][0].frontier
-    assert len(fr.sets) > 1 and fr.start is not None
-    assert len(fr.trans) == len(fr.accepts) == len(fr.sets)
-    assert all(fr.ids[s] == k for k, s in enumerate(fr.sets))
-    # and so were the rules-off fronts
-    covers = results[0][0].covers
-    assert len(covers.sets) > 1 and covers.start is not None
-    assert len(covers.trans) == len(covers.accepts) == len(covers.sets)
-    assert all(covers.ids[s] == k for k, s in enumerate(covers.sets))
-    # and so were the bundles: no tuple lost its id or its row
-    for bundle in results[0][0].bundles:
-        assert len(bundle.tuples) > 1 and len(bundle.trans) == len(bundle.tuples)
-        assert all(bundle.ids[t] == k for k, t in enumerate(bundle.tuples))
+    # every table was filled, and no key lost its id or its row
+    rt = results[0][0]
+    assert rt.frontier.start is not None and rt.covers.start is not None
+    for table in [rt.vectors, rt.frontier, rt.covers] + rt.bundles:
+        check_table(table)
     for _, out in results:
         assert out == serial
 
@@ -866,7 +874,7 @@ def test_bundled_vectors_match_the_automata():
     # each bundle row maps a joint class to a tuple id or to the dead
     # marker, which is remembered too
     steps = {b: {nxt for row in b.trans for nxt in row.values()} for b in rt.bundles}
-    assert all(steps[b] <= {engine._DEAD, *range(len(b.tuples))} for b in rt.bundles)
+    assert all(steps[b] <= {engine._DEAD, *range(len(b.keys))} for b in rt.bundles)
     assert any(engine._DEAD in nxt for nxt in steps.values())
     # the start vector and what the opening boundary makes of it
     start = rt._states(0)
@@ -889,17 +897,14 @@ def test_bundled_vectors_of_a_description_smaller_than_a_bundle():
         assert check_vectors_against_automata(desc) >= 1
 
 
-def test_trace_when_the_opening_boundary_kills_a_rule(turkish):
-    # every search dies at once; trace still names the rule at each step
+def test_runtime_rejects_an_opening_boundary_that_kills_a_rule(turkish):
+    # compile_rule builds no such automaton; an edited one is named
     desc = dataclasses.replace(turkish, rule_automata=copy.deepcopy(turkish.rule_automata),
                                _runtime=None)
     ra = desc.rule_automata[0]
     del ra.dfa.delta[ra.dfa.start][ra.dfa.class_of[desc.alphabet.frame_id]]
-    assert engine.runtime(desc).init_vec is None
-    assert engine.analyze("evde", desc) == []
-    assert engine.generate("ev^-DA", desc) == []
-    for word, direction in (("evde", "analyze"), ("ev^-DA", "generate")):
-        report = engine.trace(word, direction, desc)
-        assert not report.outcome.accepted and report.layer == "rules"
-        assert ra.name in report.blocking_rules()
-        assert report.steps and all(ra.name in s.died for s in report.steps)
+    with pytest.raises(engine.DescriptionError, match="#:#") as err:
+        engine.runtime(desc)
+    assert ra.name in str(err.value)
+    with pytest.raises(engine.DescriptionError):
+        engine.trace("evde", "analyze", desc)

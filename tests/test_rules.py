@@ -414,6 +414,22 @@ def test_bundled_automata_are_pinned(turkish):
     assert sum(ra.dfa.n_states for ra in turkish.rule_automata) == 1841
 
 
+def test_every_automaton_reads_the_opening_boundary(turkish):
+    # the engine rejects a description whose opening boundary #:# kills a
+    # rule; compile_rule never builds one, on the bundled rules nor on the
+    # random rules of the quantifier oracle test
+    from twolevel.symbols import parse_declarations
+    decls, _ = parse_declarations("ALPHABET\na b a:b ;\n")
+    alpha = derive_feasible_pairs(decls)
+    rng = random.Random(99)
+    automata = [compile_rule(_random_ground_rule(rng, decls, alpha), alpha, decls)
+                for _ in range(25)] + turkish.rule_automata
+    assert len(automata) == 25 + 198
+    for ra in automata:
+        dfa = ra.dfa
+        assert dfa.step(dfa.start, dfa.alphabet.frame_id) is not None, ra.name
+
+
 def test_denotation_cache_stops_growing(turkish):
     # denote_atom keys its cache by regex structure: a repeated compile of
     # the check set builds new but equal nodes and adds no entries
