@@ -1,9 +1,9 @@
 """Bidirectional runtime: analyze surface words, generate surface forms.
 
 The analyzer walks the lexicon trie and all rule automata in parallel over
-feasible pairs.  The description admits deletion pairs (x:0) but no
-insertion pairs (0:y) -- a load-time lint enforces this -- so every search
-step advances the lexicon and the search is bounded.
+feasible pairs.  A load-time lint rejects insertion pairs (0:y), so every
+move reads a lexical symbol; a path that loops through deletions (x:0) and
+continuation jumps without reading a surface character is cut (_search).
 """
 
 import threading
@@ -664,22 +664,25 @@ def analyze(surface, desc):
 def _search(rt, roots, codes, n, observe=None):
     """analyze's search, depth first in the order of a recursive one, on an
     explicit stack: (lexical, gloss) -> the pair ids of the first path
-    found.  `codes` are the word's surface codes and a final 0.  A path
-    takes at most 4n+24 moves and 32 continuation jumps in a row.
+    found.  `codes` are the word's surface codes and a final 0.
     `observe(node, vid, i, live)` sees each state and its live moves, which
     leave in rt.vec_trans[vid] an entry for every move reading the state's
-    code."""
-    limit = 4 * n + 24
+    code.  A jump into a (sublexicon, vector id) that the path has jumped
+    into since its last consuming move closes a loop that reads no surface
+    character, and is cut: exactly, when the loop added no move and no
+    gloss; else DescriptionError names the sublexicon if a reading was
+    found (a word without one gets [] here as from the subset frontier)."""
     results = {}
+    loop = None       # the sublexicon of the first cut loop that added something
     n_codes = rt.n_codes
     live_moves = rt.live_moves
     tries = rt.tries
-    # (node, vid, i, jumps in a row, moves taken, the moves as a (last,
-    # rest) list, the glosses)
-    stack = [(tries[root], rt.init_vec, 0, 0, 0, None, "") for root in reversed(roots)]
+    # (node, vid, i, the moves as a (last, rest) list, the glosses, the jumps
+    # since the last consuming move as a ((sublexicon, vid, moves, glosses), rest) list)
+    stack = [(tries[root], rt.init_vec, 0, None, "", None) for root in reversed(roots)]
     pop, push = stack.pop, stack.append
     while stack:
-        node, vid, i, jumps, depth, moves, glosses = pop()
+        node, vid, i, moves, glosses, jumps = pop()
         while True:
             code = codes[i]
             live = node.live.get(vid * n_codes + code)
@@ -689,15 +692,22 @@ def _search(rt, roots, codes, n, observe=None):
                 observe(node, vid, i, live)
             if node.complete:
                 # the jumps come before the moves: all wait on the stack
-                if depth < limit:
-                    for move in reversed(live):
-                        push((move[2], move[4], i + move[3], 0, depth + 1, (move, moves), glosses))
+                for move in reversed(live):
+                    push((move[2], move[4], i + move[3], (move, moves), glosses,
+                          None if move[3] else jumps))
                 # a reading found here cannot also be found below a jump
                 # with other pairs, as every move adds a lexical symbol
                 for gloss, cont in reversed(node.complete):
                     if cont != TERMINAL:
-                        if jumps < 32:
-                            push((tries[cont], vid, i, jumps + 1, depth, moves, glosses + gloss))
+                        jumped = glosses + gloss
+                        rest = jumps
+                        while rest is not None and (rest[0][0] != cont or rest[0][1] != vid):
+                            rest = rest[1]
+                        if rest is None:
+                            push((tries[cont], vid, i, moves, jumped,
+                                  ((cont, vid, moves, jumped), jumps)))
+                        elif loop is None and (rest[0][2] is not moves or rest[0][3] != jumped):
+                            loop = cont
                     elif i == n and not rt.final_rejecters(vid):
                         path, rest = [], moves
                         while rest is not None:
@@ -707,20 +717,24 @@ def _search(rt, roots, codes, n, observe=None):
                         if key not in results:
                             results[key] = tuple(m[1] for m in reversed(path))
                 break
-            if not live or depth == limit:
+            if not live:
                 break
             # the first move is taken at once (most states have at most
             # one), the others wait on the stack
-            depth += 1
             if len(live) > 1:
                 for move in live[:0:-1]:
-                    push((move[2], move[4], i + move[3], 0, depth, (move, moves), glosses))
+                    push((move[2], move[4], i + move[3], (move, moves), glosses,
+                          None if move[3] else jumps))
             move = live[0]
             node = move[2]
             vid = move[4]
-            i += move[3]
-            jumps = 0
+            if move[3]:
+                i += 1
+                jumps = None
             moves = (move, moves)
+    if loop is not None and results:
+        raise DescriptionError("sublexicon %s is re-entered by a loop that reads no surface"
+                               " character but adds symbols or glosses" % loop)
     return results
 
 
@@ -808,11 +822,14 @@ def _gloss_walk(rt, root, tags, frontier):
     """The gloss paths of [ROOT=root] followed by the tags, in one iterative
     walk of the continuation graph: a gloss-less entry keeps the tag index,
     an entry glossed +tags[k] places tag k, and a path ends at # with every
-    tag placed, after at most 48 entries behind its root entry.  Yields each
-    path as (its entries' texts as a (text, rest) list, generate's frontier
-    after it, whether its lexical string needs an is_lexicon_path check).
-    The walk steps `frontier`, the frontier before the root entry, through
-    each entry once for all the paths that share it; None steps nothing.
+    tag placed.  Yields each path as (its non-empty entry texts as a (text,
+    rest) list, generate's frontier after it, whether its lexical string
+    needs an is_lexicon_path check).  The walk steps `frontier`, the
+    frontier before the root entry, through each entry once for all the
+    paths that share it; None steps nothing.  A path records the
+    sublexicons it has entered since it last placed a tag, and an entry
+    back into one is cut: exactly when the loop added no text, else
+    DescriptionError names it after the last path, if there was one.
 
     Raises MorphotacticsError naming the first tag that no path places.
     """
@@ -828,36 +845,47 @@ def _gloss_walk(rt, root, tags, frontier):
     wants = ["+" + tag for tag in tags]
     best = -1
     found = False
-    # (entry, tags placed, entries behind the root entry, the frontier and
-    # the texts before the entry, check)
-    stack = [(entry, 0, 0, frontier, None, check) for entry, check in reversed(starts)]
+    loop = None       # the sublexicon of the first cut loop that added text
+    # (entry, tags placed, the frontier and the texts before the entry, check,
+    # the sublexicons entered since the last placed tag as a ((sublexicon, texts), rest) list)
+    stack = [(entry, 0, frontier, None, check, None) for entry, check in reversed(starts)]
     while stack:
-        (text, sub), k, depth, frontier, texts, check = stack.pop()
-        texts = (text, texts)
-        if text and frontier is not None:
-            frontier = _realize(rt, text, frontier=frontier)
+        (text, sub), k, frontier, texts, check, entered = stack.pop()
+        if text:
+            texts = (text, texts)
+            if frontier is not None:
+                frontier = _realize(rt, text, frontier=frontier)
         if sub == TERMINAL:
             if k == n:
                 found = True
                 yield texts, frontier, check
             continue
+        rest = entered
+        while rest is not None and rest[0][0] != sub:
+            rest = rest[1]
+        if rest is not None:
+            if loop is None and rest[0][1] is not texts:
+                loop = sub
+            continue
+        entered = ((sub, texts), entered)
         tagged, links = subs[sub]
         matched = tagged.get(wants[k], ()) if k < n else ()
         if matched:
             best = max(best, k)
-        if depth == 48:
-            continue
         # an entry to # with a tag left ends no path
-        for entries, placed in ((links, k), (matched, k + 1)):
+        for entries, placed, since in ((links, k, entered), (matched, k + 1, None)):
             for entry in entries:
                 if entry[1] != TERMINAL or placed == n:
-                    stack.append((entry, placed, depth + 1, frontier, texts, check))
+                    stack.append((entry, placed, frontier, texts, check, since))
     if not found:
         bad = tags[best + 1] if best + 1 < n else (tags[0] if tags else "#")
         raise MorphotacticsError(
             "no morphotactic path for %s + %s (stuck at %r)" % (root, "+".join(tags), bad),
             tag=bad,
         )
+    if loop is not None:
+        raise DescriptionError("sublexicon %s is re-entered by a loop that places no tag"
+                               " but adds lexical symbols" % loop)
 
 
 def _lexical(texts):

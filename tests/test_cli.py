@@ -158,3 +158,15 @@ def test_generate_validated_with_a_continuation_cycle(capsys, tmp_path):
                            "--lexicon", str(lexicon), "ab" * 50 + "c", "ab" * 50 + "-cc"])
     assert rc == 0
     assert out.split() == ["*NONE*", "ab" * 50 + "cc"]
+
+
+def test_analyze_reports_a_loop_that_adds_glosses(capsys, tmp_path):
+    from test_engine import CYCLE_RULES, LOOP_LEXICONS
+    rules, lexicon = tmp_path / "loop.twol", tmp_path / "loop.lex"
+    rules.write_text(CYCLE_RULES, encoding="utf-8")
+    lexicon.write_text(LOOP_LEXICONS[0], encoding="utf-8")
+    rc = main(["analyze", "--rules", str(rules), "--lexicon", str(lexicon), "a"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: sublexicon A ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -188,12 +188,25 @@ def test_generate_from_gloss_checks_roots_behind_a_prefix():
         assert got == gloss_outcome(gloss_reference, root, tags, desc)
 
 
-def test_gloss_paths_end_within_48_entries_after_the_root():
+def test_gloss_walk_cuts_empty_loops_and_rejects_loops_that_add_text():
     from conftest import make_description
+    # a loop through gloss-less entries that adds text gives the gloss
+    # unboundedly many paths
     desc = make_description(GLOSS_RULES, "LEXICON Root\n[ROOT=r]:b Loop ;\n"
                                          "LEXICON Loop\n:a Loop ;\n:0 # ;\n")
-    # m entries a, then the entry to #: m + 1 entries after the root entry
-    assert engine.gloss_paths("r", [], desc) == ["b" + "a" * m for m in range(48)]
+    for fn in (engine.gloss_paths, engine.generate_from_gloss):
+        with pytest.raises(engine.DescriptionError, match="sublexicon Loop "):
+            fn("r", [], desc)
+    desc = make_description(CYCLE_RULES, CYCLE_LEXICON.replace(
+        "LEXICON Root\n", "LEXICON Root\n[ROOT=r]:c A ;\n"))
+    start = time.perf_counter()
+    with pytest.raises(engine.DescriptionError, match="sublexicon [AB] "):
+        engine.gloss_paths("r", [], desc)
+    assert time.perf_counter() - start < 1
+    # a loop that adds nothing is cut silently
+    desc = make_description(GLOSS_RULES, "LEXICON Root\n[ROOT=r]:b Loop ;\n"
+                                         "LEXICON Loop\n:0 Loop ;\n:a # ;\n:0 # ;\n")
+    assert engine.gloss_paths("r", [], desc) == ["b", "ba"]
 
 
 def test_gloss_paths(turkish):
@@ -402,80 +415,73 @@ def test_trace_agrees_with_analyze_on_any_string(turkish, data):
     assert report.outcome.accepted == bool(readings)
     if not readings:
         assert (report.layer == "rules") == engine.lexicon_covers(w, turkish)
+    # every reading generates the word back
+    for a in readings:
+        assert unicodedata.normalize("NFC", w) in engine.generate(a.lexical, turkish)
 
 
-def analyze_reference(surface, desc):
-    """analyze without the live-move memo, as (lexical, gloss, pairs): the
-    search steps the rule vector for every move that can read the next
-    surface character."""
+def search_reference(surface, desc):
+    """analyze's search without the live-move memo, by recursion: its
+    readings as sorted (lexical, gloss, pairs), and the (trie node, vector
+    id, position) states it visits in order (a state's continuation jumps,
+    then its moves, each followed by all states below it).  A jump into a
+    (sublexicon, vector id) that the path has jumped into since its last
+    consuming move is cut; when the loop added symbols or glosses and a
+    reading is found, DescriptionError is raised."""
     rt = engine.runtime(desc)
     n = len(surface)
-    limit = 4 * n + 24
     results = {}
+    order = []
+    loops = []
     lex_acc, pid_acc, gloss_acc = [], [], []
 
-    def rec(node, vid, i, jumps):
-        if len(lex_acc) > limit:
-            return
+    def rec(node, vid, i, jumped):
+        # jumped: (sublexicon, vector id) -> (symbols, glosses) at the jump
+        order.append((node, vid, i))
         for gloss, cont in node.complete:
             if cont == TERMINAL:
                 if i == n and not rt.final_rejecters(vid):
                     key = ("".join(lex_acc), "".join(gloss_acc) + gloss)
                     results.setdefault(key, tuple(pid_acc))
-            elif jumps < 32:
-                gloss_acc.append(gloss)
-                rec(rt.tries[cont], vid, i, jumps + 1)
-                gloss_acc.pop()
+                continue
+            gloss_acc.append(gloss)
+            mark = (len(lex_acc), "".join(gloss_acc))
+            if (cont, vid) not in jumped:
+                rec(rt.tries[cont], vid, i, {**jumped, (cont, vid): mark})
+            elif jumped[cont, vid] != mark:
+                loops.append(cont)
+            gloss_acc.pop()
         for sym, pid, child, consumes in (node.moves.get(surface[i], node.dels)
                                           if i < n else node.dels):
             nvid = rt.step_vec(vid, pid)
             if nvid is not None:
                 lex_acc.append(sym)
                 pid_acc.append(pid)
-                rec(child, nvid, i + consumes, 0)
+                rec(child, nvid, i + consumes, {} if consumes else jumped)
                 lex_acc.pop()
                 pid_acc.pop()
 
     for root in desc.lexicon.roots:
-        rec(rt.tries[root], rt.init_vec, 0, 0)
-    return sorted((lex, gloss, pids) for (lex, gloss), pids in results.items())
+        rec(rt.tries[root], rt.init_vec, 0, {})
+    if loops and results:
+        raise engine.DescriptionError("sublexicon %s" % loops[0])
+    return sorted((lex, gloss, pids) for (lex, gloss), pids in results.items()), order
 
 
-def visits_reference(surface, desc):
-    """The (trie node, vector id, position) states of analyze's search, in
-    the order of a recursive search: the continuation jumps of a state,
-    then its moves, each followed by all states below it."""
+def search_visits(surface, desc):
+    """The (trie node, vector id, position) states that _search visits."""
     rt = engine.runtime(desc)
-    n = len(surface)
-    limit = 4 * n + 24
-    order = []
-
-    def rec(node, vid, i, jumps, depth):
-        order.append((node, vid, i))
-        for gloss, cont in node.complete:
-            if cont != TERMINAL and jumps < 32:
-                rec(rt.tries[cont], vid, i, jumps + 1, depth)
-        if depth < limit:
-            for sym, pid, child, consumes in (node.moves.get(surface[i], node.dels)
-                                              if i < n else node.dels):
-                nvid = rt.step_vec(vid, pid)
-                if nvid is not None:
-                    rec(child, nvid, i + consumes, 0, depth + 1)
-
-    for root in desc.lexicon.roots:
-        rec(rt.tries[root], rt.init_vec, 0, 0, 0)
-    return order
+    seen = []
+    codes = [rt.codes.get(c, 0) for c in surface] + [0]
+    engine._search(rt, desc.lexicon.roots, codes, len(surface),
+                   lambda node, vid, i, live: seen.append((node, vid, i)))
+    return seen
 
 
 def test_search_visits_states_in_recursive_order(turkish):
-    rt = engine.runtime(turkish)
     words = sorted({c.surface for c in golden_suite()}) + perturbed_golden(turkish, 100, seed=61)
     for w in words:
-        seen = []
-        codes = [rt.codes.get(c, 0) for c in w] + [0]
-        engine._search(rt, turkish.lexicon.roots, codes, len(w),
-                       lambda node, vid, i, live: seen.append((node, vid, i)))
-        assert seen == visits_reference(w, turkish), w
+        assert search_visits(w, turkish) == search_reference(w, turkish)[1], w
 
 
 def random_surfaces(desc, count, seed):
@@ -496,7 +502,7 @@ def test_analyze_matches_uncached_reference():
         desc = load_turkish(refresh=True)
         got = {w: [(a.lexical, a.gloss, a.pairs) for a in engine.analyze(w, desc)]
                for w in order}
-        expected = expected or {w: analyze_reference(w, desc) for w in words}
+        expected = expected or {w: search_reference(w, desc)[0] for w in words}
         assert got == expected
     assert any(expected.values()) and not all(expected.values())
 
@@ -705,23 +711,61 @@ def test_lexicon_covers_with_a_continuation_cycle():
 
 def test_analyze_matches_reference_with_a_continuation_cycle():
     from conftest import make_description
-    # The search follows up to 32 continuation jumps in a row around the
-    # A-B cycle before each letter, so its time (and the reference's)
-    # grows about 16-fold per letter; the frontier closes the cycle once.
-    words = cycle_words(3)
+    # The A-B cycle of empty links is cut where a path jumps into A or B a
+    # second time at one position, so each letter costs the same few states
+    words = cycle_words(5)
     expected = None
     for order in (words, words[::-1]):
         desc = make_description(CYCLE_RULES, CYCLE_LEXICON)
         got = {w: [(a.lexical, a.gloss, a.pairs) for a in engine.analyze(w, desc)]
                for w in order}
-        expected = expected or {w: analyze_reference(w, desc) for w in words}
+        expected = expected or {w: search_reference(w, desc)[0] for w in words}
         assert got == expected
         # the words without a reading are now answered by the frontier alone
         sizes = engine.runtime(desc).cache_sizes()
         assert sizes["frontier sets"] > 1
         assert all(engine.analyze(w, desc) == [] for w in order if not expected[w])
         assert engine.runtime(desc).cache_sizes() == sizes
-    assert expected["acc"] and not expected["c"] and not expected["cca"]
+    assert expected["acc"] and expected["ababa"] and not expected["c"] and not expected["cca"]
+    for w in words:
+        assert search_visits(w, desc) == search_reference(w, desc)[1], w
+    for w, lexical in (("ab" * 20, "ab" * 20), ("ab" * 20 + "cc", "ab" * 20 + "-cc")):
+        desc = make_description(CYCLE_RULES, CYCLE_LEXICON)
+        start = time.perf_counter()
+        got = [(a.lexical, a.gloss, a.pairs) for a in engine.analyze(w, desc)]
+        assert time.perf_counter() - start < 1
+        assert [g[:2] for g in got] == [(lexical, "")] and got == search_reference(w, desc)[0]
+
+
+# Loops that read no surface character but add a gloss or a deleted
+# symbol: every word with a reading has unboundedly many.
+LOOP_LEXICONS = ("LEXICON Root\n:0 A ;\nLEXICON A\n+G:0 A ;\n:a # ;\n",
+                 "LEXICON Root\n:0 A ;\nLEXICON A\n:- A ;\n:a # ;\n")
+
+
+@pytest.mark.parametrize("lexicon", LOOP_LEXICONS)
+def test_search_rejects_a_loop_that_adds_symbols_or_glosses(lexicon):
+    from conftest import make_description
+    desc = make_description(CYCLE_RULES, lexicon)
+    assert engine.analyze("b", desc) == []
+    for call in (lambda: engine.analyze("a", desc), lambda: engine.trace("a", "analyze", desc)):
+        with pytest.raises(engine.DescriptionError, match="sublexicon A "):
+            call()
+    # a word without a reading gets [] before and after, from the search or
+    # from the subset frontier alike
+    assert engine.analyze("b", desc) == [] and engine.analyze("c", desc) == []
+    with pytest.raises(engine.DescriptionError):
+        search_reference("a", desc)
+
+
+def test_search_follows_a_loop_until_the_rules_break_it_off():
+    from conftest import make_description
+    # no two deletions of '-' in a row: the path jumps back into A once, with
+    # another rule vector, and the rules kill the second deletion
+    desc = make_description(CYCLE_RULES + '"2.d" %-:0 /<= %-:0 _ ;\n', LOOP_LEXICONS[1])
+    got = [(a.lexical, a.gloss, a.pairs) for a in engine.analyze("a", desc)]
+    assert [g[:2] for g in got] == [("-a", ""), ("a", "")]
+    assert got == search_reference("a", desc)[0]
 
 
 def test_cover_tables_are_bounded(turkish):
