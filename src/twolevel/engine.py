@@ -10,7 +10,6 @@ import threading
 import unicodedata
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 
 from . import rules as rulemod
 from .lexicon import TERMINAL
@@ -148,20 +147,20 @@ class _Table:
 
 class _Frontier(_Table):
     """A lazily determinized automaton over interned sets; set id 0 is the
-    empty set.  Per set: surface code -> next set id, and whether the set
-    ends the word (accepts; absent until known).  analyze's subset frontier
-    (_Runtime.frontier) interns frozensets of (trie node, vector id) states
-    closed under live deletions and continuation jumps, and only words
-    without a reading extend it (_Runtime.extend_frontier).  The rules-off
-    front of lexicon_covers (_Runtime.covers) interns sets of trie nodes
-    as the bytes of their sorted numbers (_Runtime.front_key)."""
-    __slots__ = ("accepts", "start")
+    empty set.  Per set: surface code -> next set id, where the end of the
+    word (_END) leads to the set itself when the word can end there and to
+    0 when it cannot.  analyze's subset frontier (_Runtime.frontier)
+    interns frozensets of (trie node, vector id) states closed under live
+    deletions and continuation jumps, and only words without a reading
+    extend it (_Runtime.extend_frontier).  The rules-off front of
+    lexicon_covers (_Runtime.covers) interns sets of trie nodes as the
+    bytes of their sorted numbers (_Runtime.front_key)."""
+    __slots__ = ("start",)
 
     def __init__(self, empty=frozenset()):
         self.ids = {empty: 0}
         self.keys = [empty]
         self.trans = [{}]
-        self.accepts = {0: False}     # set id -> whether it ends the word
         self.start = None             # id of the start set, built on first use
 
 
@@ -201,6 +200,7 @@ class _Glosses:
 # and slower with bundles of 8 or 33.
 _BUNDLE = 16
 _DEAD = -1
+_END = -1         # the end of the word: a code in a _Frontier, a class in a _Bundle
 
 
 class _Bundle(_Table):
@@ -208,16 +208,21 @@ class _Bundle(_Table):
     product: interned tuples of their states, and per tuple joint class ->
     next tuple id, or _DEAD when some automaton of the run dies.  A pair's
     joint class (of_pair[pid]) numbers its tuple of classes in the run's
-    automata (joint)."""
+    automata (joint).  The end of the word, pair id frame + 1, is class
+    _END of every automaton: a state whose #:# transition reaches a final
+    state steps to itself on it (deltas copies only those rows), and every
+    other state dies."""
     __slots__ = ("first", "dfas", "deltas", "of_pair", "joint")
 
-    def __init__(self, first, dfas, n_pairs):
+    def __init__(self, first, dfas, frame):
         self.first = first            # check-set index of dfas[0]
         self.dfas = dfas
-        self.deltas = [d.delta for d in dfas]
+        self.deltas = [[{**row, _END: q} if row.get(d.class_of[frame]) in d.finals else row
+                        for q, row in enumerate(d.delta)] for d in dfas]
         joint = {}
-        self.of_pair = [joint.setdefault(tuple(d.class_of[pid] for d in dfas), len(joint))
-                        for pid in range(n_pairs)]
+        self.of_pair = [joint.setdefault(tuple(d.class_of[pid] if pid <= frame else _END
+                                               for d in dfas), len(joint))
+                        for pid in range(frame + 2)]
         self.joint = list(joint)
         super().__init__()            # the tuples of states
 
@@ -244,13 +249,14 @@ class _Runtime:
         alphabet = desc.alphabet
         self.alphabet = alphabet
         self.dfas = [ra.dfa for ra in desc.rule_automata]
-        # step_vec's tables: the bundles of the check set, and per pair id
-        # (the boundary pair included) its joint class in every bundle.  A
-        # rule vector is a tuple of bundle tuple ids, one per bundle.
-        n_pairs = alphabet.frame_id + 1
-        self.bundles = [_Bundle(k, self.dfas[k:k + _BUNDLE], n_pairs)
+        # step_vec's tables: the bundles of the check set, and per pair id (the
+        # boundary pair and the end of the word included) its joint class in
+        # every bundle.  A rule vector is a tuple of bundle tuple ids, one each.
+        self.frame_id = alphabet.frame_id
+        self.end = self.frame_id + 1    # step_vec(vid, end) is vid, or None
+        self.bundles = [_Bundle(k, self.dfas[k:k + _BUNDLE], self.frame_id)
                         for k in range(0, len(self.dfas), _BUNDLE)]
-        self.classes = [tuple(b.of_pair[pid] for b in self.bundles) for pid in range(n_pairs)]
+        self.classes = [tuple(b.of_pair[pid] for b in self.bundles) for pid in range(self.end + 1)]
         self.surf = [p[1].name for p in alphabet.pairs]
         self.is_null = [s == NULL for s in self.surf]
         self.pairs_by_lex = {k: tuple(v) for k, v in alphabet.by_lex.items()}
@@ -261,10 +267,8 @@ class _Runtime:
         self.vectors = _Table()
         self.vec_list = self.vectors.keys
         self.vec_trans = self.vectors.trans
-        self.frame_id = alphabet.frame_id
         self.rule_names = [ra.name for ra in desc.rule_automata]
         self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
-        self.final_rejects = {}   # vector id -> names rejecting at the closing boundary
         start = self.vectors.intern(tuple(b.intern(tuple(d.start for d in b.dfas), self._lock)
                                           for b in self.bundles), self._lock)
         self.init_vec = self.step_vec(start, self.frame_id)
@@ -397,12 +401,12 @@ class _Runtime:
 
     def extend_frontier(self, sid, codes):
         """Fill the frontier's transitions from set sid (None: the start
-        set) over the surface codes, until they end or the set is empty,
-        and the accepting flag of the set where they end.  The search of
-        the word has just tested the closing boundary from that set's
-        states, so the flag costs no rule stepping; it is left unknown
-        elsewhere.  Like the other memos these are filled without a lock;
-        threads that race intern equal sets, so they store equal values."""
+        set) over the surface codes of a word without a reading, until they
+        end or the set is empty, and the end of the word from the set where
+        they end: the search of the word has just visited every state of
+        that set and closed the word from none, so _END leads to 0.  Like
+        the other memos these are filled without a lock; threads that race
+        intern equal sets, so they store equal values."""
         fr = self.frontier
         if sid is None:
             sid = fr.start
@@ -428,10 +432,8 @@ class _Runtime:
                 nxt = trans[code] = (fr.intern(self._closure(states), self._lock)
                                      if states else 0)
             sid = nxt
-        if sid and sid not in fr.accepts:
-            fr.accepts[sid] = any(
-                not self.final_rejecters(vid) for node, vid in fr.keys[sid]
-                if any(cont == TERMINAL for _, cont in node.complete))
+        if sid:
+            fr.trans[sid][_END] = 0
 
     def cache_sizes(self):
         """The sizes of the runtime's tables by name, in the order analyze
@@ -454,15 +456,9 @@ class _Runtime:
                 "bundle states": keys(*self.bundles),
                 "bundle transitions": rows(*self.bundles)}
 
-    def _states(self, vid):
-        """The states of every rule automaton in vector vid, from its
-        bundles' tuples."""
-        return tuple(chain.from_iterable(
-            bundle.keys[b] for bundle, b in zip(self.bundles, self.vec_list[vid])))
-
     def rejecters(self, vid, pid):
-        """Names of the rule automata that reject pair pid from vector vid,
-        in automaton order; memoized.  Only the bundles whose step dies are
+        """Names of the rule automata that reject pair pid (the end of the
+        word included) from vector vid, in automaton order; memoized.  Only the bundles whose step dies are
         read automaton by automaton."""
         names = self.rejects.get((vid, pid))
         if names is None:
@@ -470,20 +466,9 @@ class _Runtime:
                 self.rule_names[bundle.first + k]
                 for bundle, b, c in zip(self.bundles, self.vec_list[vid], self.classes[pid])
                 if bundle.step(b, c, self._lock) < 0
-                for k, (d, q) in enumerate(zip(bundle.dfas, bundle.keys[b]))
-                if d.delta[q].get(d.class_of[pid]) is None)
-        return names
-
-    def final_rejecters(self, vid):
-        """Names of the rule automata that reject the closing boundary from
-        vector vid (empty when it accepts); memoized."""
-        names = self.final_rejects.get(vid)
-        if names is None:
-            vec = self._states(vid)
-            frame = self.frame_id
-            names = self.final_rejects[vid] = tuple(
-                self.rule_names[k] for k, d in enumerate(self.dfas)
-                if d.delta[vec[k]].get(d.class_of[frame]) not in d.finals)
+                for k, (delta, q, cls) in enumerate(zip(bundle.deltas, bundle.keys[b],
+                                                        bundle.joint[c]))
+                if cls not in delta[q])
         return names
 
     def node_cover(self, node):
@@ -589,17 +574,18 @@ class _Runtime:
         return nid
 
     def front_ends(self, fr, sid):
-        """Whether a path through the lexicon ends at rules-off front sid
-        of fr, through its nodes' deletion closures and the classes they
-        complete; memoized in fr.accepts."""
+        """The end of the word from rules-off front sid of fr: sid when a
+        path through the lexicon ends there, through its nodes' deletion
+        closures and the classes they complete, else 0; memoized in
+        fr.trans[sid][_END]."""
         nodes = self.nodes
-        ends = False
+        ends = 0
         for k in array(self._front_type(), fr.keys[sid]):
             _, conts, here = self.node_cover(nodes[k])
             if here or any(self.class_cover(cls)[1] for cls in conts):
-                ends = True
+                ends = sid
                 break
-        fr.accepts[sid] = ends
+        fr.trans[sid][_END] = ends
         return ends
 
 
@@ -649,7 +635,7 @@ def analyze(surface, desc):
             sid = nxt
             i += 1
         else:
-            if fr.accepts.get(sid) is False:
+            if _END in trans[sid]:
                 return []
 
     codes.append(0)
@@ -708,7 +694,7 @@ def _search(rt, roots, codes, n, observe=None):
                                   ((cont, vid, moves, jumped), jumps)))
                         elif loop is None and (rest[0][2] is not moves or rest[0][3] != jumped):
                             loop = cont
-                    elif i == n and not rt.final_rejecters(vid):
+                    elif i == n and rt.step_vec(vid, rt.end) is not None:
                         path, rest = [], moves
                         while rest is not None:
                             move, rest = rest
@@ -757,7 +743,8 @@ def generate(lexical, desc, validate_morphotactics=False):
     syms = tokenize_lexical(lexical, desc.alphabet)
     if validate_morphotactics and not is_lexicon_path(lexical, desc):
         return []
-    return sorted({prefix for vid, prefix in _realize(rt, syms) if not rt.final_rejecters(vid)})
+    return sorted({prefix for vid, prefix in _realize(rt, syms)
+                   if rt.step_vec(vid, rt.end) is not None})
 
 
 def _realize(rt, syms, dead=None, frontier=None):
@@ -916,7 +903,7 @@ def generate_from_gloss(root, tags, desc):
     rt = runtime(desc)
     out = set()
     for texts, frontier, check in _gloss_walk(rt, root, tags, {(rt.init_vec, ""): None}):
-        surfaces = [prefix for vid, prefix in frontier if not rt.final_rejecters(vid)]
+        surfaces = [prefix for vid, prefix in frontier if rt.step_vec(vid, rt.end) is not None]
         if surfaces and (not check or is_lexicon_path(_lexical(texts), desc)):
             out.update(surfaces)
     return sorted(out)
@@ -959,10 +946,10 @@ def lexicon_covers(surface, desc):
         if not nxt:
             return False
         sid = nxt
-    ends = fr.accepts.get(sid)
+    ends = trans[sid].get(_END)
     if ends is None:
         ends = rt.front_ends(fr, sid)
-    return ends
+    return ends != 0
 
 
 def trace(word, direction, desc):
@@ -993,10 +980,10 @@ def trace(word, direction, desc):
 
     def end(depth, vid):
         """True when vid accepts the closing boundary; else note its rejecters."""
-        bad = rt.final_rejecters(vid)
-        if bad:
-            failures.append((depth, bad, "#:#"))
-        return not bad
+        if rt.step_vec(vid, rt.end) is not None:
+            return True
+        failures.append((depth, rt.rejecters(vid, rt.end), "#:#"))
+        return False
 
     if direction == "generate":
         syms = tokenize_lexical(word, desc.alphabet)

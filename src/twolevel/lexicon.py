@@ -13,7 +13,7 @@ entries are allowed (homographs).
 
 from dataclasses import dataclass
 
-from .symbols import SymbolTable, unescape
+from .symbols import SymbolTable, _strip_comment, unescape
 
 
 class LexiconSyntaxError(ValueError):
@@ -21,7 +21,8 @@ class LexiconSyntaxError(ValueError):
 
 
 class LinkError(ValueError):
-    """A continuation class that no LEXICON section defines."""
+    """A continuation class that no LEXICON section defines, or a loop of
+    empty-form entries that adds glosses (enumerate_paths)."""
 
 
 TERMINAL = "#"
@@ -87,7 +88,7 @@ def parse_lexicon_file(text, lexicon=None, roots=("Root",)):
         lx.roots = list(roots)
     current = None
     for n, raw in enumerate(text.split("\n"), 1):
-        line = raw.split("!", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("LEXICON"):
@@ -128,28 +129,42 @@ def _intern_form(text, table, line):
 def enumerate_paths(lexicon, max_morphemes):
     """All root-to-# paths with at most max_morphemes non-empty entries.
 
-    Returns deduplicated (lexical string, gloss string) pairs, in a
-    deterministic order.  Link entries do not count as morphemes.
+    Returns deduplicated (lexical string, gloss string) pairs, sorted.
+    Link entries do not count as morphemes.  A path that re-enters a
+    sublexicon it entered since its last non-empty entry is cut: exactly
+    when the loop added no gloss, else LinkError names the sublexicon if
+    some path was found.
     """
     if max_morphemes < 1:
         raise ValueError("max_morphemes must be >= 1")
-    seen = set()
-    out = []
-
-    def rec(subname, lexical, gloss, used):
-        if subname == TERMINAL:
-            key = (lexical, gloss)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-            return
-        for e in lexicon.sublexicons[subname]:
-            cost = 1 if e.form else 0
-            if used + cost > max_morphemes:
+    # the paths in the order found, depth first as the entries are listed:
+    # nearly sorted, which makes the final sort cheap
+    found = {}
+    loop = None       # the sublexicon of the first cut loop that added a gloss
+    # (sublexicon, lexical, gloss, non-empty entries used, the sublexicons
+    # entered since the last non-empty entry as a (sublexicon, gloss at
+    # entry, rest) list)
+    stack = [(root, "", "", 0, (root, "", None)) for root in reversed(lexicon.roots)]
+    while stack:
+        name, lexical, gloss, used, entered = stack.pop()
+        if name == TERMINAL:
+            found[lexical, gloss] = None
+            continue
+        for e in reversed(lexicon.sublexicons[name]):
+            cont, jumped = e.continuation, gloss + e.gloss
+            if e.form:
+                if used < max_morphemes:
+                    stack.append((cont, lexical + e.form_text(), jumped, used + 1,
+                                  (cont, jumped, None)))
                 continue
-            rec(e.continuation, lexical + e.form_text(), gloss + e.gloss, used + cost)
-
-    for root in lexicon.roots:
-        rec(root, "", "", 0)
-    out.sort()
-    return out
+            rest = entered
+            while rest is not None and rest[0] != cont:
+                rest = rest[2]
+            if rest is None:
+                stack.append((cont, lexical, jumped, used, (cont, jumped, entered)))
+            elif rest[1] != jumped and loop is None:
+                loop = cont
+    if loop is not None and found:
+        raise LinkError("LEXICON %s is re-entered by a loop of empty-form entries"
+                        " that adds glosses" % loop)
+    return sorted(found)

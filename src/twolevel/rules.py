@@ -481,7 +481,7 @@ def compile_rule(rule, alphabet, decls, allow_empty_atoms=False, *, _trackers=No
     return RuleAutomaton(rule, dfalib.minimize(compiled))
 
 
-def run_all(automata, pairs, alphabet=None):
+def run_all(automata, pairs):
     """Run rule automata in parallel over a framed pair string.
 
     Accepted iff every automaton accepts; blockers report, per failing

@@ -5,6 +5,7 @@ escaped literals ("%-", "%(") must behave exactly like plain letters.  The
 NULL symbol "0" and the word boundary "#" are reserved and always interned.
 """
 
+import re
 from dataclasses import dataclass, field
 
 NULL = "0"
@@ -192,21 +193,13 @@ class PairAlphabet:
         return range(n)
 
 
+# The text before a comment: '!' starts one to the end of the line, and '%'
+# makes the next character, '!' included, a literal.
+_BEFORE_COMMENT = re.compile(r"(?:[^%!]+|%.?)*", re.DOTALL)
+
+
 def _strip_comment(line):
-    # '!' starts a comment to end of line
-    out = []
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "%" and i + 1 < len(line):
-            out.append(line[i : i + 2])
-            i += 2
-            continue
-        if c == "!":
-            break
-        out.append(c)
-        i += 1
-    return "".join(out)
+    return _BEFORE_COMMENT.match(line).group()
 
 
 def parse_declarations(text):

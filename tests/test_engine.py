@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import engine
-from twolevel.lexicon import TERMINAL, enumerate_paths
+from twolevel.lexicon import TERMINAL, LinkError, enumerate_paths
 from twolevel.rules import run_all
 from twolevel.symbols import NULL
 from twolevel.turkish import golden_suite, load_turkish
@@ -420,6 +420,63 @@ def test_trace_agrees_with_analyze_on_any_string(turkish, data):
         assert unicodedata.normalize("NFC", w) in engine.generate(a.lexical, turkish)
 
 
+def vector_states(rt, vid):
+    """The states of every rule automaton in vector vid, from its bundles'
+    tuples."""
+    return tuple(q for bundle, b in zip(rt.bundles, rt.vec_list[vid]) for q in bundle.keys[b])
+
+
+def closing_rejecters(rt, vid):
+    """The names of the rule automata whose #:# transition from vector vid
+    reaches no final state, each automaton stepped on its own."""
+    frame = rt.frame_id
+    return tuple(name for name, d, q in zip(rt.rule_names, rt.dfas, vector_states(rt, vid))
+                 if d.delta[q].get(d.class_of[frame]) not in d.finals)
+
+
+# Characters that no Turkish pair reads or that a file format treats
+# specially: combining marks, the boundary, the null symbol, the escape and
+# the lexical markers.
+AWKWARD_CHARS = "\u0301\u0327#0%^-+()"
+
+
+@pytest.fixture(scope="module")
+def cycle():
+    from conftest import make_description
+    return make_description(CYCLE_RULES, CYCLE_LEXICON)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_string_raises_only_documented_errors(turkish, cycle, data):
+    desc = data.draw(st.sampled_from([turkish, cycle]))
+    glosses = {e.gloss for entries in desc.lexicon.sublexicons.values() for e in entries}
+    lexical = sorted(sym for sym in desc.alphabet.by_lex if len(sym) == 1)
+    text = st.text(alphabet=st.one_of(
+        st.characters(), st.sampled_from(surface_letters(desc) + lexical + list(AWKWARD_CHARS))),
+        max_size=16)
+    word = data.draw(text)
+    roots = sorted(g[6:-1] for g in glosses if g.startswith("[ROOT=") and g.endswith("]"))
+    root = data.draw(st.one_of(st.sampled_from(roots), text) if roots else text)
+    tags = sorted(g[1:] for g in glosses if g.startswith("+"))
+    tags = data.draw(st.lists(st.one_of(st.sampled_from(tags), text) if tags else text,
+                              max_size=3))
+    calls = [lambda: engine.analyze(word, desc),
+             lambda: engine.trace(word, "analyze", desc),
+             lambda: engine.trace(word, "generate", desc),
+             lambda: engine.lexicon_covers(word, desc),
+             lambda: engine.is_lexicon_path(word, desc),
+             lambda: engine.generate(word, desc),
+             lambda: engine.generate(word, desc, validate_morphotactics=True),
+             lambda: engine.gloss_paths(root, tags, desc),
+             lambda: engine.generate_from_gloss(root, tags, desc)]
+    for call in calls:
+        try:
+            call()
+        except (engine.TokenError, engine.MorphotacticsError):
+            pass
+
+
 def search_reference(surface, desc):
     """analyze's search without the live-move memo, by recursion: its
     readings as sorted (lexical, gloss, pairs), and the (trie node, vector
@@ -427,7 +484,8 @@ def search_reference(surface, desc):
     then its moves, each followed by all states below it).  A jump into a
     (sublexicon, vector id) that the path has jumped into since its last
     consuming move is cut; when the loop added symbols or glosses and a
-    reading is found, DescriptionError is raised."""
+    reading is found, DescriptionError is raised.  The closing boundary is
+    tested by stepping each automaton on its own."""
     rt = engine.runtime(desc)
     n = len(surface)
     results = {}
@@ -440,7 +498,7 @@ def search_reference(surface, desc):
         order.append((node, vid, i))
         for gloss, cont in node.complete:
             if cont == TERMINAL:
-                if i == n and not rt.final_rejecters(vid):
+                if i == n and not closing_rejecters(rt, vid):
                     key = ("".join(lex_acc), "".join(gloss_acc) + gloss)
                     results.setdefault(key, tuple(pid_acc))
                 continue
@@ -693,6 +751,17 @@ def test_is_lexicon_path_with_a_continuation_cycle():
     assert time.perf_counter() - start < 1
 
 
+def test_enumerate_paths_cuts_a_cycle_of_empty_links():
+    from conftest import make_description
+    lexicon = make_description(CYCLE_RULES, CYCLE_LEXICON).lexicon
+    assert enumerate_paths(lexicon, 2) == [(w, "") for w in
+                                           ("", "-cc", "a", "aa", "ab", "b", "ba", "bb")]
+    # every lexical string of up to five morphemes, each letter and cc one
+    paths = enumerate_paths(lexicon, 5)
+    expected = {w for w in lexicon_strings(lexicon, 6) if len(w.replace("cc", "c")) <= 5}
+    assert len(paths) == len(expected) and {w for w, _ in paths} == expected
+
+
 def test_lexicon_covers_with_a_continuation_cycle():
     from conftest import make_description
     words = cycle_words(5)
@@ -768,6 +837,15 @@ def test_search_follows_a_loop_until_the_rules_break_it_off():
     assert got == search_reference("a", desc)[0]
 
 
+def test_enumerate_paths_rejects_a_loop_that_adds_glosses():
+    from conftest import make_description
+    with pytest.raises(LinkError, match="LEXICON A "):
+        enumerate_paths(make_description(CYCLE_RULES, LOOP_LEXICONS[0]).lexicon, 2)
+    # a deletion loop reads a symbol, so the budget bounds it
+    assert enumerate_paths(make_description(CYCLE_RULES, LOOP_LEXICONS[1]).lexicon, 3) == [
+        ("--a", ""), ("-a", ""), ("a", "")]
+
+
 def test_cover_tables_are_bounded(turkish):
     desc = load_turkish(refresh=True)
     for w in perturbed_golden(desc, 300, seed=29):
@@ -794,18 +872,27 @@ def test_rules_off_fronts_are_bounded():
     fronts, transitions = rules_off_sizes(rt)
     assert fronts == len(fr.keys) and transitions == sum(map(len, fr.trans))
     # the empty front, the start front and at most one new front and one
-    # transition per character read
+    # character transition per character read, and at most one end entry
+    # per word
     read = sum(map(len, words))
-    assert 2 < fronts <= 2 + read and transitions <= read
+    assert 2 < fronts <= 2 + read
+    assert sum(code != engine._END for trans in fr.trans for code in trans) <= read
+    assert sum(engine._END in trans for trans in fr.trans) <= len(words)
     # unknown characters are not read: no transition has code 0
-    assert all(0 < code < rt.n_codes for trans in fr.trans for code in trans)
-    # each word's walk over the transitions ends in the front that holds its
-    # answer (the empty front 0 holds False)
+    assert all(0 < code < rt.n_codes or code == engine._END
+               for trans in fr.trans for code in trans)
+    # each word's walk over the transitions ends in the empty front 0 when
+    # it dies, else in a front whose end entry holds its answer: the front
+    # itself when a path ends there, else 0
     for w, covered in got.items():
         sid = fr.start
         for c in unicodedata.normalize("NFC", w):
             sid = fr.trans[sid].get(rt.codes.get(c), 0)
-        assert fr.accepts.get(sid) is covered, w
+        if sid:
+            assert engine._END in fr.trans[sid], w
+            assert fr.trans[sid][engine._END] == (sid if covered else 0), w
+        else:
+            assert not covered, w
     for ch in UNKNOWN_CHARS:
         assert ch not in rt.codes
         assert not any(engine.lexicon_covers(w + ch, desc) for w in words[:100])
@@ -814,13 +901,11 @@ def test_rules_off_fronts_are_bounded():
 
 
 def check_table(table):
-    """An interned table is consistent and filled: key k has id k, there is
-    one transition row per key, and accept flags exist only for interned
-    ids."""
+    """An interned table is consistent and filled: key k has id k, and there
+    is one transition row per key."""
     assert len(table.keys) > 1
     assert len(table.ids) == len(table.keys) == len(table.trans)
     assert all(table.ids[key] == k for k, key in enumerate(table.keys))
-    assert set(getattr(table, "accepts", ())) <= set(range(len(table.keys)))
 
 
 def test_concurrent_calls_match_serial(turkish):
@@ -878,27 +963,28 @@ def test_concurrent_calls_match_serial(turkish):
 
 
 def check_vectors_against_automata(desc):
-    """Every interned vector and pair id: step_vec, rejecters and
-    final_rejecters equal a flat recomputation that steps each automaton's
-    delta on its own."""
+    """Every interned vector and pair id, the end of the word included:
+    step_vec and rejecters equal a flat recomputation that steps each
+    automaton's delta on its own."""
     rt = engine.runtime(desc)
     names, frame = rt.rule_names, rt.frame_id
+    assert rt.end == frame + 1
     classes = [[d.class_of[pid] for d in rt.dfas] for pid in range(frame + 1)]
     n_vectors = len(rt.vec_list)
     for vid in range(n_vectors):
-        states = rt._states(vid)
+        states = vector_states(rt, vid)
         assert len(states) == len(rt.dfas)
         rows = [d.delta[q] for d, q in zip(rt.dfas, states)]
         for pid in range(frame + 1):
             nxt = [row.get(c) for row, c in zip(rows, classes[pid])]
             rejecting = tuple(name for name, q in zip(names, nxt) if q is None)
             nvid = rt.step_vec(vid, pid)
-            assert (None if nvid is None else rt._states(nvid)) == (
+            assert (None if nvid is None else vector_states(rt, nvid)) == (
                 None if rejecting else tuple(nxt)), (vid, pid)
             assert rt.rejecters(vid, pid) == rejecting, (vid, pid)
-        closing = tuple(name for name, d, row, c in zip(names, rt.dfas, rows, classes[frame])
-                        if row.get(c) not in d.finals)
-        assert rt.final_rejecters(vid) == closing, vid
+        closing = closing_rejecters(rt, vid)
+        assert rt.rejecters(vid, rt.end) == closing, vid
+        assert rt.step_vec(vid, rt.end) == (None if closing else vid), vid
     return n_vectors
 
 
@@ -921,10 +1007,10 @@ def test_bundled_vectors_match_the_automata():
     assert all(steps[b] <= {engine._DEAD, *range(len(b.keys))} for b in rt.bundles)
     assert any(engine._DEAD in nxt for nxt in steps.values())
     # the start vector and what the opening boundary makes of it
-    start = rt._states(0)
+    start = vector_states(rt, 0)
     assert start == tuple(d.start for d in rt.dfas)
-    assert rt._states(rt.init_vec) == tuple(d.delta[d.start][d.class_of[rt.frame_id]]
-                                            for d in rt.dfas)
+    assert vector_states(rt, rt.init_vec) == tuple(
+        d.delta[d.start][d.class_of[rt.frame_id]] for d in rt.dfas)
 
 
 def test_bundled_vectors_of_a_description_smaller_than_a_bundle():

@@ -59,6 +59,13 @@ def test_entry_needs_semicolon():
         parse_lexicon_file("LEXICON Root\nev Root\n")
 
 
+def test_comment_marker_can_be_escaped():
+    # as in a rules file, %! is the symbol ! and an unescaped ! starts a comment
+    lx = parse_lexicon_file("LEXICON Root\na%!b # ; ! a comment\n! a line of comment\n")
+    (entry,) = lx.sublexicons["Root"]
+    assert entry.form_text() == "a!b" and entry.continuation == "#"
+
+
 def test_enumerate_paths_through_entry_and_fanout(small):
     # past ev^, the empty links of Infl fan out into the entries of Infl
     # and Poss

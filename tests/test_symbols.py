@@ -1,14 +1,38 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twolevel.rules import expand_where, parse_rules_file
 from twolevel.symbols import (
     DeclarationError,
     InvalidSymbol,
     SymbolTable,
+    _strip_comment,
     derive_feasible_pairs,
     parse_declarations,
     split_pair_token,
 )
+
+
+def strip_comment_reference(line):
+    """The text before an unescaped '!', one character at a time."""
+    out = []
+    i = 0
+    while i < len(line):
+        if line[i] == "%" and i + 1 < len(line):
+            out.append(line[i:i + 2])
+            i += 2
+            continue
+        if line[i] == "!":
+            break
+        out.append(line[i])
+        i += 1
+    return "".join(out)
+
+
+@given(st.text(alphabet=st.sampled_from("%!a :;\n\r\x0b")))
+def test_strip_comment_matches_reference(line):
+    assert _strip_comment(line) == strip_comment_reference(line)
 
 RULES_HEADER = """ALPHABET
 a b ç %-:0 D:d A:a A:0 ;
