@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import engine
-from .turkish import load_description, load_turkish, run_suite
+from .turkish import compile_turkish, load_description, load_turkish, run_suite
 from .turkish.syllabify import SyllabifyError, syllabify_first
 
 
@@ -66,7 +66,8 @@ def _load(args):
     rules = getattr(args, "rules", None)
     lexicons = getattr(args, "lexicon", [])
     if not rules and not lexicons:
-        return load_turkish()
+        # compile times a real compile, not a load of the shipped artifact
+        return compile_turkish() if args.command == "compile" else load_turkish()
     if not rules or not lexicons:
         raise SystemExit2("--rules and --lexicon must be given together")
     texts = [open(path, encoding="utf-8").read() for path in lexicons]

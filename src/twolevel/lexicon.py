@@ -11,6 +11,7 @@ File format, one or more files concatenated:
 entries are allowed (homographs).
 """
 
+import re
 from dataclasses import dataclass
 
 from .symbols import SymbolTable, _strip_comment, unescape
@@ -26,6 +27,9 @@ class LinkError(ValueError):
 
 
 TERMINAL = "#"
+
+# An entry head "gloss:form", split at its last ':' that no '%' escapes.
+_GLOSS_FORM = re.compile(r"((?:[^%]|%.)*):((?:[^%:]|%.)*)", re.DOTALL)
 
 
 @dataclass
@@ -108,10 +112,12 @@ def parse_lexicon_file(text, lexicon=None, roots=("Root",)):
         if len(body) != 2:
             raise LexiconSyntaxError("line %d: expected 'form CONT ;'" % n)
         head, cont = body
-        if ":" in head:
-            gloss, _, formtext = head.rpartition(":")
+        split = _GLOSS_FORM.fullmatch(head)
+        if split:
+            gloss, formtext = split.groups()
         else:
-            gloss, formtext = head, head
+            gloss = "".join(ch for _, ch in unescape(head))
+            formtext = head
         form = _intern_form(formtext, lx.table, n)
         lx.add_entry(current, LexEntry(gloss, form, cont, current, n))
     return lx

@@ -1,5 +1,7 @@
 """The bundled Turkish description: rules, lexicon, corpus, utilities."""
 
+import hashlib
+import pickle
 from importlib import resources
 
 from .. import engine, rules as rulemod
@@ -9,6 +11,14 @@ from .corpus import GoldenCase, golden_suite, run_case, run_suite
 from .syllabify import SyllabifyError, syllabify_first
 
 _cached = None
+
+# The compiled description shipped as package data: a one-line key, then
+# the pickle of the Description as compiled from the texts below.
+ARTIFACT = "turkish.pickle"
+_TEXTS = ("rules.twol", "roots.lex", "suffix_grammar.lex")
+# The modules a compile runs through, relative to the twolevel package.
+_SOURCES = ("symbols.py", "pair_regex.py", "rules.py", "dfa.py", "lexicon.py",
+            "engine.py", "turkish/__init__.py")
 
 
 def _data(name):
@@ -49,12 +59,52 @@ def _check_declared(decls, alphabet):
         )
 
 
+def compile_turkish():
+    """Compile the bundled description from its texts."""
+    rules_text, *lexicon_texts = (_data(name) for name in _TEXTS)
+    return load_description(rules_text, lexicon_texts)
+
+
+def artifact_key():
+    """The first line of a current artifact: a SHA-256 over the bundled
+    texts and the source of every module a compile runs through, so that
+    an edit to any of them without a rebuild never loads."""
+    package = resources.files("twolevel")
+    paths = [package / "turkish" / "data" / name for name in _TEXTS]
+    paths += [package / name for name in _SOURCES]
+    digest = hashlib.sha256()
+    for path in paths:
+        data = path.read_bytes()
+        digest.update(b"%d\n" % len(data))
+        digest.update(data)
+    return b"twolevel-turkish sha256:%s\n" % digest.hexdigest().encode("ascii")
+
+
+def artifact_bytes():
+    """The artifact as ``python -m twolevel.turkish.build`` writes it."""
+    return artifact_key() + pickle.dumps(compile_turkish(), pickle.HIGHEST_PROTOCOL)
+
+
+def _load_artifact():
+    """The shipped Description, or None when the file is missing or its key
+    is not the current one.  Nothing is unpickled before the key matches."""
+    try:
+        raw = resources.files("twolevel.turkish.data").joinpath(ARTIFACT).read_bytes()
+        # an installation without the module sources cannot check the key
+        key = artifact_key()
+    except FileNotFoundError:
+        return None
+    if not raw.startswith(key):
+        return None
+    return pickle.loads(memoryview(raw)[len(key):])
+
+
 def load_turkish(refresh=False):
-    """The compiled bundled description (built once, shared read-only)."""
+    """The bundled description (loaded once, shared read-only): the shipped
+    artifact when it is current, else a compile of the texts.  With
+    ``refresh`` a new Description with an empty runtime is read."""
     global _cached
     if _cached is None or refresh:
-        _cached = load_description(
-            _data("rules.twol"),
-            [_data("roots.lex"), _data("suffix_grammar.lex")],
-        )
+        desc = _load_artifact()
+        _cached = desc if desc is not None else compile_turkish()
     return _cached

@@ -2,6 +2,7 @@ import io
 import re
 import sys
 
+from twolevel import rules
 from twolevel.cli import main
 
 
@@ -102,9 +103,19 @@ def test_usage_error_exit_code(capsys):
     assert rc == 2
 
 
-def test_compile_reports(capsys):
+def test_compile_reports(capsys, monkeypatch):
+    # compile times a compile of the texts, never a load of the shipped artifact
+    calls = []
+    compile_check_set = rules.compile_check_set
+
+    def counted(*args):
+        calls.append(args)
+        return compile_check_set(*args)
+
+    monkeypatch.setattr(rules, "compile_check_set", counted)
     rc, out = run(capsys, ["compile"])
     assert rc == 0
+    assert len(calls) == 1
     lines = out.splitlines()
     assert lines[:4] == [
         "feasible pairs: 136",

@@ -66,6 +66,19 @@ def test_comment_marker_can_be_escaped():
     assert entry.form_text() == "a!b" and entry.continuation == "#"
 
 
+@pytest.mark.parametrize("head, gloss, form", [
+    ("ab%-c", "ab-c", ("a", "b", "-", "c")),
+    ("a%:b", "a:b", ("a", ":", "b")),
+    ("G:a%:b", "G", ("a", ":", "b")),
+    ("[RUP]:RUP%-", "[RUP]", ("R", "U", "P", "-")),
+    ("a%!b", "a!b", ("a", "!", "b")),
+])
+def test_entry_head_splits_at_the_last_unescaped_colon(head, gloss, form):
+    # a form-only entry's gloss is its form, unescaped the same way
+    (entry,) = parse_lexicon_file("LEXICON Root\n%s # ;\n" % head).sublexicons["Root"]
+    assert (entry.gloss, tuple(s.name for s in entry.form)) == (gloss, form)
+
+
 def test_enumerate_paths_through_entry_and_fanout(small):
     # past ev^, the empty links of Infl fan out into the entries of Infl
     # and Poss

@@ -1,7 +1,11 @@
+import fnmatch
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
-from twolevel import engine
-from twolevel.turkish import golden_suite, load_turkish
+from twolevel import engine, turkish as tk
+from twolevel.turkish import golden_suite, load_turkish, run_suite
 from twolevel.turkish.morphotactics import build_coverage_text, build_lexicon_text
 from twolevel.turkish.syllabify import SyllabifyError, syllabify_first
 
@@ -46,14 +50,69 @@ def test_where_expansion_counts(turkish):
 
 
 def test_suffix_grammar_file_is_fresh():
-    from importlib import resources
     committed = resources.files("twolevel.turkish.data").joinpath(
         "suffix_grammar.lex").read_text("utf-8")
     assert committed == build_lexicon_text()
 
 
+def test_artifact_is_fresh():
+    committed = resources.files("twolevel.turkish.data").joinpath(tk.ARTIFACT).read_bytes()
+    assert committed == tk.artifact_bytes(), (
+        "the shipped description is stale: run python -m twolevel.turkish.build")
+
+
+def test_load_reads_the_current_artifact_without_compiling(monkeypatch):
+    monkeypatch.setattr(tk, "_cached", tk._cached)
+
+    def no_compile(*args):
+        raise AssertionError("compiled although the artifact is current")
+
+    monkeypatch.setattr(engine, "compile_description", no_compile)
+    desc = load_turkish(refresh=True)
+    assert desc._runtime is None
+    assert load_turkish(refresh=True) is not desc
+
+
+@pytest.mark.parametrize("stale", [
+    ("artifact_key", lambda: b"twolevel-turkish sha256:0\n"),
+    ("ARTIFACT", "missing.pickle"),
+])
+def test_load_compiles_when_the_artifact_is_stale_or_missing(monkeypatch, stale):
+    monkeypatch.setattr(tk, "_cached", tk._cached)
+    shipped = load_turkish(refresh=True)
+    compiled = []
+    compile_description = engine.compile_description
+
+    def counted(*args):
+        compiled.append(args)
+        return compile_description(*args)
+
+    monkeypatch.setattr(engine, "compile_description", counted)
+    monkeypatch.setattr(tk, *stale)
+    desc = load_turkish(refresh=True)
+    assert len(compiled) == 1
+    assert ([ra.dfa.dump() for ra in desc.rule_automata]
+            == [ra.dfa.dump() for ra in shipped.rule_automata])
+    passed, failed = run_suite(desc)
+    assert (passed, failed) == (len(golden_suite()), [])
+    assert run_suite(shipped) == (passed, failed)
+
+
+def test_package_data_covers_every_data_file():
+    # without the globs an installed wheel lacks the artifact and compiles
+    # on every start
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    globs = tomllib.loads(pyproject.read_text("utf-8"))[
+        "tool"]["setuptools"]["package-data"]["twolevel.turkish.data"]
+    names = [f.name for f in resources.files("twolevel.turkish.data").iterdir()
+             if f.is_file() and f.name != "__init__.py"]
+    assert tk.ARTIFACT in names
+    for name in names:
+        assert any(fnmatch.fnmatch(name, g) for g in globs), name
+
+
 def test_coverage_matrix_is_fresh():
-    from importlib import resources
     committed = resources.files("twolevel.turkish.data").joinpath(
         "coverage_matrix.txt").read_text("utf-8")
     assert committed == build_coverage_text()
