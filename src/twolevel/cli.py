@@ -115,12 +115,15 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SystemExit2 as e:
+    except (SystemExit2, OSError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
-    except (OSError, ValueError) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
+
+
+def _blocked(word, direction, desc):
+    """The --trace line of a word without output."""
+    report = engine.trace(word, direction, desc)
+    return "! blocked at %s layer: %s" % (report.layer, "; ".join(report.blocking_rules()) or "-")
 
 
 def _dispatch(args):
@@ -147,9 +150,7 @@ def _dispatch(args):
             else:
                 lines.append("*NONE*")
                 if args.trace:
-                    report = engine.trace(word, "analyze", desc)
-                    lines.append("! blocked at %s layer: %s"
-                                 % (report.layer, "; ".join(report.blocking_rules()) or "-"))
+                    lines.append(_blocked(word, "analyze", desc))
             return "\n".join(lines) + "\n", bool(analyses)
         return _batch(args, run, desc)
 
@@ -163,9 +164,7 @@ def _dispatch(args):
                 return "".join(o + "\n" for o in outs), True
             lines = ["*NONE*"]
             if args.trace:
-                report = engine.trace(word, "generate", desc)
-                lines.append("! blocked at %s layer: %s"
-                             % (report.layer, "; ".join(report.blocking_rules()) or "-"))
+                lines.append(_blocked(word, "generate", desc))
             return "\n".join(lines) + "\n", False
         return _batch(args, run, desc)
 

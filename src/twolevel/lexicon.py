@@ -8,13 +8,12 @@ File format, one or more files concatenated:
     :0 CONT ;              ! empty-form link entry (lexc-style "0" = nothing)
 
 "#" as continuation marks acceptance.  Entries keep file order; duplicate
-entries are allowed (homographs).
+entries are allowed (homographs).  The entry point is LEXICON Root.
 """
 
-import re
 from dataclasses import dataclass
 
-from .symbols import SymbolTable, _strip_comment, unescape
+from .symbols import SymbolTable, _strip_comment, split_raw, split_words, unescape
 
 
 class LexiconSyntaxError(ValueError):
@@ -27,9 +26,6 @@ class LinkError(ValueError):
 
 
 TERMINAL = "#"
-
-# An entry head "gloss:form", split at its last ':' that no '%' escapes.
-_GLOSS_FORM = re.compile(r"((?:[^%]|%.)*):((?:[^%:]|%.)*)", re.DOTALL)
 
 
 @dataclass
@@ -47,16 +43,12 @@ class LexEntry:
 class Lexicon:
     def __init__(self, table=None):
         self.table = table or SymbolTable()
-        self.sublexicons = {}   # name -> [LexEntry]
-        self.order = []
+        self.sublexicons = {}   # name -> [LexEntry], in file order
         self.roots = []
 
     def add_entry(self, sublexicon, entry):
-        if sublexicon not in self.sublexicons:
-            self.sublexicons[sublexicon] = []
-            self.order.append(sublexicon)
         entry.sublexicon = sublexicon
-        self.sublexicons[sublexicon].append(entry)
+        self.sublexicons.setdefault(sublexicon, []).append(entry)
 
     def validate(self):
         for name, entries in self.sublexicons.items():
@@ -82,54 +74,39 @@ class Lexicon:
             for e in self.sublexicons[cur]:
                 if e.continuation != TERMINAL and e.continuation not in seen:
                     work.append(e.continuation)
-        return [n for n in self.order if n not in seen]
+        return [n for n in self.sublexicons if n not in seen]
 
 
-def parse_lexicon_file(text, lexicon=None, roots=("Root",)):
+def parse_lexicon_file(text, lexicon=None):
     """Parse one lexicon file, adding to an existing Lexicon if given."""
     lx = lexicon or Lexicon()
     if not lx.roots:
-        lx.roots = list(roots)
+        lx.roots = ["Root"]
     current = None
     for n, raw in enumerate(text.split("\n"), 1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        entry, *rest = split_raw(_strip_comment(raw), ";")
+        words = split_words(entry)
+        if not (words or rest):
             continue
-        if line.startswith("LEXICON"):
-            parts = line.split()
-            if len(parts) != 2:
+        if words[:1] == ["LEXICON"]:
+            if len(words) != 2 or rest:
                 raise LexiconSyntaxError("line %d: bad LEXICON header" % n)
-            current = parts[1]
-            if current not in lx.sublexicons:
-                lx.sublexicons[current] = []
-                lx.order.append(current)
+            current = words[1]
+            lx.sublexicons.setdefault(current, [])
             continue
         if current is None:
             raise LexiconSyntaxError("line %d: entry before any LEXICON header" % n)
-        if not line.endswith(";"):
+        if len(rest) != 1 or rest[0].strip():
             raise LexiconSyntaxError("line %d: entry must end with ';'" % n)
-        body = line[:-1].split()
-        if len(body) != 2:
+        if len(words) != 2:
             raise LexiconSyntaxError("line %d: expected 'form CONT ;'" % n)
-        head, cont = body
-        split = _GLOSS_FORM.fullmatch(head)
-        if split:
-            gloss, formtext = split.groups()
-        else:
-            gloss = "".join(ch for _, ch in unescape(head))
-            formtext = head
-        form = _intern_form(formtext, lx.table, n)
+        head, cont = words
+        # "gloss:form", split at the last unescaped ':', or a form alone
+        *glosses, formtext = split_raw(head, ":")
+        gloss = unescape(":".join(glosses) if glosses else formtext)
+        form = () if formtext == "0" else tuple(map(lx.table.intern, unescape(formtext)))
         lx.add_entry(current, LexEntry(gloss, form, cont, current, n))
     return lx
-
-
-def _intern_form(text, table, line):
-    if text == "0":
-        return ()
-    syms = []
-    for kind, ch in unescape(text):
-        syms.append(table.intern(ch))
-    return tuple(syms)
 
 
 def enumerate_paths(lexicon, max_morphemes):

@@ -7,7 +7,7 @@ single feasible pair not matching X, "#" the word boundary.  Atoms are
 whitespace around ":" matters ("H: y" is two atoms, "H:y" one pair).
 """
 
-from .symbols import BOUNDARY
+from .symbols import BOUNDARY, WHITESPACE, scan
 
 
 class ParseError(ValueError):
@@ -58,19 +58,22 @@ class Atom(Node):
     def __repr__(self):
         return "%s:%s" % (self.lex or "", self.surf or "")
 
-    def side_names(self, name, decls):
-        if name is None:
-            return None
-        if decls.is_set(name):
-            return [s.name for s in decls.set_members(name)]
-        return [name]
-
     def atom_name_pairs(self, decls):
-        lexnames = self.side_names(self.lex, decls)
-        surfnames = self.side_names(self.surf, decls)
+        lexnames = side_names(self.lex, decls)
+        surfnames = side_names(self.surf, decls)
         if lexnames is None or surfnames is None:
             return []  # wildcard sides never introduce new pairs
         return [(lexnames, surfnames)]
+
+
+def side_names(name, decls):
+    """The symbol names an atom side spans: a set's members, a symbol's own
+    name, or None for a wildcard side."""
+    if name is None:
+        return None
+    if decls.is_set(name):
+        return [s.name for s in decls.set_members(name)]
+    return [name]
 
 
 class Concat(Node):
@@ -172,27 +175,10 @@ class MacroRef(Node):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-PUNCT = set("()[]{}|*+-\\_;")
+PUNCT = "()[]{}|*+-\\_;"
 QUOTE = '"'
-
-
-def read_ident(text, j):
-    """Read an identifier at offset j; '%' escapes the next character."""
-    n = len(text)
-    out = []
-    while j < n:
-        c = text[j]
-        if c == "%":
-            if j + 1 >= n:
-                raise ParseError("dangling % escape")
-            out.append(text[j + 1])
-            j += 2
-            continue
-        if c.isspace() or c in PUNCT or c == ":" or c == "!" or c == QUOTE:
-            break
-        out.append(c)
-        j += 1
-    return "".join(out), j
+# the characters that end an identifier
+_IDENT_END = WHITESPACE + PUNCT + ":!" + QUOTE
 
 
 def tokenize(text, extra_ops=(), with_lines=False):
@@ -200,8 +186,9 @@ def tokenize(text, extra_ops=(), with_lines=False):
 
     An identifier immediately followed by ':' forms the left side of a pair
     atom; ':' immediately followed by an identifier opens a surface-only
-    atom.  '%' escapes the next character into an identifier.  Rule files
-    pass extra_ops for the arrow operators and get quoted rule names.
+    atom.  Identifiers are read by symbols.scan, so '%' escapes the next
+    character into one.  Rule files pass extra_ops for the arrow operators
+    and get quoted rule names.
     """
     toks = []
     i = 0
@@ -210,6 +197,12 @@ def tokenize(text, extra_ops=(), with_lines=False):
 
     def emit(tok):
         toks.append(tok + (line,) if with_lines else tok)
+
+    def ident(j):
+        name, j = scan(text, _IDENT_END, j)
+        if name is None:
+            raise ParseError("dangling % escape")
+        return name, j
 
     while i < n:
         c = text[i]
@@ -247,17 +240,17 @@ def tokenize(text, extra_ops=(), with_lines=False):
             continue
         if c == ":":
             # surface-only atom ":y"
-            name, j = read_ident(text, i + 1)
+            name, j = ident(i + 1)
             if not name:
                 raise ParseError("':' not followed by a name")
             emit(("atom", None, name))
             i = j
             continue
-        name, j = read_ident(text, i)
+        name, j = ident(i)
         if not name:
             raise ParseError("unexpected character %r" % c)
         if j < n and text[j] == ":":
-            name2, k = read_ident(text, j + 1)
+            name2, k = ident(j + 1)
             if name2:
                 emit(("atom", name, name2))
                 i = k
@@ -367,16 +360,6 @@ def parse_pair_regex(source, decls):
     return node
 
 
-def resolve_definitions(decls):
-    """Compile raw DEFINITIONS bodies into PairRegex macros, in order."""
-    for name in decls.definition_order:
-        body, line = decls.raw_definitions[name]
-        try:
-            decls.definitions[name] = parse_pair_regex(body, decls)
-        except ParseError as e:
-            raise ParseError("in definition %s (line %d): %s" % (name, line, e))
-
-
 # ---------------------------------------------------------------------------
 # Denotation and the reference matcher
 
@@ -424,31 +407,19 @@ def _denote_atom_uncached(node, alphabet, decls, with_frame):
 
 
 def _denote_plain_atom(node, alphabet, decls, with_frame):
-
-    def side(name):
-        if name is None:
-            return None
-        if decls.is_set(name):
-            return set(s.name for s in decls.set_members(name))
-        return {name}
-
-    lexnames = side(node.lex)
-    surfnames = side(node.surf)
+    lexnames = side_names(node.lex, decls)
+    surfnames = side_names(node.surf, decls)
     out = set()
     for i, (lex, surf) in enumerate(alphabet.pairs):
         if lexnames is not None and lex.name not in lexnames:
             continue
-        if surfnames is not None and sur_name(surf) not in surfnames:
+        if surfnames is not None and surf.name not in surfnames:
             continue
         out.add(i)
     # the full wildcard spans anything, the boundary pair included
     if with_frame and lexnames is None and surfnames is None:
         out.add(alphabet.frame_id)
     return frozenset(out)
-
-
-def sur_name(sym):
-    return sym.name
 
 
 def _denote_union_pairs(node, alphabet, decls):

@@ -87,16 +87,11 @@ def parse_rules_file(text):
     Declarations carry ALPHABET/SETS plus compiled DEFINITIONS macros; rules
     keep their quoted names, ";"-separated contexts and where clauses.
     """
-    decls, rest = parse_declarations(text)
-    rx.resolve_definitions(decls)
-    rules = []
-    if rest.strip():
-        body = rest.split("RULES", 1)[1] if "RULES" in rest.split('"', 1)[0] else rest
-        rules = _parse_rules_section(body, decls, decls._rest_line_offset)
-    return decls, rules
+    decls, rules = parse_declarations(text)
+    return decls, _parse_rules_section(rules, decls)
 
 
-def _parse_rules_section(text, decls, line_offset=0):
+def _parse_rules_section(text, decls):
     toks = rx.tokenize(text, extra_ops=OPS, with_lines=True)
     rules = []
     i = 0
@@ -104,10 +99,9 @@ def _parse_rules_section(text, decls, line_offset=0):
     while i < n:
         tok = toks[i]
         if tok[0] != "rulename":
-            raise RuleSyntaxError("expected a quoted rule name, got %r" % (tok,),
-                                  line=tok[-1] + line_offset)
+            raise RuleSyntaxError("expected a quoted rule name, got %r" % (tok,), line=tok[-1])
         name = tok[1]
-        rule_line = tok[-1] + line_offset
+        rule_line = tok[-1]
         i += 1
         # correspondence part: tokens up to the operator
         cp_toks = []
@@ -151,7 +145,7 @@ def _parse_rules_section(text, decls, line_offset=0):
                 split = [k for k, t in enumerate(ctx) if t[:2] == ("op", "_")]
                 if len(split) != 1:
                     raise RuleSyntaxError("context needs exactly one _",
-                                          rule=name, line=ctx[0][-1] + line_offset)
+                                          rule=name, line=ctx[0][-1])
                 k = split[0]
                 lc = rx.parse_pair_regex(_strip_lines(ctx[:k]), decls)
                 rc = rx.parse_pair_regex(_strip_lines(ctx[k + 1 :]), decls)

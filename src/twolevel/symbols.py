@@ -1,15 +1,20 @@
-"""Symbol interning, declaration parsing and the feasible-pair alphabet.
+"""Symbol interning, the escape scanner, declaration parsing and the
+feasible-pair alphabet.
 
 Symbols are interned strings, not code points: multi-character names and
 escaped literals ("%-", "%(") must behave exactly like plain letters.  The
 NULL symbol "0" and the word boundary "#" are reserved and always interned.
 """
 
+import functools
 import re
 from dataclasses import dataclass, field
 
 NULL = "0"
 BOUNDARY = "#"
+# the characters str.isspace() holds for: words split where str.split() splits
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+              "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 class InvalidSymbol(ValueError):
@@ -64,25 +69,60 @@ class SymbolTable:
         return len(self.symbols)
 
 
-def unescape(token):
-    """Expand "%x" escapes; returns the list of character symbols in token.
+@functools.lru_cache(maxsize=None)
+def _run_pattern(stops):
+    """scan's pattern: the longest run of escapes and of characters neither
+    '%' nor in stops."""
+    return re.compile("(?:[^%" + re.escape(stops) + "]+|%[^\n])*")
 
-    A "%" always makes the next character a literal, so "%-:0" splits into
-    the name "-" and, after the unescaped ":", the name "0".
+
+_ESCAPE = re.compile("%(.)")
+
+
+def scan(text, stops, i=0):
+    """Read text from offset i up to the first character of stops that no
+    '%' escapes, or to its end: (the text read, each escape '%x' replaced
+    by x; the offset where reading stopped).
+
+    This is the one escape rule of the description syntax, for rules and
+    lexicon files alike: '%x' is the literal x for every character x but
+    a line end.  A '%' before a line end or at the end of the text is a
+    dangling escape: reading goes on past it, and the text read is None.
     """
-    out = []
+    run = _run_pattern(stops).match
+    j = run(text, i).end()
+    if not text.startswith("%", j):
+        read = text[i:j]
+        return (_ESCAPE.sub(r"\1", read) if "%" in read else read), j
+    while text.startswith("%", j):
+        j = run(text, j + 1).end()
+    return None, j
+
+
+def unescape(word):
+    """word with each escape '%x' replaced by x."""
+    value, _ = scan(word, "")
+    if value is None:
+        raise InvalidSymbol("dangling %% escape in %r" % word)
+    return value
+
+
+def split_raw(text, stops):
+    """text cut at each character of stops that no '%' escapes; the pieces
+    keep their escapes."""
+    pieces = []
     i = 0
-    while i < len(token):
-        c = token[i]
-        if c == "%":
-            if i + 1 >= len(token):
-                raise InvalidSymbol("dangling %% escape in %r" % token)
-            out.append(("lit", token[i + 1]))
-            i += 2
-        else:
-            out.append(("raw", c))
-            i += 1
-    return out
+    while True:
+        _, j = scan(text, stops, i)
+        pieces.append(text[i:j])
+        if j == len(text):
+            return pieces
+        i = j + 1
+
+
+def split_words(text):
+    """The words of text between unescaped whitespace, escapes kept."""
+    return [word for word in split_raw(text, WHITESPACE) if word]
 
 
 def split_pair_token(token):
@@ -90,24 +130,15 @@ def split_pair_token(token):
 
     "a" -> ("a", None);  "D:d" -> ("D", "d");  "%-:0" -> ("-", "0").
     """
-    parts = unescape(token)
-    lex = []
-    surf = None
-    cur = lex
-    for kind, ch in parts:
-        if kind == "raw" and ch == ":":
-            if surf is not None:
-                raise InvalidSymbol("more than one ':' in %r" % token)
-            surf = []
-            cur = surf
-        else:
-            cur.append(ch)
-    lexname = "".join(lex)
+    sides = split_raw(token, ":")
+    if len(sides) > 2:
+        raise InvalidSymbol("more than one ':' in %r" % token)
+    lexname = unescape(sides[0])
     if not lexname:
         raise InvalidSymbol("empty lexical side in %r" % token)
-    if surf is None:
+    if len(sides) == 1:
         return lexname, None
-    surfname = "".join(surf)
+    surfname = unescape(sides[1])
     if not surfname:
         raise InvalidSymbol("empty surface side in %r" % token)
     return lexname, surfname
@@ -132,7 +163,6 @@ class Declarations:
     declared_pairs: list = field(default_factory=list)  # explicit x:y pairs
     sets: dict = field(default_factory=dict)            # name -> SymbolSet
     definitions: dict = field(default_factory=dict)     # name -> PairRegex
-    definition_order: list = field(default_factory=list)
 
     def is_set(self, name):
         return name in self.sets
@@ -193,118 +223,98 @@ class PairAlphabet:
         return range(n)
 
 
-# The text before a comment: '!' starts one to the end of the line, and '%'
-# makes the next character, '!' included, a literal.
-_BEFORE_COMMENT = re.compile(r"(?:[^%!]+|%.?)*", re.DOTALL)
-
-
 def _strip_comment(line):
-    return _BEFORE_COMMENT.match(line).group()
+    """The text of line before its comment: '!' starts one that runs to the
+    end of the line."""
+    return line[:scan(line, "!")[1]]
 
 
 def parse_declarations(text):
     """Parse the ALPHABET/SETS/DEFINITIONS sections of a rules file.
 
-    Returns (Declarations, rest) where rest is the remaining text starting at
-    the RULES header (or empty).  Set entries become SymbolSets; DEFINITIONS
-    entries are kept as raw token strings here and compiled to PairRegex
-    macros by the rules module (which owns the regex grammar).
+    Returns (Declarations, rules): rules is the text after the RULES header
+    ("" without one), preceded by an empty line for each line before the
+    header, so that its line numbers are the file's.  A section is a series
+    of entries, each ended by an unescaped ';'.  ALPHABET entries list
+    symbols and pairs, SETS entries are "Name = symbols", and a DEFINITIONS
+    entry "Name = regex" has its text after '=' compiled to a PairRegex
+    macro at once, so that it may use the definitions before it.
     """
+    # imported here, as pair_regex imports this module
+    from .pair_regex import ParseError, parse_pair_regex
+
     table = SymbolTable()
     decls = Declarations(table=table)
-    decls.raw_definitions = {}
+
+    def declare(entry, line):
+        if not entry.strip():
+            return
+        if section == "ALPHABET":
+            for word in split_words(entry):
+                if word == BOUNDARY:
+                    continue  # boundary symbol: framing, never a feasible pair
+                lexname, surfname = split_pair_token(word)
+                lex = table.intern(lexname)
+                if surfname is None:
+                    decls.identity.append(lex)
+                else:
+                    decls.declared_pairs.append((lex, table.intern(surfname)))
+            return
+        # "Name = ..." in SETS or DEFINITIONS
+        name, *body = split_raw(entry, "=")
+        names, body = split_words(name), "=".join(body)
+        if len(names) != 1 or not body.strip():
+            raise DeclarationError("expected 'Name = ... ;', got %r" % " ".join(entry.split()),
+                                   line)
+        name = unescape(names[0])
+        decls.check_namespace(name, line)
+        if section == "DEFINITIONS":
+            try:
+                decls.definitions[name] = parse_pair_regex(body, decls)
+            except ParseError as e:
+                raise ParseError("in definition %s (line %d): %s" % (name, line, e))
+            return
+        known = {s.name for s in decls.identity}
+        known.update(s.name for pair in decls.declared_pairs for s in pair)
+        if name in known:
+            raise DeclarationError("set name %r collides with a symbol" % name, line)
+        members = []
+        for word in split_words(body):
+            lexname, surfname = split_pair_token(word)
+            if surfname is not None:
+                raise DeclarationError("set member %r is a pair" % word, line)
+            if lexname not in known:
+                raise DeclarationError(
+                    "set %s references undeclared symbol %r" % (name, lexname), line)
+            members.append(table.intern(lexname))
+        if len(set(members)) != len(members):
+            raise DeclarationError("duplicate members in set %r" % name, line)
+        decls.sets[name] = SymbolSet(name, tuple(members), line)
 
     lines = text.split("\n")
     section = None
-    buf = []  # pending tokens for a ';'-terminated entry
-    buf_line = 0
-    rest_index = None
-
-    def flush_alphabet(tokens, line_no):
-        for tok in tokens:
-            if tok == ";":
-                continue
-            if tok == BOUNDARY:
-                continue  # boundary symbol: framing, never a feasible pair
-            lexname, surfname = split_pair_token(tok)
-            lex = table.intern(lexname)
-            if surfname is None:
-                decls.identity.append(lex)
-            else:
-                decls.declared_pairs.append((lex, table.intern(surfname)))
-
-    def declared_names():
-        names = {s.name for s in decls.identity}
-        for lex, surf in decls.declared_pairs:
-            names.add(lex.name)
-            names.add(surf.name)
-        return names
-
-    def flush_entry(tokens, line_no):
-        # "Name = member... ;" in SETS or DEFINITIONS
-        if not tokens:
-            return
-        if len(tokens) < 3 or tokens[1] != "=":
-            raise DeclarationError("expected 'Name = ... ;', got %r" % " ".join(tokens), line_no)
-        name = tokens[0]
-        body = tokens[2:]
-        if section == "SETS":
-            decls.check_namespace(name, line_no)
-            if name in declared_names():
-                raise DeclarationError("set name %r collides with a symbol" % name, line_no)
-            known = declared_names()
-            members = []
-            for tok in body:
-                lexname, surfname = split_pair_token(tok)
-                if surfname is not None:
-                    raise DeclarationError("set member %r is a pair" % tok, line_no)
-                if lexname not in known:
-                    raise DeclarationError(
-                        "set %s references undeclared symbol %r" % (name, lexname), line_no)
-                members.append(table.intern(lexname))
-            if len(set(members)) != len(members):
-                raise DeclarationError("duplicate members in set %r" % name, line_no)
-            decls.sets[name] = SymbolSet(name, tuple(members), line_no)
-        else:
-            decls.check_namespace(name, line_no)
-            decls.raw_definitions[name] = (" ".join(body), line_no)
-            decls.definition_order.append(name)
-
+    entry, entry_line = "", 0
     for n, raw in enumerate(lines, 1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        head = line.split()[0]
-        if head in ("ALPHABET", "SETS", "DEFINITIONS", "RULES"):
-            if buf:
-                flush_entry(buf, buf_line)
-                buf = []
-            section = head
-            line = line[len(head) :].strip()
+        line = _strip_comment(raw).lstrip(WHITESPACE)
+        k = scan(line, WHITESPACE)[1]
+        if line[:k] in ("ALPHABET", "SETS", "DEFINITIONS", "RULES"):
+            declare(entry, entry_line)
+            entry, section = "", line[:k]
             if section == "RULES":
-                rest_index = n - 1
-                break
-            if not line:
-                continue
-        if section is None:
+                rules = raw.lstrip(WHITESPACE)[k:]
+                return decls, "\n" * (n - 1) + "\n".join([rules] + lines[n:])
+            line = line[k:]
+        elif section is None and line:
             raise DeclarationError("text before ALPHABET section", n)
-        if section == "ALPHABET":
-            flush_alphabet(line.replace(";", " ; ").split(), n)
-        else:
-            if not buf:
-                buf_line = n
-            for tok in line.replace(";", " ; ").split():
-                if tok == ";":
-                    flush_entry(buf, buf_line)
-                    buf = []
-                else:
-                    buf.append(tok)
-    if buf:
-        flush_entry(buf, buf_line)
-
-    rest = "\n".join(lines[rest_index:]) if rest_index is not None else ""
-    decls._rest_line_offset = rest_index or 0
-    return decls, rest
+        for j, piece in enumerate(split_raw(line, ";")):
+            if j:  # an unescaped ';' ended the entry
+                declare(entry, entry_line)
+                entry = ""
+            if not entry.strip():
+                entry_line = n
+            entry += piece + "\n"
+    declare(entry, entry_line)
+    return decls, ""
 
 
 def derive_feasible_pairs(decls, rules=()):

@@ -24,7 +24,6 @@ def make_description(rules_text, lexicon_text=None):
         parse_lexicon_file(lexicon_text, lexicon)
     else:
         lexicon.sublexicons["Root"] = []
-        lexicon.order.append("Root")
         lexicon.roots = ["Root"]
     return engine.compile_description(decls, ground, lexicon, alphabet)
 

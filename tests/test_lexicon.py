@@ -55,7 +55,7 @@ def test_dangling_continuation():
 
 
 def test_entry_needs_semicolon():
-    with pytest.raises(LexiconSyntaxError):
+    with pytest.raises(LexiconSyntaxError, match="^line 2: "):
         parse_lexicon_file("LEXICON Root\nev Root\n")
 
 
@@ -75,6 +75,17 @@ def test_comment_marker_can_be_escaped():
 ])
 def test_entry_head_splits_at_the_last_unescaped_colon(head, gloss, form):
     # a form-only entry's gloss is its form, unescaped the same way
+    (entry,) = parse_lexicon_file("LEXICON Root\n%s # ;\n" % head).sublexicons["Root"]
+    assert (entry.gloss, tuple(s.name for s in entry.form)) == (gloss, form)
+
+
+@pytest.mark.parametrize("head, gloss, form", [
+    ("G%!x:ab", "G!x", ("a", "b")),
+    ("a%:b:c", "a:b", ("c",)),
+    ("q%%r:s", "q%r", ("s",)),
+    ("a% b", "a b", ("a", " ", "b")),
+])
+def test_gloss_and_form_are_unescaped_alike(head, gloss, form):
     (entry,) = parse_lexicon_file("LEXICON Root\n%s # ;\n" % head).sublexicons["Root"]
     assert (entry.gloss, tuple(s.name for s in entry.form)) == (gloss, form)
 

@@ -19,7 +19,6 @@ MB = %-:0 ;
 @pytest.fixture(scope="module")
 def env():
     decls, _ = parse_declarations(DECLS_TEXT)
-    rx.resolve_definitions(decls)
     alpha = derive_feasible_pairs(decls)
     return decls, alpha
 
