@@ -187,8 +187,7 @@ def compile_regex(node, alphabet, decls, with_frame=False, allow_empty=False):
             continue
         if isinstance(a, rx.Diff):
             d = product(compile_regex(a.left, alphabet, decls, with_frame, allow_empty),
-                        compile_regex(a.right, alphabet, decls, with_frame, allow_empty),
-                        "difference")
+                        compile_regex(a.right, alphabet, decls, with_frame, allow_empty))
             sub_classes = {}
             for pid, c in enumerate(d.class_of):
                 sub_classes.setdefault(c, []).append(pid)
@@ -254,79 +253,38 @@ def _nfa_determinize(nfa, start, end, alphabet, class_of, n_classes):
 # ---------------------------------------------------------------------------
 # Algebra
 
-def _check_alphabets(a, b):
+def product(a, b):
+    """The difference L(a) - L(b), by the textbook product construction."""
     if a.alphabet is not b.alphabet or len(a.class_of) != len(b.class_of):
         raise AlphabetError("automata built over different pair alphabets")
-
-
-def product(a, b, mode="intersect"):
-    """Textbook product; mode is intersect | union | difference."""
-    _check_alphabets(a, b)
     # joint classes: one per distinct (class in a, class in b), numbered
     # in order of their first pair id
     sigs = {}
     class_of = [sigs.setdefault(sig, len(sigs)) for sig in zip(a.class_of, b.class_of)]
     classes = list(sigs)
-
-    def is_final(sa, sb):
-        fa = sa in a.finals if sa is not None else False
-        fb = sb in b.finals if sb is not None else False
-        if mode == "intersect":
-            return fa and fb
-        if mode == "union":
-            return fa or fb
-        if mode == "difference":
-            return fa and not fb
-        raise ValueError("bad mode %r" % mode)
-
-    # union/difference must keep running when one side dies
-    keep_dead = mode in ("union", "difference")
+    # a state is (state of a, state of b or None once b has died); a state
+    # where a has died would accept nothing, so none is built
     start = (a.start, b.start)
     states = {start: 0}
     delta = [{}]
-    finals = set()
-    if is_final(*start):
-        finals.add(0)
     work = [start]
     while work:
         cur = work.pop()
-        ci = states[cur]
         sa, sb = cur
-        for joint, sig in enumerate(classes):
-            ca, cb = sig
-            ta = a.delta[sa].get(ca) if sa is not None else None
-            tb = b.delta[sb].get(cb) if sb is not None else None
-            if ta is None and tb is None:
+        row = delta[states[cur]]
+        for joint, (ca, cb) in enumerate(classes):
+            ta = a.delta[sa].get(ca)
+            if ta is None:
                 continue
-            if (ta is None or tb is None) and not keep_dead:
-                continue
-            nxt = (ta, tb)
+            nxt = (ta, b.delta[sb].get(cb) if sb is not None else None)
             j = states.get(nxt)
             if j is None:
-                j = len(delta)
-                states[nxt] = j
+                j = states[nxt] = len(delta)
                 delta.append({})
                 work.append(nxt)
-                if is_final(*nxt):
-                    finals.add(j)
-            delta[ci][joint] = j
+            row[joint] = j
+    finals = {j for (sa, sb), j in states.items() if sa in a.finals and sb not in b.finals}
     return minimize(PairDfa(a.alphabet, class_of, len(classes), delta, 0, finals))
-
-
-def complement(a, alphabet=None):
-    """Complement over the automaton's own symbol universe (made total)."""
-    if alphabet is not None and alphabet is not a.alphabet:
-        raise AlphabetError("complement against a foreign alphabet")
-    n = a.n_states
-    delta = [dict(d) for d in a.delta]
-    sink = n
-    delta.append({})
-    for s in range(n + 1):
-        for c in range(a.n_classes):
-            if c not in delta[s]:
-                delta[s][c] = sink
-    finals = {s for s in range(n + 1) if s not in a.finals}
-    return minimize(PairDfa(a.alphabet, a.class_of, a.n_classes, delta, a.start, finals))
 
 
 def trim(a):

@@ -102,21 +102,49 @@ def _lexicon_symbols(lexicon):
 # Runtime structures
 
 class _Trie:
-    __slots__ = ("arcs", "complete", "moves", "dels", "live", "num")
+    """The lexicon as one trie per sublexicon, its nodes numbered in one
+    sequence; roots maps each sublexicon to its root.  Per node k: arcs[k]
+    maps a lexical symbol to the child, complete[k] holds the (gloss,
+    continuation) of the entries that end at k, moves[k] and dels[k] are
+    its surface index and live[k] its live-move memo (_Runtime.live_moves).
+    A move is (lexical symbol, pair id, child, consumes), so the tables
+    hold only ints, strings and tuples of them, which the cyclic collector
+    stops tracking."""
+    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live")
 
-    def __init__(self):
-        self.num = None      # position in _Runtime.nodes
-        self.arcs = {}
-        self.complete = []   # (gloss, continuation)
-        # Surface index, filled by _Runtime: surface char -> the moves
-        # (lexical symbol, pair id, child, consumes) that can read it, the
-        # deletions included, in arcs order then pairs_by_lex order; `dels`
+    def __init__(self, lexicon, pairs_by_lex, surf):
+        self.roots = {}
+        self.arcs = []
+        self.complete = []
+        for name, entries in lexicon.sublexicons.items():
+            root = self.roots[name] = self.add()
+            for e in entries:
+                node = root
+                for sym in e.form:
+                    nxt = self.arcs[node].get(sym.name)
+                    if nxt is None:
+                        nxt = self.arcs[node][sym.name] = self.add()
+                    node = nxt
+                self.complete[node] += ((e.gloss, e.continuation),)
+        # Surface index: surface char -> the moves that can read it, the
+        # deletions included, in arcs order then pairs_by_lex order; dels
         # holds the deletions alone.
-        self.moves = {}
-        self.dels = ()
-        # vid * n_codes + code -> the moves that survive the rules; see
-        # _Runtime.live_moves
-        self.live = {}
+        self.moves = []
+        self.dels = []
+        for arcs in self.arcs:
+            every = [(sym, pid, child, surf[pid] != NULL)
+                     for sym, child in arcs.items() for pid in pairs_by_lex.get(sym, ())]
+            self.dels.append(tuple(m for m in every if not m[3]))
+            self.moves.append({c: tuple(m for m in every if not m[3] or surf[m[1]] == c)
+                               for c in {surf[m[1]] for m in every if m[3]}})
+        # vid * n_codes + code -> the moves that survive the rules
+        self.live = [{} for _ in self.arcs]
+
+    def add(self):
+        """A new node's number."""
+        self.arcs.append({})
+        self.complete.append(())
+        return len(self.arcs) - 1
 
 
 class _Table:
@@ -286,27 +314,7 @@ class _Runtime:
         self.code_chars = [None] + chars
         self.n_codes = len(self.code_chars)
 
-        self.tries = {}
-        self.nodes = []
-        for name, entries in desc.lexicon.sublexicons.items():
-            root = _Trie()
-            nodes = [root]
-            for e in entries:
-                node = root
-                for sym in e.form:
-                    nxt = node.arcs.get(sym.name)
-                    if nxt is None:
-                        nxt = _Trie()
-                        node.arcs[sym.name] = nxt
-                        nodes.append(nxt)
-                    node = nxt
-                node.complete.append((e.gloss, e.continuation))
-            for node in nodes:
-                self._index(node)
-            self.tries[name] = root
-            self.nodes.extend(nodes)
-        for k, node in enumerate(self.nodes):
-            node.num = k
+        self.trie = _Trie(desc.lexicon, self.pairs_by_lex, self.surf)
         self.lexicon = desc.lexicon
 
         self.pair_names = [alphabet.name_of(pid) for pid in range(self.frame_id + 1)]
@@ -325,17 +333,6 @@ class _Runtime:
         # one's.
         self.frontier = _Frontier()
         self.glosses = None       # _Glosses, built by the first gloss walk
-
-    def _index(self, node):
-        """Fill node.moves and node.dels from its arcs."""
-        every = []
-        for sym, child in node.arcs.items():
-            for pid in self.pairs_by_lex.get(sym, ()):
-                every.append((sym, pid, child, not self.is_null[pid]))
-        node.dels = tuple(m for m in every if not m[3])
-        chars = {self.surf[m[1]] for m in every if m[3]}
-        node.moves = {c: tuple(m for m in every if not m[3] or self.surf[m[1]] == c)
-                      for c in chars}
 
     def step_vec(self, vid, pid):
         """Step all rule automata, bundle by bundle; None when any of them
@@ -360,14 +357,16 @@ class _Runtime:
         """The moves of trie node `node` that read surface code `code` (see
         codes) and that no rule automaton rejects from vector vid, as
         (lexical symbol, pair id, child, consumes, next vector id) in the
-        order of node.moves; memoized in node.live.  Like the other memos it
-        is filled without a lock: threads that race build equal tuples."""
+        order of trie.moves[node]; memoized in trie.live[node].  Like the
+        other memos it is filled without a lock: threads that race build
+        equal tuples."""
+        trie = self.trie
         live = []
-        for move in node.moves.get(self.code_chars[code], node.dels):
+        for move in trie.moves[node].get(self.code_chars[code], trie.dels[node]):
             nvid = self.step_vec(vid, move[1])
             if nvid is not None:
                 live.append(move + (nvid,))
-        live = node.live[vid * self.n_codes + code] = tuple(live)
+        live = trie.live[node][vid * self.n_codes + code] = tuple(live)
         return live
 
     def _closure(self, states):
@@ -379,15 +378,16 @@ class _Runtime:
         the vector transitions, not live_moves: a search has stepped them
         already, but from these states it looked up the live moves of the
         next character only, and the frontier adds no live-move entries."""
-        step_vec, tries = self.step_vec, self.tries
+        step_vec, trie = self.step_vec, self.trie
+        roots, moves, complete, dels = trie.roots, trie.moves, trie.complete, trie.dels
         stack = list(states)
         while stack:
             node, vid = stack.pop()
-            reached = [(tries[cont], vid) for _, cont in node.complete
-                       if cont != TERMINAL] if node.complete else []
-            if node.dels:
+            reached = [(roots[cont], vid) for _, cont in complete[node]
+                       if cont != TERMINAL] if complete[node] else []
+            if dels[node]:
                 trans = self.vec_trans[vid]
-                for _, pid, child, _ in node.dels:
+                for _, pid, child, _ in dels[node]:
                     nvid = trans.get(pid, False)
                     if nvid is False:
                         nvid = step_vec(vid, pid)
@@ -397,7 +397,7 @@ class _Runtime:
                 if state not in states:
                     states.add(state)
                     stack.append(state)
-        return frozenset(state for state in states if state[0].moves or state[0].complete)
+        return frozenset(state for state in states if moves[state[0]] or complete[state[0]])
 
     def extend_frontier(self, sid, codes):
         """Fill the frontier's transitions from set sid (None: the start
@@ -412,9 +412,9 @@ class _Runtime:
             sid = fr.start
             if sid is None:
                 sid = fr.start = fr.intern(self._closure(
-                    {(self.tries[root], self.init_vec) for root in self.lexicon.roots}),
+                    {(self.trie.roots[root], self.init_vec) for root in self.lexicon.roots}),
                     self._lock)
-        n_codes = self.n_codes
+        n_codes, lives = self.n_codes, self.trie.live
         for code in codes:
             if not sid:
                 break
@@ -423,7 +423,7 @@ class _Runtime:
             if nxt is None:
                 states = set()
                 for node, vid in fr.keys[sid]:
-                    moves = node.live.get(vid * n_codes + code)
+                    moves = lives[node].get(vid * n_codes + code)
                     if moves is None:
                         moves = self.live_moves(node, vid, code)
                     for m in moves:
@@ -448,7 +448,7 @@ class _Runtime:
 
         return {"interned vectors": keys(self.vectors),
                 "vector transitions": rows(self.vectors),
-                "live-move entries": sum(len(node.live) for node in self.nodes),
+                "live-move entries": sum(map(len, self.trie.live)),
                 "frontier sets": keys(self.frontier),
                 "frontier transitions": rows(self.frontier),
                 "rules-off fronts": keys(self.covers),
@@ -478,17 +478,18 @@ class _Runtime:
         whether one of them completes with #; memoized."""
         table = self.cover_nodes.get(node)
         if table is None:
+            trie = self.trie
             # A trie node has one parent, so neither list repeats a node.
             closure = [node]
             for k in closure:
-                closure.extend(m[2] for m in k.dels)
+                closure.extend(m[2] for m in trie.dels[k])
             steps = {}
             classes = {}
             ends = False
             for k in closure:
-                for c, moves in k.moves.items():
+                for c, moves in trie.moves[k].items():
                     steps.setdefault(c, []).extend([m[2] for m in moves if m[3]])
-                for gloss, cont in k.complete:
+                for gloss, cont in trie.complete[k]:
                     if cont == TERMINAL:
                         ends = True
                     else:
@@ -502,7 +503,7 @@ class _Runtime:
         closure of its trie root (deletions and continuation jumps): surface
         char -> the children that consuming moves reach, and whether # is
         reached; memoized."""
-        tables = self.cover_classes
+        tables, roots = self.cover_classes, self.trie.roots
         table = tables.get(name)
         if table is not None:
             return table
@@ -513,7 +514,7 @@ class _Runtime:
         path = [name]
         while path:
             cls = path[-1]
-            conts = self.node_cover(self.tries[cls])[1]
+            conts = self.node_cover(roots[cls])[1]
             nxt = next((s for s in conts if s not in tables and s not in path), None)
             if nxt is not None:
                 path.append(nxt)
@@ -521,14 +522,14 @@ class _Runtime:
             path.pop()
             succ = [s for s in conts if s != cls]
             if all(s in tables for s in succ):
-                parts = [self.node_cover(self.tries[cls])] + [tables[s] for s in succ]
+                parts = [self.node_cover(roots[cls])] + [tables[s] for s in succ]
             else:
                 closure = [cls]
                 for k in closure:
-                    for s in self.node_cover(self.tries[k])[1]:
+                    for s in self.node_cover(roots[k])[1]:
                         if s not in closure:
                             closure.append(s)
-                parts = [self.node_cover(self.tries[k]) for k in closure]
+                parts = [self.node_cover(roots[k]) for k in closure]
             merged = {}
             for part in parts:
                 for c, children in part[0].items():
@@ -540,12 +541,12 @@ class _Runtime:
 
     def _front_type(self):
         """The array type code of a rules-off front's node numbers."""
-        return "H" if len(self.nodes) <= 1 << 16 else "I"
+        return "H" if len(self.trie.arcs) <= 1 << 16 else "I"
 
     def front_key(self, nodes):
         """The interned form of a rules-off front: the bytes of its trie
         nodes' numbers, sorted."""
-        return array(self._front_type(), sorted(node.num for node in nodes)).tobytes()
+        return array(self._front_type(), sorted(nodes)).tobytes()
 
     def step_front(self, fr, sid, code):
         """The id of the rules-off front that front sid of fr reaches on
@@ -554,13 +555,11 @@ class _Runtime:
         classes they complete; memoized in fr.trans.  Like the other memos
         it is filled without a lock: threads that race intern equal fronts."""
         c = self.code_chars[code]
-        nodes = self.nodes
         node_tables, node_cover = self.cover_nodes, self.node_cover
         class_tables, class_cover = self.cover_classes, self.class_cover
         nxt = set()
         classes = set()
-        for k in array(self._front_type(), fr.keys[sid]):
-            node = nodes[k]
+        for node in array(self._front_type(), fr.keys[sid]):
             steps, conts, _ = node_tables.get(node) or node_cover(node)
             if c in steps:
                 nxt.update(steps[c])
@@ -578,10 +577,9 @@ class _Runtime:
         path through the lexicon ends there, through its nodes' deletion
         closures and the classes they complete, else 0; memoized in
         fr.trans[sid][_END]."""
-        nodes = self.nodes
         ends = 0
-        for k in array(self._front_type(), fr.keys[sid]):
-            _, conts, here = self.node_cover(nodes[k])
+        for node in array(self._front_type(), fr.keys[sid]):
+            _, conts, here = self.node_cover(node)
             if here or any(self.class_cover(cls)[1] for cls in conts):
                 ends = sid
                 break
@@ -647,7 +645,7 @@ def analyze(surface, desc):
     return out
 
 
-def _search(rt, roots, codes, n, observe=None):
+def _search(rt, roots, codes, n, observe=None, start=None):
     """analyze's search, depth first in the order of a recursive one, on an
     explicit stack: (lexical, gloss) -> the pair ids of the first path
     found.  `codes` are the word's surface codes and a final 0.
@@ -655,45 +653,53 @@ def _search(rt, roots, codes, n, observe=None):
     leave in rt.vec_trans[vid] an entry for every move reading the state's
     code.  A jump into a (sublexicon, vector id) that the path has jumped
     into since its last consuming move closes a loop that reads no surface
-    character, and is cut: exactly, when the loop added no move and no
-    gloss; else DescriptionError names the sublexicon if a reading was
-    found (a word without one gets [] here as from the subset frontier)."""
+    character, and is cut.  Cutting a loop never removes every reading
+    through the state it returns to, so the cut is exact when the loop
+    added no move and no gloss.  Else the loop can run any number of times
+    before each reading through its state (sublexicon, vector id,
+    position), and DescriptionError names the sublexicon when a search
+    from that state alone (`start`, which checks no loop) finds a reading."""
     results = {}
-    loop = None       # the sublexicon of the first cut loop that added something
+    loops = {}        # the state of each cut loop that added something
     n_codes = rt.n_codes
     live_moves = rt.live_moves
-    tries = rt.tries
+    trie = rt.trie
+    root_of, lives, completes = trie.roots, trie.live, trie.complete
     # (node, vid, i, the moves as a (last, rest) list, the glosses, the jumps
     # since the last consuming move as a ((sublexicon, vid, moves, glosses), rest) list)
-    stack = [(tries[root], rt.init_vec, 0, None, "", None) for root in reversed(roots)]
+    if start is None:
+        stack = [(root_of[root], rt.init_vec, 0, None, "", None) for root in reversed(roots)]
+    else:
+        cont, vid, i = start
+        stack = [(root_of[cont], vid, i, None, "", ((cont, vid, None, ""), None))]
     pop, push = stack.pop, stack.append
     while stack:
         node, vid, i, moves, glosses, jumps = pop()
         while True:
             code = codes[i]
-            live = node.live.get(vid * n_codes + code)
+            live = lives[node].get(vid * n_codes + code)
             if live is None:
                 live = live_moves(node, vid, code)
             if observe is not None:
                 observe(node, vid, i, live)
-            if node.complete:
+            if completes[node]:
                 # the jumps come before the moves: all wait on the stack
                 for move in reversed(live):
                     push((move[2], move[4], i + move[3], (move, moves), glosses,
                           None if move[3] else jumps))
                 # a reading found here cannot also be found below a jump
                 # with other pairs, as every move adds a lexical symbol
-                for gloss, cont in reversed(node.complete):
+                for gloss, cont in reversed(completes[node]):
                     if cont != TERMINAL:
                         jumped = glosses + gloss
                         rest = jumps
                         while rest is not None and (rest[0][0] != cont or rest[0][1] != vid):
                             rest = rest[1]
                         if rest is None:
-                            push((tries[cont], vid, i, moves, jumped,
+                            push((root_of[cont], vid, i, moves, jumped,
                                   ((cont, vid, moves, jumped), jumps)))
-                        elif loop is None and (rest[0][2] is not moves or rest[0][3] != jumped):
-                            loop = cont
+                        elif rest[0][2] is not moves or rest[0][3] != jumped:
+                            loops[cont, vid, i] = None
                     elif i == n and rt.step_vec(vid, rt.end) is not None:
                         path, rest = [], moves
                         while rest is not None:
@@ -718,9 +724,12 @@ def _search(rt, roots, codes, n, observe=None):
                 i += 1
                 jumps = None
             moves = (move, moves)
-    if loop is not None and results:
-        raise DescriptionError("sublexicon %s is re-entered by a loop that reads no surface"
-                               " character but adds symbols or glosses" % loop)
+    if start is None and results:
+        for state in loops:
+            if _search(rt, roots, codes, n, start=state):
+                raise DescriptionError("sublexicon %s is re-entered by a loop that reads no"
+                                       " surface character but adds symbols or glosses"
+                                       % state[0])
     return results
 
 
@@ -775,7 +784,7 @@ def is_lexicon_path(lexical, desc):
     """True when the lexical symbol string spells a root-to-# lexicon path."""
     lexical = unicodedata.normalize("NFC", lexical)
     rt = runtime(desc)
-    tries = rt.tries
+    trie = rt.trie
     n = len(lexical)
     # Depth first: follow the arcs, stacking (sublexicon, position) for each
     # continuation passed on the way.  Only trie roots are reached in more
@@ -789,10 +798,10 @@ def is_lexicon_path(lexical, desc):
             continue
         seen.add(state)
         name, i = state
-        node = tries[name]
+        node = trie.roots[name]
         while node is not None:
-            if node.complete:
-                for gloss, cont in node.complete:
+            if trie.complete[node]:
+                for gloss, cont in trie.complete[node]:
                     if cont == TERMINAL:
                         if i == n:
                             return True
@@ -800,7 +809,7 @@ def is_lexicon_path(lexical, desc):
                         stack.append((cont, i))
             if i == n:
                 break
-            node = node.arcs.get(lexical[i])
+            node = trie.arcs[node].get(lexical[i])
             i += 1
     return False
 
@@ -931,7 +940,7 @@ def lexicon_covers(surface, desc):
     if fr is None:
         # threads that race build equal starts; each goes on with its own
         fr = _Frontier(b"")
-        fr.start = fr.intern(rt.front_key(rt.tries[root] for root in desc.lexicon.roots),
+        fr.start = fr.intern(rt.front_key(rt.trie.roots[root] for root in desc.lexicon.roots),
                              rt._lock)
         rt.covers = fr
     sid = fr.start
@@ -993,12 +1002,13 @@ def trace(word, direction, desc):
     else:
         n = len(word)
         codes = [rt.codes.get(c, 0) for c in word] + [0]
+        complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
 
         def observe(node, vid, i, live):
-            if i == n and any(cont == TERMINAL for _, cont in node.complete):
+            if i == n and any(cont == TERMINAL for _, cont in complete[node]):
                 end(n, vid)
             trans = rt.vec_trans[vid]
-            for _, pid, _, consumes in node.moves.get(rt.code_chars[codes[i]], node.dels):
+            for _, pid, _, consumes in moves[node].get(rt.code_chars[codes[i]], dels[node]):
                 if trans.get(pid) is None:
                     # a consuming pair covers surface position i
                     dead(i + consumes, vid, pid)

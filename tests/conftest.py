@@ -30,7 +30,7 @@ def make_description(rules_text, lexicon_text=None):
 
 def equivalent(a, b):
     """Decide L(a) == L(b) by emptiness of both difference products."""
-    return not any(dfalib.product(x, y, "difference").finals for x, y in ((a, b), (b, a)))
+    return not any(dfalib.product(x, y).finals for x, y in ((a, b), (b, a)))
 
 
 def gloss_reference(root, tags, desc):

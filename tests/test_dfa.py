@@ -27,37 +27,30 @@ def ids(alpha, text):
     return [alpha.id_of(ch, ch) for ch in text]
 
 
-def test_intersect_matches_bruteforce(env):
-    decls, alpha = env
-    a = compile_(env, "a*")
-    b = compile_(env, "a a a")
-    inter = dfalib.product(a, b, "intersect")
-    # brute-force membership over all strings of length <= 5
-    for L in range(6):
-        for w in itertools.product(list(alpha.all_ids()), repeat=L):
-            want = a.accepts(w) and b.accepts(w)
-            assert inter.accepts(w) == want
-
-
 def test_minimize_idempotent(env):
     a = compile_(env, "[a | b] [a | b] c*")
     m = dfalib.minimize(a)
     assert dfalib.minimize(m).n_states == m.n_states
 
 
-def test_complement_involution(env):
-    a = compile_(env, "a [b c]* (a)")
-    assert equivalent(dfalib.complement(dfalib.complement(a)), a)
+def words_upto(alpha, length):
+    """Every pair string of at most `length` pairs, the boundary left out."""
+    pids = list(alpha.all_ids())
+    return [w for n in range(length + 1) for w in itertools.product(pids, repeat=n)]
 
 
 def test_union_difference(env):
     decls, alpha = env
-    a = compile_(env, "a b")
+    a = compile_(env, "a b | a c")
     b = compile_(env, "a c")
-    u = dfalib.product(a, b, "union")
-    assert u.accepts(ids(alpha, "ab")) and u.accepts(ids(alpha, "ac"))
-    d = dfalib.product(u, a, "difference")
-    assert d.accepts(ids(alpha, "ac")) and not d.accepts(ids(alpha, "ab"))
+    d = dfalib.product(a, b)
+    assert d.accepts(ids(alpha, "ab")) and not d.accepts(ids(alpha, "ac"))
+    assert not dfalib.product(b, a).finals
+    # brute-force membership of the difference
+    for x, y in ((a, b), (b, a), (a, a)):
+        d = dfalib.product(x, y)
+        for w in words_upto(alpha, 5):
+            assert d.accepts(w) == (x.accepts(w) and not y.accepts(w))
 
 
 def test_alphabet_mismatch_rejected(env):
@@ -67,7 +60,12 @@ def test_alphabet_mismatch_rejected(env):
     a = compile_(env, "a")
     b = dfalib.compile_regex(rx.parse_pair_regex("a", other_decls), other, other_decls)
     with pytest.raises(dfalib.AlphabetError):
-        dfalib.product(a, b, "intersect")
+        dfalib.product(a, b)
+    with pytest.raises(dfalib.AlphabetError):
+        dfalib.product(b, a)
+    # the same alphabet passes
+    d = dfalib.product(a, compile_(env, "b"))
+    assert all(d.accepts(w) == a.accepts(w) for w in words_upto(alpha, 3))
 
 
 def _random_dfa(rng, alpha, n_states=5):
@@ -87,19 +85,16 @@ def _random_dfa(rng, alpha, n_states=5):
 def test_random_dfa_properties(env):
     decls, alpha = env
     rng = random.Random(7)
-    words = []
-    pids = list(alpha.all_ids())
-    for L in range(5):
-        words.extend(itertools.product(pids, repeat=L))
+    words = words_upto(alpha, 4)
     for _ in range(80):
         a = _random_dfa(rng, alpha)
         b = _random_dfa(rng, alpha)
         m = dfalib.minimize(a)
         assert equivalent(a, m)
         assert dfalib.minimize(m).n_states == m.n_states
-        lhs = dfalib.complement(dfalib.product(a, b, "union"))
-        rhs = dfalib.product(dfalib.complement(a), dfalib.complement(b), "intersect")
-        assert equivalent(lhs, rhs)
+        d = dfalib.product(a, b)
+        for w in words:
+            assert d.accepts(w) == (a.accepts(w) and not b.accepts(w))
         for w in rng.sample(words, 25):
             assert m.accepts(w) == a.accepts(w)
 

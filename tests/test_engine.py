@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import random
 import re
 import sys
@@ -484,45 +485,57 @@ def search_reference(surface, desc):
     then its moves, each followed by all states below it).  A jump into a
     (sublexicon, vector id) that the path has jumped into since its last
     consuming move is cut; when the loop added symbols or glosses and a
-    reading is found, DescriptionError is raised.  The closing boundary is
-    tested by stepping each automaton on its own."""
+    search from the state it returns to finds a reading, DescriptionError
+    is raised.  The closing boundary is tested by stepping each automaton
+    on its own."""
     rt = engine.runtime(desc)
+    trie = rt.trie
     n = len(surface)
-    results = {}
-    order = []
-    loops = []
-    lex_acc, pid_acc, gloss_acc = [], [], []
 
-    def rec(node, vid, i, jumped):
-        # jumped: (sublexicon, vector id) -> (symbols, glosses) at the jump
-        order.append((node, vid, i))
-        for gloss, cont in node.complete:
-            if cont == TERMINAL:
-                if i == n and not closing_rejecters(rt, vid):
-                    key = ("".join(lex_acc), "".join(gloss_acc) + gloss)
-                    results.setdefault(key, tuple(pid_acc))
-                continue
-            gloss_acc.append(gloss)
-            mark = (len(lex_acc), "".join(gloss_acc))
-            if (cont, vid) not in jumped:
-                rec(rt.tries[cont], vid, i, {**jumped, (cont, vid): mark})
-            elif jumped[cont, vid] != mark:
-                loops.append(cont)
-            gloss_acc.pop()
-        for sym, pid, child, consumes in (node.moves.get(surface[i], node.dels)
-                                          if i < n else node.dels):
-            nvid = rt.step_vec(vid, pid)
-            if nvid is not None:
-                lex_acc.append(sym)
-                pid_acc.append(pid)
-                rec(child, nvid, i + consumes, {} if consumes else jumped)
-                lex_acc.pop()
-                pid_acc.pop()
+    def search(start):
+        results = {}
+        order = []
+        loops = []
+        lex_acc, pid_acc, gloss_acc = [], [], []
 
-    for root in desc.lexicon.roots:
-        rec(rt.tries[root], rt.init_vec, 0, {})
-    if loops and results:
-        raise engine.DescriptionError("sublexicon %s" % loops[0])
+        def rec(node, vid, i, jumped):
+            # jumped: (sublexicon, vector id) -> (symbols, glosses) at the jump
+            order.append((node, vid, i))
+            for gloss, cont in trie.complete[node]:
+                if cont == TERMINAL:
+                    if i == n and not closing_rejecters(rt, vid):
+                        key = ("".join(lex_acc), "".join(gloss_acc) + gloss)
+                        results.setdefault(key, tuple(pid_acc))
+                    continue
+                gloss_acc.append(gloss)
+                mark = (len(lex_acc), "".join(gloss_acc))
+                if (cont, vid) not in jumped:
+                    rec(trie.roots[cont], vid, i, {**jumped, (cont, vid): mark})
+                elif jumped[cont, vid] != mark:
+                    loops.append((cont, vid, i))
+                gloss_acc.pop()
+            for sym, pid, child, consumes in (trie.moves[node].get(surface[i], trie.dels[node])
+                                              if i < n else trie.dels[node]):
+                nvid = rt.step_vec(vid, pid)
+                if nvid is not None:
+                    lex_acc.append(sym)
+                    pid_acc.append(pid)
+                    rec(child, nvid, i + consumes, {} if consumes else jumped)
+                    lex_acc.pop()
+                    pid_acc.pop()
+
+        if start is None:
+            for root in desc.lexicon.roots:
+                rec(trie.roots[root], rt.init_vec, 0, {})
+        else:
+            cont, vid, i = start
+            rec(trie.roots[cont], vid, i, {(cont, vid): (0, "")})
+        return results, order, loops
+
+    results, order, loops = search(None)
+    for state in loops:
+        if search(state)[0]:
+            raise engine.DescriptionError("sublexicon %s" % state[0])
     return sorted((lex, gloss, pids) for (lex, gloss), pids in results.items()), order
 
 
@@ -575,7 +588,7 @@ def test_live_moves_are_bounded():
         engine.analyze(w, desc)
 
     def keys():
-        return {(id(node), key) for node in rt.nodes for key in node.live}
+        return {(node, key) for node, live in enumerate(rt.trie.live) for key in live}
 
     # characters that no pair realizes share code 0 with the end of the
     # word; NFC composes "evde\u0301" into "evd\u00e9", whose unknown
@@ -592,6 +605,65 @@ def test_live_moves_are_bounded():
     assert rt.n_codes == len({s for s in rt.surf if s != NULL}) + 1
     bound = len(rt.vec_list) * rt.n_codes
     assert 0 < len(before) and all(0 <= key < bound for _, key in before)
+
+
+def composed_states(rt):
+    """Every (trie node, vector id) state that the lexicon's moves and
+    continuation jumps reach from the roots: the states of the lexicon
+    composed with the rule automata."""
+    trie = rt.trie
+    seen = {(trie.roots[root], rt.init_vec) for root in rt.lexicon.roots}
+    stack = list(seen)
+    while stack:
+        node, vid = stack.pop()
+        reached = [(trie.roots[cont], vid) for _, cont in trie.complete[node] if cont != TERMINAL]
+        for sym, child in trie.arcs[node].items():
+            for pid in rt.pairs_by_lex[sym]:
+                nvid = rt.step_vec(vid, pid)
+                if nvid is not None:
+                    reached.append((child, nvid))
+        for state in reached:
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return seen
+
+
+def test_the_lexicon_bounds_analyze_memory():
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    states = composed_states(rt)
+    vectors = len(rt.vec_list)
+    golden = sorted({c.surface for c in golden_suite()})
+    words = (perturbed_golden(desc, 10000, seed=79) + random_surfaces(desc, 10000, seed=83)
+             + [w[:k] + ch + w[k:] for ch in UNKNOWN_CHARS for w in golden[::8]
+                for k in (0, len(w) // 2, len(w))])
+    assert len(words) >= 20000
+    for w in words:
+        engine.analyze(w, desc)
+    # analyze steps vectors only along composed states, so it interns none
+    assert len(rt.vec_list) == vectors
+    # and it keeps live moves only for composed states and surface codes
+    n_codes = rt.n_codes
+    assert all((node, key // n_codes) in states
+               for node, live in enumerate(rt.trie.live) for key in live)
+    assert 0 < sum(map(len, rt.trie.live)) <= len(states) * n_codes
+
+
+def test_the_collector_never_sees_the_memos():
+    # a live move holds ints and strings alone, so a full collection
+    # untracks the memos and later collections never walk them
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    for w in sorted({c.surface for c in golden_suite()}) + perturbed_golden(desc, 200, seed=89):
+        engine.analyze(w, desc)
+        engine.trace(w, "analyze", desc)
+    gc.collect()
+    gc.collect()
+    lives = rt.trie.live
+    assert sum(map(len, lives)) > 0
+    assert not any(gc.is_tracked(live) for live in lives)
+    assert not any(gc.is_tracked(moves) for live in lives for moves in live.values())
 
 
 def test_frontier_sends_unknown_characters_to_the_empty_set():
@@ -639,7 +711,8 @@ def covers_reference(surface, desc):
     following every deletion, consuming move and continuation jump."""
     rt = engine.runtime(desc)
     n = len(surface)
-    stack = [(rt.tries[root], 0) for root in desc.lexicon.roots]
+    trie = rt.trie
+    stack = [(trie.roots[root], 0) for root in desc.lexicon.roots]
     seen = set()
     while stack:
         state = stack.pop()
@@ -647,14 +720,14 @@ def covers_reference(surface, desc):
             continue
         seen.add(state)
         node, i = state
-        for gloss, cont in node.complete:
+        for gloss, cont in trie.complete[node]:
             if cont == TERMINAL:
                 if i == n:
                     return True
             else:
-                stack.append((rt.tries[cont], i))
-        for _, _, child, consumes in (node.moves.get(surface[i], node.dels)
-                                      if i < n else node.dels):
+                stack.append((trie.roots[cont], i))
+        for _, _, child, consumes in (trie.moves[node].get(surface[i], trie.dels[node])
+                                      if i < n else trie.dels[node]):
             stack.append((child, i + consumes))
     return False
 
@@ -827,6 +900,21 @@ def test_search_rejects_a_loop_that_adds_symbols_or_glosses(lexicon):
         search_reference("a", desc)
 
 
+def test_search_raises_only_when_a_reading_passes_the_loop():
+    from conftest import make_description
+    # the +G loop of A adds a gloss, but the only reading of a goes through B
+    desc = make_description(CYCLE_RULES, "LEXICON Root\n:0 A ;\n:0 B ;\n"
+                                         "LEXICON A\n+G:0 A ;\n:b # ;\nLEXICON B\n:a # ;\n")
+    assert lexicals(engine.analyze("a", desc)) == [("a", "")]
+    assert [g[:2] for g in search_reference("a", desc)[0]] == [("a", "")]
+    assert engine.trace("a", "analyze", desc).outcome.accepted
+    for call in (lambda: engine.analyze("b", desc), lambda: engine.trace("b", "analyze", desc),
+                 lambda: search_reference("b", desc)):
+        with pytest.raises(engine.DescriptionError, match="sublexicon A"):
+            call()
+    assert engine.analyze("c", desc) == [] and search_reference("c", desc)[0] == []
+
+
 def test_search_follows_a_loop_until_the_rules_break_it_off():
     from conftest import make_description
     # no two deletions of '-' in a row: the path jumps back into A once, with
@@ -851,9 +939,9 @@ def test_cover_tables_are_bounded(turkish):
     for w in perturbed_golden(desc, 300, seed=29):
         engine.lexicon_covers(w, desc)
     rt = engine.runtime(desc)
-    nodes = list(rt.tries.values())
+    nodes = list(rt.trie.roots.values())
     for node in nodes:
-        nodes.extend(node.arcs.values())
+        nodes.extend(rt.trie.arcs[node].values())
     assert 0 < len(rt.cover_nodes) <= len(nodes)
     assert 0 < len(rt.cover_classes) <= len(desc.lexicon.sublexicons)
 
