@@ -7,6 +7,8 @@ marking an optional slot.  Long-distance agreement (plural stems take only
 plural present-tense person suffixes, the negative aorist -z needs -mA, a
 compound suffix reopens -(E)r) is encoded by state duplication, which is
 why the anchors come in singular/plural and plain/NEG/NEG+ABIL flavours.
+Past an anchor a state is named by the class sequences left to read from
+it, so anchors that reach the same tail share one sublexicon.
 
 build_lexicon_text() emits the whole grammar in lexicon file syntax; the
 committed data file is its frozen output and a test keeps them in sync.
@@ -112,22 +114,23 @@ _TOKEN_ALIASES = {
 }
 
 
-def _term_tokens(term):
-    """Expand one term into the list of (class name, optional) slots."""
-    out = []
+def _sequences(term):
+    """The concrete class sequences of one term: each optional slot taken,
+    then left out."""
+    seqs = [()]
     for tok in term.split():
         if tok in _TOKEN_ALIASES:
-            out.append((_TOKEN_ALIASES[tok], True))
+            seqs = [t for s in seqs for t in (s + (_TOKEN_ALIASES[tok],), s)]
         else:
-            out.append((tok, False))
-    return out
+            seqs = [s + (tok,) for s in seqs]
+    return seqs
 
 
 class _Grammar:
     def __init__(self):
         self.sublex = {}     # name -> list of (gloss, form, cont)
         self.order = []
-        self.counter = {}
+        self.tails = {}      # frozenset of class sequences left to read -> name
 
     def lexicon(self, name):
         if name not in self.sublex:
@@ -135,10 +138,15 @@ class _Grammar:
             self.order.append(name)
         return name
 
-    def fresh(self, prefix):
-        n = self.counter.get(prefix, 0) + 1
-        self.counter[prefix] = n
-        return self.lexicon("%s_%d" % (prefix, n))
+    def tail(self, left):
+        """The state from which exactly the class sequences `left` are left
+        to read: # when only the empty one is, else one sublexicon shared by
+        every anchor that reaches it, named by its index in the table."""
+        if left == {()}:
+            return "#"
+        if left not in self.tails:
+            self.tails[left] = self.lexicon("Tail%d" % (len(self.tails) + 1))
+        return self.tails[left]
 
     def entry(self, state, gloss, form, cont):
         self.lexicon(state)
@@ -157,41 +165,23 @@ class _Grammar:
         self.entry(state, "", "0", cont)
 
 
-def _add_terms(g, anchor, terms, prefix):
-    """Compile term strings into a prefix-shared chain of sublexicons."""
-    # node key: tuple of consumed class names -> state name
-    nodes = {(): anchor}
-
-    def node_for(path):
-        if path not in nodes:
-            nodes[path] = g.fresh(prefix)
-        return nodes[path]
-
+def _add_terms(g, anchor, terms):
+    """Compile term strings into the states past `anchor`, each named by the
+    class sequences left to read from it (g.tail), so that anchors share
+    their tails and each distinct tail is one sublexicon."""
+    seqs = [(term, seq) for term in terms for seq in _sequences(term)]
     coverage = []
-    for term in terms:
+    for term, seq in seqs:
         if not term:
-            g.accept(anchor)
-            coverage.append((anchor, "(accept)", term or "(empty)"))
-            continue
-        slots = _term_tokens(term)
-        # expand optional slots into all concrete sequences
-        seqs = [[]]
-        for cname, optional in slots:
-            nxt = []
-            for s in seqs:
-                nxt.append(s + [cname])
-                if optional:
-                    nxt.append(list(s))
-            seqs = nxt
-        for seq in seqs:
-            path = ()
-            for cname in seq:
-                src = node_for(path)
-                path = path + (cname,)
-                dst = node_for(path)
-                g.add_class(src, cname, dst)
-                coverage.append((src, cname, term))
-            g.accept(node_for(path))
+            coverage.append((anchor, "(accept)", "(empty)"))
+        state = anchor
+        for k, cname in enumerate(seq, 1):
+            dst = g.tail(frozenset(s[k:] for _, s in seqs if s[:k] == seq[:k]))
+            g.add_class(state, cname, dst)
+            coverage.append((state, cname, term))
+            state = dst
+        if state != "#":
+            g.accept(state)
     return coverage
 
 
@@ -220,12 +210,12 @@ def build_grammar():
     g.add_class("NCase1", "REL", "NRel"); note("NCase1", "REL", "F_Ni: D1 e (recursive)")
     g.add_class("NRel", "PLU", "NRelPlu"); note("NRel", "PLU", "F_Ni: E b D")
 
-    cov += _add_terms(g, "NInfl", NOM_SG_PRED, "NPredS")
-    cov += _add_terms(g, "NPossS", NOM_SG_PRED, "NPredS2")
-    cov += _add_terms(g, "NPlu", NOM_PLU_PRED, "NPredP")
-    cov += _add_terms(g, "NPossP", NOM_PLU_PRED, "NPredP2")
-    cov += _add_terms(g, "NCase1", NOM_CASE_PRED, "NPredC1")
-    cov += _add_terms(g, "NCase3", NOM_CASE_PRED, "NPredC3")
+    cov += _add_terms(g, "NInfl", NOM_SG_PRED)
+    cov += _add_terms(g, "NPossS", NOM_SG_PRED)
+    cov += _add_terms(g, "NPlu", NOM_PLU_PRED)
+    cov += _add_terms(g, "NPossP", NOM_PLU_PRED)
+    cov += _add_terms(g, "NCase1", NOM_CASE_PRED)
+    cov += _add_terms(g, "NCase3", NOM_CASE_PRED)
 
     # pronouns: case only; kendi also takes the third person possessive
     for cname, dst in (("CASE1", "NCase1"), ("CASE2", "NAcc"), ("CASE3", "NCase3")):
@@ -234,42 +224,39 @@ def build_grammar():
     g.add_class("PronK1", "P3POSS", "NPossS"); note("PronK1", "P3POSS", "kendi + POSS3s")
 
     # ---- verbal voice (F_D1) -----------------------------------------------
-    for s in ("VoiceT", "VoiceI", "VStem", "VStemNeg", "VStemNegAbil", "VStemAbil"):
+    # Both bases lead into the states after a reciprocal or reflexive (VRecp)
+    # and after one, two and three causatives (VCaus1-3).
+    for s in ("VoiceT", "VoiceI", "VRecp", "VCaus1", "VCaus2", "VCaus3",
+              "VStem", "VStemNeg", "VStemNegAbil", "VStemAbil"):
         g.lexicon(s)
 
-    def voice_chain(base, prefix, caus_first):
-        """base + optional recp/refl + causative chain + optional passive."""
-        tb = g.fresh(prefix + "B")
-        tc1 = g.fresh(prefix + "C")
-        tc1d = g.fresh(prefix + "CD")
-        tc1de = g.fresh(prefix + "CDE")
-        tbc = g.fresh(prefix + "BC")
-        tbcd = g.fresh(prefix + "BCD")
-        tbcde = g.fresh(prefix + "BCDE")
-        g.add_class(base, "RECP", tb); note(base, "RECP", "F_D1: B1")
+    def voice_base(base, caus_first):
+        """base + optional recp/refl or causative + optional passive."""
+        g.add_class(base, "RECP", "VRecp"); note(base, "RECP", "F_D1: B1")
         if caus_first == "CAUST":
-            g.add_class(base, "REFL", tb); note(base, "REFL", "F_D1a: B2")
-        g.add_class(base, caus_first, tc1); note(base, caus_first, "F_D1: T")
-        g.add_class(tc1, "CAUSA", tc1d); note(tc1, "CAUSA", "F_D1: T + D")
-        g.add_class(tc1d, "CAUSI", tc1de); note(tc1d, "CAUSI", "F_D1: T + D + E")
-        g.add_class(tb, "CAUST2", tbc); note(tb, "CAUST2", "F_D1: (B1+B2) t2")
-        g.add_class(tbc, "CAUSA", tbcd); note(tbc, "CAUSA", "F_D1: B t2 + D")
-        g.add_class(tbcd, "CAUSI", tbcde); note(tbcd, "CAUSI", "F_D1: B t2 + D + E")
-        for st in (base, tb, tc1, tc1d, tc1de, tbc, tbcd, tbcde):
-            g.add_class(st, "PASS", "VStem"); note(st, "PASS", "F_D1: f1")
-            g.link(st, "VStem")
+            g.add_class(base, "REFL", "VRecp"); note(base, "REFL", "F_D1a: B2")
+        g.add_class(base, caus_first, "VCaus1"); note(base, caus_first, "F_D1: T")
+        g.add_class(base, "PASS", "VStem"); note(base, "PASS", "F_D1: f1")
+        g.link(base, "VStem")
         g.add_class(base, "PASS2", "VStem"); note(base, "PASS2", "F_D1: f2")
 
-    voice_chain("VoiceT", "VT", "CAUST")
-    voice_chain("VoiceI", "VI", "CAUST2")
+    voice_base("VoiceT", "CAUST")
+    voice_base("VoiceI", "CAUST2")
+    g.add_class("VCaus1", "CAUSA", "VCaus2"); note("VCaus1", "CAUSA", "F_D1: T + D")
+    note("VCaus1", "CAUSA", "F_D1: B t2 + D")
+    g.add_class("VCaus2", "CAUSI", "VCaus3"); note("VCaus2", "CAUSI", "F_D1: T + D + E")
+    note("VCaus2", "CAUSI", "F_D1: B t2 + D + E")
+    g.add_class("VRecp", "CAUST2", "VCaus1"); note("VRecp", "CAUST2", "F_D1: (B1+B2) t2")
+    for st in ("VRecp", "VCaus1", "VCaus2", "VCaus3"):
+        g.add_class(st, "PASS", "VStem"); note(st, "PASS", "F_D1: f1")
+        g.link(st, "VStem")
 
     # ---- F_D2 and the aorist length dependency ------------------------------
     g.accept("VStem")                      # bare stem: imperative 2nd singular
     g.add_class("VStem", "N2", "#"); note("VStem", "N2", "F_Vi4: n2")
     g.add_class("VStem", "NEG", "VStemNeg"); note("VStem", "NEG", "F_D2: h")
-    abil_g = g.fresh("VAbil")
-    g.add_class("VStem", "ABIL1", abil_g); note("VStem", "ABIL1", "F_D2: g (needs -mA)")
-    g.add_class(abil_g, "NEG", "VStemNeg"); note(abil_g, "NEG", "F_D2: gH")
+    g.add_class("VStem", "ABIL1", "VAbil"); note("VStem", "ABIL1", "F_D2: g (needs -mA)")
+    g.add_class("VAbil", "NEG", "VStemNeg"); note("VAbil", "NEG", "F_D2: gH")
     g.add_class("VStem", "ABIL2", "VStemAbil"); note("VStem", "ABIL2", "F_D2: i")
     g.add_class("VStemNeg", "ABIL2", "VStemNegAbil"); note("VStemNeg", "ABIL2", "F_D2: (h+gH) i")
 
@@ -291,12 +278,12 @@ def build_grammar():
         for j in js:
             g.add_class(st, j, jstates[j]); note(st, j, "F_Vi/F_Vi5: %s after %s" % (j, st))
 
-    cov += _add_terms(g, "VJ1", VERB_J1_TAIL, "VJ1T")
-    cov += _add_terms(g, "VJ2D", VERB_J2D_TAIL, "VJ2DT")
-    cov += _add_terms(g, "VJ2S", VERB_J2S_TAIL, "VJ2ST")
-    cov += _add_terms(g, "VJ3", VERB_J3_TAIL, "VJ3T")
-    cov += _add_terms(g, "VJ4", VERB_J4_TAIL, "VJ4T")
-    cov += _add_terms(g, "VJ5", VERB_J5_TAIL, "VJ5T")
+    cov += _add_terms(g, "VJ1", VERB_J1_TAIL)
+    cov += _add_terms(g, "VJ2D", VERB_J2D_TAIL)
+    cov += _add_terms(g, "VJ2S", VERB_J2S_TAIL)
+    cov += _add_terms(g, "VJ3", VERB_J3_TAIL)
+    cov += _add_terms(g, "VJ4", VERB_J4_TAIL)
+    cov += _add_terms(g, "VJ5", VERB_J5_TAIL)
     return g, cov
 
 

@@ -121,7 +121,7 @@ def test_compile_reports(capsys, monkeypatch):
         "feasible pairs: 136",
         "ground rules: 124",
         "constraint automata: 198 (1841 states)",
-        "sublexicons: 372",
+        "sublexicons: 59",
     ]
     assert re.fullmatch(r"compile time: \d+\.\d{3}s", lines[4])
     assert re.fullmatch(r"largest automaton: 74 states \(.*23\.SIV-DELETION.*\)", lines[5])

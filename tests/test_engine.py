@@ -648,6 +648,21 @@ def test_the_lexicon_bounds_analyze_memory():
     assert all((node, key // n_codes) in states
                for node, live in enumerate(rt.trie.live) for key in live)
     assert 0 < sum(map(len, rt.trie.live)) <= len(states) * n_codes
+    # and its frontier interns only subsets of the complete determinization
+    # of the lexicon composed with the rules, from the same start set
+    fr = rt.frontier
+    subsets = {fr.keys[0], fr.keys[fr.start]}
+    stack = [fr.keys[fr.start]]
+    while stack:
+        subset = stack.pop()
+        for code in range(1, n_codes):
+            reached = {(m[2], m[4]) for node, vid in subset
+                       for m in rt.live_moves(node, vid, code) if m[3]}
+            nxt = rt._closure(reached)
+            if nxt not in subsets:
+                subsets.add(nxt)
+                stack.append(nxt)
+    assert len(fr.keys) > 1 and set(fr.keys) <= subsets
 
 
 def test_the_collector_never_sees_the_memos():

@@ -1,11 +1,13 @@
 import fnmatch
+import hashlib
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from twolevel import engine, turkish as tk
+from twolevel import engine, enumerate_paths, turkish as tk
 from twolevel.turkish import golden_suite, load_turkish, run_suite
+from twolevel.turkish import morphotactics as mt
 from twolevel.turkish.morphotactics import build_coverage_text, build_lexicon_text
 from twolevel.turkish.syllabify import SyllabifyError, syllabify_first
 
@@ -47,6 +49,17 @@ def test_where_expansion_counts(turkish):
     assert len(by_name["22.SIC-DELETION (n,s,y):0"]) == 3
     assert len(by_name["23.SIV-DELETION (H,A,E):0"]) == 3
     assert len(by_name["24.Lexeme-final vowel replaced by the -Hyor vowel"]) == 11
+
+
+def test_bundled_lexicon_language_is_pinned(turkish):
+    # the lexical strings and glosses of every path of up to four morphemes;
+    # a change to how the suffix grammar is compiled must keep them
+    paths = enumerate_paths(turkish.lexicon, 4)
+    assert len(paths) == 244546
+    digest = hashlib.sha256("\n".join("%s\t%s" % p for p in paths).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "cc00db9d67794947468266f437ee3393ecb9fc5797b2a542b05a6fb54570e42b")
+    assert turkish.lexicon.unreachable() == []
 
 
 def test_suffix_grammar_file_is_fresh():
@@ -119,6 +132,18 @@ def test_coverage_matrix_is_fresh():
     # every formula class named in the matrix maps to at least one edge
     rows = [r for r in committed.splitlines() if r and not r.startswith("#")]
     assert len(rows) > 100
+
+
+def test_coverage_matrix_covers_every_tail_term():
+    # each class of each term of a tail table labels some edge of the matrix
+    covered = {tuple(r.split("\t")[1:]) for r in build_coverage_text().splitlines()
+               if r and not r.startswith("#")}
+    tables = (mt.NOM_SG_PRED, mt.NOM_PLU_PRED, mt.NOM_CASE_PRED, mt.VERB_J1_TAIL,
+              mt.VERB_J2D_TAIL, mt.VERB_J2S_TAIL, mt.VERB_J3_TAIL, mt.VERB_J4_TAIL,
+              mt.VERB_J5_TAIL)
+    for term in {t for table in tables for t in table}:
+        for tok in term.split():
+            assert (mt._TOKEN_ALIASES.get(tok, tok), term) in covered, (tok, term)
 
 
 def test_syllabify_examples():
