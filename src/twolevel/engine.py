@@ -8,7 +8,6 @@ continuation jumps without reading a surface character is cut (_search).
 
 import threading
 import unicodedata
-from array import array
 from dataclasses import dataclass, field
 
 from . import rules as rulemod
@@ -182,7 +181,7 @@ class _Frontier(_Table):
     deletions and continuation jumps, and only words without a reading
     extend it (_Runtime.extend_frontier).  The rules-off front of
     lexicon_covers (_Runtime.covers) interns sets of trie nodes as the
-    bytes of their sorted numbers (_Runtime.front_key)."""
+    tuples of their sorted numbers."""
     __slots__ = ("start",)
 
     def __init__(self, empty=frozenset()):
@@ -319,12 +318,11 @@ class _Runtime:
 
         self.pair_names = [alphabet.name_of(pid) for pid in range(self.frame_id + 1)]
         # Closure tables of the rules-off search (lexicon_covers), filled on
-        # first use; at most one per trie node and one per sublexicon.
+        # first use; at most one per trie node.
         # Like the other memos they are filled without a lock: two threads
         # may compute one table at once, but both results are equal, so
         # either may win.
         self.cover_nodes = {}     # trie node -> node_cover(node)
-        self.cover_classes = {}   # sublexicon name -> class_cover(name)
         self.covers = None        # _Frontier of rules-off fronts, built by the first lexicon_covers
 
         # The frontier is its own object rather than five more attributes
@@ -498,91 +496,40 @@ class _Runtime:
                 {c: tuple(children) for c, children in steps.items()}, tuple(classes), ends)
         return table
 
-    def class_cover(self, name):
-        """The rules-off table of a continuation class, over the full
-        closure of its trie root (deletions and continuation jumps): surface
-        char -> the children that consuming moves reach, and whether # is
-        reached; memoized."""
-        tables, roots = self.cover_classes, self.trie.roots
-        table = tables.get(name)
-        if table is not None:
-            return table
-        # Depth first, so that a class's table is built after those of the
-        # classes its root completes: its root's table merged with theirs.
-        # A class that completes one of its ancestors on the path lies on a
-        # cycle; it merges the root tables of its whole closure instead.
-        path = [name]
-        while path:
-            cls = path[-1]
-            conts = self.node_cover(roots[cls])[1]
-            nxt = next((s for s in conts if s not in tables and s not in path), None)
-            if nxt is not None:
-                path.append(nxt)
-                continue
-            path.pop()
-            succ = [s for s in conts if s != cls]
-            if all(s in tables for s in succ):
-                parts = [self.node_cover(roots[cls])] + [tables[s] for s in succ]
-            else:
-                closure = [cls]
-                for k in closure:
-                    for s in self.node_cover(roots[k])[1]:
-                        if s not in closure:
-                            closure.append(s)
-                parts = [self.node_cover(roots[k]) for k in closure]
-            merged = {}
-            for part in parts:
-                for c, children in part[0].items():
-                    merged.setdefault(c, []).append(children)
-            # part[-1] is the ends flag of node and class tables alike
-            tables[cls] = ({c: tuple(set().union(*kids)) for c, kids in merged.items()},
-                           any(part[-1] for part in parts))
-        return tables[name]
-
-    def _front_type(self):
-        """The array type code of a rules-off front's node numbers."""
-        return "H" if len(self.trie.arcs) <= 1 << 16 else "I"
-
-    def front_key(self, nodes):
-        """The interned form of a rules-off front: the bytes of its trie
-        nodes' numbers, sorted."""
-        return array(self._front_type(), sorted(nodes)).tobytes()
+    def cover_tables(self, front):
+        """The node tables that a rules-off front reads: those of its
+        nodes, then those of the roots of the continuation classes that
+        these tables complete, transitively, each class once."""
+        node_tables, node_cover, roots = self.cover_nodes, self.node_cover, self.trie.roots
+        nodes = list(front)
+        seen = set()
+        for node in nodes:
+            table = node_tables.get(node) or node_cover(node)
+            yield table
+            for cls in table[1]:
+                if cls not in seen:
+                    seen.add(cls)
+                    nodes.append(roots[cls])
 
     def step_front(self, fr, sid, code):
         """The id of the rules-off front that front sid of fr reaches on
-        surface code `code` (not 0): the children of the consuming moves
-        from its nodes' node tables and from the class tables of the
-        classes they complete; memoized in fr.trans.  Like the other memos
-        it is filled without a lock: threads that race intern equal fronts."""
+        surface code `code` (not 0): the children of the consuming moves in
+        the node tables it reads (cover_tables); memoized in fr.trans.  Like
+        the other memos it is filled without a lock: threads that race
+        intern equal fronts."""
         c = self.code_chars[code]
-        node_tables, node_cover = self.cover_nodes, self.node_cover
-        class_tables, class_cover = self.cover_classes, self.class_cover
         nxt = set()
-        classes = set()
-        for node in array(self._front_type(), fr.keys[sid]):
-            steps, conts, _ = node_tables.get(node) or node_cover(node)
+        for steps, _, _ in self.cover_tables(fr.keys[sid]):
             if c in steps:
                 nxt.update(steps[c])
-            if conts:
-                classes.update(conts)
-        for cls in classes:
-            steps = (class_tables.get(cls) or class_cover(cls))[0]
-            if c in steps:
-                nxt.update(steps[c])
-        nid = fr.trans[sid][code] = fr.intern(self.front_key(nxt), self._lock) if nxt else 0
+        nid = fr.trans[sid][code] = fr.intern(tuple(sorted(nxt)), self._lock) if nxt else 0
         return nid
 
     def front_ends(self, fr, sid):
         """The end of the word from rules-off front sid of fr: sid when a
-        path through the lexicon ends there, through its nodes' deletion
-        closures and the classes they complete, else 0; memoized in
-        fr.trans[sid][_END]."""
-        ends = 0
-        for node in array(self._front_type(), fr.keys[sid]):
-            _, conts, here = self.node_cover(node)
-            if here or any(self.class_cover(cls)[1] for cls in conts):
-                ends = sid
-                break
+        path through the lexicon ends in one of the node tables it reads,
+        else 0; memoized in fr.trans[sid][_END]."""
+        ends = sid if any(table[2] for table in self.cover_tables(fr.keys[sid])) else 0
         fr.trans[sid][_END] = ends
         return ends
 
@@ -929,9 +876,11 @@ def lexicon_covers(surface, desc):
     time.  The fronts are interned in the runtime's rules-off _Frontier,
     with the front each surface code leads to and whether a path ends
     there, so the words of a batch that share a prefix step it once (lazy
-    determinization).  New transitions come from closure tables
-    (node_cover, class_cover) that depend on the lexicon alone: the nodes
-    reached without reading a character are never visited one by one.
+    determinization).  New transitions come from the closure tables of
+    trie nodes (node_cover), which depend on the lexicon alone: a front
+    reads those of its nodes and of the roots of the continuation classes
+    they complete (cover_tables), so the nodes reached without reading a
+    character are never visited one by one.
     A character that no pair realizes leads to the empty front, 0.
     """
     surface = unicodedata.normalize("NFC", surface)
@@ -939,8 +888,8 @@ def lexicon_covers(surface, desc):
     fr = rt.covers
     if fr is None:
         # threads that race build equal starts; each goes on with its own
-        fr = _Frontier(b"")
-        fr.start = fr.intern(rt.front_key(rt.trie.roots[root] for root in desc.lexicon.roots),
+        fr = _Frontier(())
+        fr.start = fr.intern(tuple(sorted(rt.trie.roots[root] for root in desc.lexicon.roots)),
                              rt._lock)
         rt.covers = fr
     sid = fr.start

@@ -666,19 +666,27 @@ def test_the_lexicon_bounds_analyze_memory():
 
 
 def test_the_collector_never_sees_the_memos():
-    # a live move holds ints and strings alone, so a full collection
-    # untracks the memos and later collections never walk them
+    # a live move holds ints and strings alone, and a rules-off front is a
+    # tuple of ints with a row of ints, so a full collection untracks the
+    # memos and later collections never walk them
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
-    for w in sorted({c.surface for c in golden_suite()}) + perturbed_golden(desc, 200, seed=89):
+    golden = sorted({c.surface for c in golden_suite()})
+    for w in golden + perturbed_golden(desc, 200, seed=89):
         engine.analyze(w, desc)
         engine.trace(w, "analyze", desc)
+    for w in golden:
+        engine.lexicon_covers(w, desc)
     gc.collect()
     gc.collect()
     lives = rt.trie.live
     assert sum(map(len, lives)) > 0
     assert not any(gc.is_tracked(live) for live in lives)
     assert not any(gc.is_tracked(moves) for live in lives for moves in live.values())
+    fr = rt.covers
+    assert len(fr.keys) > 2
+    assert not any(gc.is_tracked(key) for key in fr.keys)
+    assert not any(gc.is_tracked(row) for row in fr.trans)
 
 
 def test_frontier_sends_unknown_characters_to_the_empty_set():
@@ -958,7 +966,6 @@ def test_cover_tables_are_bounded(turkish):
     for node in nodes:
         nodes.extend(rt.trie.arcs[node].values())
     assert 0 < len(rt.cover_nodes) <= len(nodes)
-    assert 0 < len(rt.cover_classes) <= len(desc.lexicon.sublexicons)
 
 
 def test_rules_off_fronts_are_bounded():
