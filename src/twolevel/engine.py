@@ -4,6 +4,10 @@ The analyzer walks the lexicon trie and all rule automata in parallel over
 feasible pairs.  A load-time lint rejects insertion pairs (0:y), so every
 move reads a lexical symbol; a path that loops through deletions (x:0) and
 continuation jumps without reading a surface character is cut (_search).
+The lexicon composed with the rules is walked once, when the description
+is compiled or else when its runtime is built (_Runtime.walk), and the
+search takes no move into a state from which no final state can be
+reached.
 """
 
 import threading
@@ -69,10 +73,15 @@ class Description:
     ground_rules: list       # where-expanded source rules
     lexicon: object
     _runtime: object = field(default=None, repr=False)
+    # The trimmed composition (_Runtime.tables), set by compile_description;
+    # a Description built otherwise (dataclasses.replace included) has None,
+    # and its runtime walks the composition itself.
+    tables: object = field(default=None, init=False, repr=False)
 
 
 def compile_description(decls, ground_rules, lexicon, alphabet):
-    """Build a Description, running the load-time lints."""
+    """Build a Description, running the load-time lints, and walk the
+    lexicon composed with its rule automata once (_Runtime.walk)."""
     for lex, surf in alphabet.pairs:
         if lex.name == NULL:
             raise DescriptionError(
@@ -85,7 +94,9 @@ def compile_description(decls, ground_rules, lexicon, alphabet):
                 "lexicon symbol %r has no feasible pair" % sym.name
             )
     automata = rulemod.compile_check_set(ground_rules, alphabet, decls)
-    return Description(decls, alphabet, automata, ground_rules, lexicon)
+    desc = Description(decls, alphabet, automata, ground_rules, lexicon)
+    desc.tables = _Runtime(desc).tables
+    return desc
 
 
 def _lexicon_symbols(lexicon):
@@ -105,11 +116,12 @@ class _Trie:
     sequence; roots maps each sublexicon to its root.  Per node k: arcs[k]
     maps a lexical symbol to the child, complete[k] holds the (gloss,
     continuation) of the entries that end at k, moves[k] and dels[k] are
-    its surface index and live[k] its live-move memo (_Runtime.live_moves).
-    A move is (lexical symbol, pair id, child, consumes), so the tables
-    hold only ints, strings and tuples of them, which the cyclic collector
-    stops tracking."""
-    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live")
+    its surface index, and live[k] and traced[k] its memos of trimmed and
+    untrimmed live moves (_Runtime.live_moves; traced is None until the
+    first trace).  A move is (lexical symbol, pair id, child, consumes), so
+    the tables hold only ints, strings and tuples of them, which the cyclic
+    collector stops tracking."""
+    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live", "traced")
 
     def __init__(self, lexicon, pairs_by_lex, surf):
         self.roots = {}
@@ -138,6 +150,7 @@ class _Trie:
                                for c in {surf[m[1]] for m in every if m[3]}})
         # vid * n_codes + code -> the moves that survive the rules
         self.live = [{} for _ in self.arcs]
+        self.traced = None
 
     def add(self):
         """A new node's number."""
@@ -148,13 +161,18 @@ class _Trie:
 
 class _Table:
     """Interned keys, each with its id (its index in keys) and a memo row
-    of transitions (trans[id], filled by the owner)."""
+    of transitions (trans[id], filled by the owner); `keys` are interned
+    first, in order."""
     __slots__ = ("ids", "keys", "trans")
 
-    def __init__(self):
-        self.ids = {}                 # key -> id
-        self.keys = []
-        self.trans = []
+    def __init__(self, keys=()):
+        self.load(keys)
+
+    def load(self, keys):
+        """Drop every key and row, then intern `keys` in order."""
+        self.keys = list(keys)
+        self.ids = dict(zip(self.keys, range(len(self.keys))))   # key -> id
+        self.trans = [{} for _ in self.keys]
 
     def intern(self, key, lock):
         """The id of `key`; a new key gets its id and its row under `lock`,
@@ -247,9 +265,8 @@ class _Bundle(_Table):
         self.deltas = [[{**row, _END: q} if row.get(d.class_of[frame]) in d.finals else row
                         for q, row in enumerate(d.delta)] for d in dfas]
         joint = {}
-        self.of_pair = [joint.setdefault(tuple(d.class_of[pid] if pid <= frame else _END
-                                               for d in dfas), len(joint))
-                        for pid in range(frame + 2)]
+        self.of_pair = [joint.setdefault(classes, len(joint)) for classes in
+                        [*zip(*(d.class_of[:frame + 1] for d in dfas)), (_END,) * len(dfas)]]
         self.joint = list(joint)
         super().__init__()            # the tuples of states
 
@@ -289,21 +306,8 @@ class _Runtime:
         self.pairs_by_lex = {k: tuple(v) for k, v in alphabet.by_lex.items()}
 
         self._lock = threading.Lock()
-        # The interned rule vectors; every search reads their keys and
-        # rows, each in one attribute load.
-        self.vectors = _Table()
-        self.vec_list = self.vectors.keys
-        self.vec_trans = self.vectors.trans
         self.rule_names = [ra.name for ra in desc.rule_automata]
         self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
-        start = self.vectors.intern(tuple(b.intern(tuple(d.start for d in b.dfas), self._lock)
-                                          for b in self.bundles), self._lock)
-        self.init_vec = self.step_vec(start, self.frame_id)
-        if self.init_vec is None:
-            # every automaton compile_rule builds reads the opening
-            # boundary, so only a hand-built description gets here
-            raise DescriptionError("the opening boundary #:# kills rule(s) %s"
-                                   % ", ".join(self.rejecters(start, self.frame_id)))
 
         # Codes of the surface characters for live_moves: 0 stands for the
         # end of the word and for any character that no pair realizes, as
@@ -315,6 +319,11 @@ class _Runtime:
 
         self.trie = _Trie(desc.lexicon, self.pairs_by_lex, self.surf)
         self.lexicon = desc.lexicon
+        # The interned rule vectors; every search reads their keys and
+        # rows, each in one attribute load.
+        self.intern_tables(desc.tables)
+        if desc.tables is None:
+            self.intern_tables(self.walk())
 
         self.pair_names = [alphabet.name_of(pid) for pid in range(self.frame_id + 1)]
         # Closure tables of the rules-off search (lexicon_covers), filled on
@@ -351,21 +360,110 @@ class _Runtime:
         res = trans[pid] = self.vectors.intern(tuple(out), self._lock)
         return res
 
-    def live_moves(self, node, vid, code):
+    def intern_tables(self, tables):
+        """Start the bundle and vector tables afresh from `tables` (walk;
+        None: empty), their keys interned first, so that the ids are the
+        ones its live states name; then intern the start vector and step it
+        over the opening boundary (init_vec)."""
+        self.tables = tables
+        bundle_keys, vector_keys = tables[:2] if tables else ([()] * len(self.bundles), ())
+        for bundle, keys in zip(self.bundles, bundle_keys):
+            bundle.load(keys)
+        self.vectors = _Table(vector_keys)
+        self.vec_list = self.vectors.keys
+        self.vec_trans = self.vectors.trans
+        start = self.vectors.intern(tuple(b.intern(tuple(d.start for d in b.dfas), self._lock)
+                                          for b in self.bundles), self._lock)
+        self.init_vec = self.step_vec(start, self.frame_id)
+        if self.init_vec is None:
+            # every automaton compile_rule builds reads the opening
+            # boundary, so only a hand-built description gets here
+            raise DescriptionError("the opening boundary #:# kills rule(s) %s"
+                                   % ", ".join(self.rejecters(start, self.frame_id)))
+
+    def walk(self):
+        """The tables of the lexicon composed with the rule automata: the
+        keys of each bundle's tuples and of the vectors, the live states,
+        and the number of composed states.  A composed state is a (trie
+        node, vector id) state that the moves and continuation jumps reach
+        from the roots; it is live when they lead from it to a final state,
+        a node that completes an entry with # under a vector that accepts
+        the end of the word.  The walk runs forward over every composed
+        state, then backward from the final ones.  The tables keep the
+        start vector (id 0) and the vectors of the live states, and the
+        bundle tuples these hold, in the order the walk interned them; a
+        key's id is its index, and a state is the int vid * (number of trie
+        nodes) + node."""
+        trie, step_vec = self.trie, self.step_vec
+        roots, complete, n = trie.roots, trie.complete, len(trie.arcs)
+        seen = {self.init_vec * n + roots[root] for root in self.lexicon.roots}
+        stack = list(seen)
+        into = {}         # state -> the states with a move or a jump into it
+        live = set()      # the final states, then every state that reaches one
+        while stack:
+            state = stack.pop()
+            vid, node = divmod(state, n)
+            reached = [state - node + roots[cont] for _, cont in complete[node] if cont != TERMINAL]
+            if (any(cont == TERMINAL for _, cont in complete[node])
+                    and step_vec(vid, self.end) is not None):
+                live.add(state)
+            for sym, child in trie.arcs[node].items():
+                for pid in self.pairs_by_lex[sym]:
+                    nvid = step_vec(vid, pid)
+                    if nvid is not None:
+                        reached.append(nvid * n + child)
+            for nxt in reached:
+                into.setdefault(nxt, []).append(state)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        stack = list(live)
+        while stack:
+            for state in into.get(stack.pop(), ()):
+                if state not in live:
+                    live.add(state)
+                    stack.append(state)
+        # renumber the vectors kept and their bundle tuples in order
+        vids = sorted({0}.union(state // n for state in live))
+        columns = []
+        bundle_keys = []
+        for k, bundle in enumerate(self.bundles):
+            bids = sorted({self.vec_list[vid][k] for vid in vids})
+            new = dict(zip(bids, range(len(bids))))
+            bundle_keys.append([bundle.keys[b] for b in bids])
+            columns.append([new[self.vec_list[vid][k]] for vid in vids])
+        new = dict(zip(vids, range(len(vids))))
+        return (bundle_keys, list(zip(*columns)),
+                frozenset(new[state // n] * n + state % n for state in live), len(seen))
+
+    def live_moves(self, node, vid, code, trim=True):
         """The moves of trie node `node` that read surface code `code` (see
         codes) and that no rule automaton rejects from vector vid, as
         (lexical symbol, pair id, child, consumes, next vector id) in the
-        order of trie.moves[node]; memoized in trie.live[node].  Like the
-        other memos it is filled without a lock: threads that race build
+        order of trie.moves[node].  With trim, only the moves into live
+        states (walk) are kept, memoized in trie.live[node]; trace's search
+        keeps the others too, memoized in trie.traced[node].  Like the
+        other memos they are filled without a lock: threads that race build
         equal tuples."""
         trie = self.trie
+        live_states, n_nodes = self.tables[2], len(trie.arcs)
         live = []
         for move in trie.moves[node].get(self.code_chars[code], trie.dels[node]):
             nvid = self.step_vec(vid, move[1])
-            if nvid is not None:
+            if nvid is not None and (not trim or nvid * n_nodes + move[2] in live_states):
                 live.append(move + (nvid,))
-        live = trie.live[node][vid * self.n_codes + code] = tuple(live)
+        live = tuple(live)
+        (trie.live if trim else self.traced())[node][vid * self.n_codes + code] = live
         return live
+
+    def traced(self):
+        """trie.traced, made by the first call."""
+        trie = self.trie
+        if trie.traced is None:
+            with self._lock:
+                if trie.traced is None:
+                    trie.traced = [{} for _ in trie.arcs]
+        return trie.traced
 
     def _closure(self, states):
         """The set of (trie node, vector id) states `states` closed under
@@ -375,9 +473,11 @@ class _Runtime:
         `states` is extended in place.  The deletions are stepped through
         the vector transitions, not live_moves: a search has stepped them
         already, but from these states it looked up the live moves of the
-        next character only, and the frontier adds no live-move entries."""
+        next character only, and the frontier adds no live-move entries.
+        Like live_moves, it adds only live states."""
         step_vec, trie = self.step_vec, self.trie
         roots, moves, complete, dels = trie.roots, trie.moves, trie.complete, trie.dels
+        live_states, n_nodes = self.tables[2], len(moves)
         stack = list(states)
         while stack:
             node, vid = stack.pop()
@@ -392,7 +492,7 @@ class _Runtime:
                     if nvid is not None:
                         reached.append((child, nvid))
             for state in reached:
-                if state not in states:
+                if state not in states and state[1] * n_nodes + state[0] in live_states:
                     states.add(state)
                     stack.append(state)
         return frozenset(state for state in states if moves[state[0]] or complete[state[0]])
@@ -436,8 +536,9 @@ class _Runtime:
     def cache_sizes(self):
         """The sizes of the runtime's tables by name, in the order analyze
         --stats prints them: the keys and the transitions of each _Table,
-        and the live-move entries; the rules-off counts are 0 before the
-        first lexicon_covers."""
+        the live-move entries, trimmed and trace's, and the composed and
+        live states (walk); the rules-off and trace counts are 0 before the
+        first lexicon_covers and trace."""
         def keys(*tables):
             return sum(len(t.keys) for t in tables if t)
 
@@ -447,12 +548,15 @@ class _Runtime:
         return {"interned vectors": keys(self.vectors),
                 "vector transitions": rows(self.vectors),
                 "live-move entries": sum(map(len, self.trie.live)),
+                "trace move entries": sum(map(len, self.trie.traced or ())),
                 "frontier sets": keys(self.frontier),
                 "frontier transitions": rows(self.frontier),
                 "rules-off fronts": keys(self.covers),
                 "rules-off transitions": rows(self.covers),
                 "bundle states": keys(*self.bundles),
-                "bundle transitions": rows(*self.bundles)}
+                "bundle transitions": rows(*self.bundles),
+                "composed states": self.tables[3],
+                "live states": len(self.tables[2])}
 
     def rejecters(self, vid, pid):
         """Names of the rule automata that reject pair pid (the end of the
@@ -471,29 +575,24 @@ class _Runtime:
 
     def node_cover(self, node):
         """The rules-off table of a trie node, over the nodes its deletion
-        moves reach (itself included): surface char -> the children their
-        consuming moves reach, the continuation classes they complete, and
-        whether one of them completes with #; memoized."""
+        moves reach (itself included): surface code -> the children their
+        consuming moves reach, and code 0, the end of the word, -> the
+        continuation classes they complete, # among them when a path ends
+        there; memoized.  The table is a dict of tuples of ints or strings,
+        so a full collection untracks it."""
         table = self.cover_nodes.get(node)
         if table is None:
-            trie = self.trie
+            trie, codes = self.trie, self.codes
             # A trie node has one parent, so neither list repeats a node.
             closure = [node]
             for k in closure:
                 closure.extend(m[2] for m in trie.dels[k])
-            steps = {}
-            classes = {}
-            ends = False
+            steps = {0: {}}       # the classes as keys, each once, in order
             for k in closure:
                 for c, moves in trie.moves[k].items():
-                    steps.setdefault(c, []).extend([m[2] for m in moves if m[3]])
-                for gloss, cont in trie.complete[k]:
-                    if cont == TERMINAL:
-                        ends = True
-                    else:
-                        classes[cont] = None
-            table = self.cover_nodes[node] = (
-                {c: tuple(children) for c, children in steps.items()}, tuple(classes), ends)
+                    steps.setdefault(codes[c], []).extend([m[2] for m in moves if m[3]])
+                steps[0].update(dict.fromkeys(cont for _, cont in trie.complete[k]))
+            table = self.cover_nodes[node] = {code: tuple(v) for code, v in steps.items()}
         return table
 
     def cover_tables(self, front):
@@ -502,11 +601,11 @@ class _Runtime:
         these tables complete, transitively, each class once."""
         node_tables, node_cover, roots = self.cover_nodes, self.node_cover, self.trie.roots
         nodes = list(front)
-        seen = set()
+        seen = {TERMINAL}
         for node in nodes:
             table = node_tables.get(node) or node_cover(node)
             yield table
-            for cls in table[1]:
+            for cls in table[0]:
                 if cls not in seen:
                     seen.add(cls)
                     nodes.append(roots[cls])
@@ -517,11 +616,10 @@ class _Runtime:
         the node tables it reads (cover_tables); memoized in fr.trans.  Like
         the other memos it is filled without a lock: threads that race
         intern equal fronts."""
-        c = self.code_chars[code]
         nxt = set()
-        for steps, _, _ in self.cover_tables(fr.keys[sid]):
-            if c in steps:
-                nxt.update(steps[c])
+        for table in self.cover_tables(fr.keys[sid]):
+            if code in table:
+                nxt.update(table[code])
         nid = fr.trans[sid][code] = fr.intern(tuple(sorted(nxt)), self._lock) if nxt else 0
         return nid
 
@@ -529,7 +627,7 @@ class _Runtime:
         """The end of the word from rules-off front sid of fr: sid when a
         path through the lexicon ends in one of the node tables it reads,
         else 0; memoized in fr.trans[sid][_END]."""
-        ends = sid if any(table[2] for table in self.cover_tables(fr.keys[sid])) else 0
+        ends = sid if any(TERMINAL in table[0] for table in self.cover_tables(fr.keys[sid])) else 0
         fr.trans[sid][_END] = ends
         return ends
 
@@ -592,26 +690,34 @@ def analyze(surface, desc):
     return out
 
 
-def _search(rt, roots, codes, n, observe=None, start=None):
+def _search(rt, roots, codes, n, observe=None, start=None, trim=True):
     """analyze's search, depth first in the order of a recursive one, on an
     explicit stack: (lexical, gloss) -> the pair ids of the first path
-    found.  `codes` are the word's surface codes and a final 0.
-    `observe(node, vid, i, live)` sees each state and its live moves, which
-    leave in rt.vec_trans[vid] an entry for every move reading the state's
-    code.  A jump into a (sublexicon, vector id) that the path has jumped
-    into since its last consuming move closes a loop that reads no surface
-    character, and is cut.  Cutting a loop never removes every reading
-    through the state it returns to, so the cut is exact when the loop
-    added no move and no gloss.  Else the loop can run any number of times
+    found.  `codes` are the word's surface codes and a final 0.  With trim
+    it takes only the moves into live states (_Runtime.live_moves), so no
+    move leads it where no reading can be completed; trace searches
+    untrimmed.  `observe(node, vid, i, live)` sees each state and its live
+    moves, which leave in rt.vec_trans[vid] an entry for every move reading
+    the state's code.  A jump into a (sublexicon, vector id) that the path
+    has jumped into since its last consuming move closes a loop that reads
+    no surface character, and is cut.  Cutting a loop never removes every
+    reading through the state it returns to, so the cut is exact when the
+    loop added no move and no gloss.  Else the loop can run any number of times
     before each reading through its state (sublexicon, vector id,
     position), and DescriptionError names the sublexicon when a search
     from that state alone (`start`, which checks no loop) finds a reading."""
     results = {}
     loops = {}        # the state of each cut loop that added something
     n_codes = rt.n_codes
-    live_moves = rt.live_moves
     trie = rt.trie
-    root_of, lives, completes = trie.roots, trie.live, trie.complete
+    root_of, completes = trie.roots, trie.complete
+    if trim:
+        lives, live_moves = trie.live, rt.live_moves
+    else:
+        lives = rt.traced()
+
+        def live_moves(node, vid, code):
+            return rt.live_moves(node, vid, code, False)
     # (node, vid, i, the moves as a (last, rest) list, the glosses, the jumps
     # since the last consuming move as a ((sublexicon, vid, moves, glosses), rest) list)
     if start is None:
@@ -913,9 +1019,9 @@ def lexicon_covers(surface, desc):
 def trace(word, direction, desc):
     """Search trace: per step, which rule automata died.
 
-    trace observes analyze's search (_search) or generate's frontier
-    (_realize) and names the rules only for the pairs that kill a rule
-    vector.  On total failure a rules-free search decides the layer: when
+    trace observes analyze's search (_search), untrimmed, or generate's
+    frontier (_realize) and names the rules only for the pairs that kill a
+    rule vector.  On total failure a rules-free search decides the layer: when
     some lexicon path covers the word, only the rules can have blocked it,
     and the blockers are the rules that rejected at the deepest depth
     (unless the lexicon dead-ends there too), in check-set order, each with
@@ -964,7 +1070,9 @@ def trace(word, direction, desc):
             if not live and i < n:
                 failures.append((i, (), None))
 
-        accepted = bool(_search(rt, desc.lexicon.roots, codes, n, observe))
+        # untrimmed, so that the report names every rule that rejects a
+        # pair on the way, dead ends included
+        accepted = bool(_search(rt, desc.lexicon.roots, codes, n, observe, trim=False))
         covers = lexicon_covers
 
     if accepted:

@@ -1,22 +1,26 @@
 import copy
 import dataclasses
 import gc
+import hashlib
+import json
 import random
 import re
 import sys
 import threading
 import time
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import engine
+from twolevel import rules as rulemod
 from twolevel.lexicon import TERMINAL, LinkError, enumerate_paths
 from twolevel.rules import run_all
 from twolevel.symbols import NULL
-from twolevel.turkish import golden_suite, load_turkish
+from twolevel.turkish import compile_turkish, golden_suite, load_turkish
 
 
 def lexicals(analyses):
@@ -478,16 +482,17 @@ def test_any_string_raises_only_documented_errors(turkish, cycle, data):
             pass
 
 
-def search_reference(surface, desc):
+def search_reference(surface, desc, live=None):
     """analyze's search without the live-move memo, by recursion: its
     readings as sorted (lexical, gloss, pairs), and the (trie node, vector
     id, position) states it visits in order (a state's continuation jumps,
-    then its moves, each followed by all states below it).  A jump into a
-    (sublexicon, vector id) that the path has jumped into since its last
-    consuming move is cut; when the loop added symbols or glosses and a
-    search from the state it returns to finds a reading, DescriptionError
-    is raised.  The closing boundary is tested by stepping each automaton
-    on its own."""
+    then its moves, each followed by all states below it).  Given `live`, a
+    set of (trie node, vector id) states, it takes no move into another
+    state, as the trimmed search does.  A jump into a (sublexicon, vector
+    id) that the path has jumped into since its last consuming move is
+    cut; when the loop added symbols or glosses and a search from the state
+    it returns to finds a reading, DescriptionError is raised.  The closing
+    boundary is tested by stepping each automaton on its own."""
     rt = engine.runtime(desc)
     trie = rt.trie
     n = len(surface)
@@ -517,7 +522,7 @@ def search_reference(surface, desc):
             for sym, pid, child, consumes in (trie.moves[node].get(surface[i], trie.dels[node])
                                               if i < n else trie.dels[node]):
                 nvid = rt.step_vec(vid, pid)
-                if nvid is not None:
+                if nvid is not None and (live is None or (child, nvid) in live):
                     lex_acc.append(sym)
                     pid_acc.append(pid)
                     rec(child, nvid, i + consumes, {} if consumes else jumped)
@@ -539,20 +544,22 @@ def search_reference(surface, desc):
     return sorted((lex, gloss, pids) for (lex, gloss), pids in results.items()), order
 
 
-def search_visits(surface, desc):
+def search_visits(surface, desc, trim=True):
     """The (trie node, vector id, position) states that _search visits."""
     rt = engine.runtime(desc)
     seen = []
     codes = [rt.codes.get(c, 0) for c in surface] + [0]
     engine._search(rt, desc.lexicon.roots, codes, len(surface),
-                   lambda node, vid, i, live: seen.append((node, vid, i)))
+                   lambda node, vid, i, live: seen.append((node, vid, i)), trim=trim)
     return seen
 
 
 def test_search_visits_states_in_recursive_order(turkish):
     words = sorted({c.surface for c in golden_suite()}) + perturbed_golden(turkish, 100, seed=61)
+    live = coaccessible_states(engine.runtime(turkish))
     for w in words:
-        assert search_visits(w, turkish) == search_reference(w, turkish)[1], w
+        assert search_visits(w, turkish) == search_reference(w, turkish, live)[1], w
+        assert search_visits(w, turkish, trim=False) == search_reference(w, turkish)[1], w
 
 
 def random_surfaces(desc, count, seed):
@@ -629,6 +636,52 @@ def composed_states(rt):
     return seen
 
 
+def coaccessible_states(rt):
+    """The composed states (composed_states) from which the moves and
+    continuation jumps reach a final state, a node that completes an entry
+    with # under a vector whose automata all accept the closing boundary,
+    each automaton stepped on its own: a fixpoint over every state's
+    successors."""
+    trie = rt.trie
+    successors = {}
+    for node, vid in composed_states(rt):
+        successors[node, vid] = [(trie.roots[cont], vid) for _, cont in trie.complete[node]
+                                 if cont != TERMINAL] + [
+            (child, rt.step_vec(vid, pid)) for sym, child in trie.arcs[node].items()
+            for pid in rt.pairs_by_lex[sym] if rt.step_vec(vid, pid) is not None]
+    live = {(node, vid) for node, vid in successors
+            if any(cont == TERMINAL for _, cont in trie.complete[node])
+            and not closing_rejecters(rt, vid)}
+    grew = True
+    while grew:
+        grew = False
+        for state, nxt in successors.items():
+            if state not in live and any(s in live for s in nxt):
+                live.add(state)
+                grew = True
+    return live
+
+
+def test_live_moves_lead_only_to_live_states():
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    live = coaccessible_states(rt)
+    # the shipped walk found the live states this walk finds
+    n = len(rt.trie.arcs)
+    assert {(state % n, state // n) for state in rt.tables[2]} == live
+    assert rt.tables[3] == len(composed_states(rt)) > len(live) > 0
+    golden = sorted({c.surface for c in golden_suite()})
+    for w in golden + perturbed_golden(desc, 300, seed=97) + random_surfaces(desc, 300, seed=101):
+        engine.analyze(w, desc)
+    entries = [moves for memo in rt.trie.live for moves in memo.values()]
+    assert sum(map(len, entries)) > 1000
+    assert all((m[2], m[4]) in live for moves in entries for m in moves)
+    # and the frontier's sets hold live states alone, but for the roots
+    roots = {(rt.trie.roots[root], rt.init_vec) for root in desc.lexicon.roots}
+    assert len(rt.frontier.keys) > 2
+    assert all(state in live for key in rt.frontier.keys for state in key - roots)
+
+
 def test_the_lexicon_bounds_analyze_memory():
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
@@ -679,14 +732,45 @@ def test_the_collector_never_sees_the_memos():
         engine.lexicon_covers(w, desc)
     gc.collect()
     gc.collect()
-    lives = rt.trie.live
-    assert sum(map(len, lives)) > 0
+    lives = rt.trie.live + rt.trie.traced
+    assert sum(map(len, rt.trie.live)) > 0 and sum(map(len, rt.trie.traced)) > 0
     assert not any(gc.is_tracked(live) for live in lives)
     assert not any(gc.is_tracked(moves) for live in lives for moves in live.values())
     fr = rt.covers
     assert len(fr.keys) > 2
     assert not any(gc.is_tracked(key) for key in fr.keys)
     assert not any(gc.is_tracked(row) for row in fr.trans)
+
+
+def test_one_collection_untracks_the_cover_tables():
+    # a node table is a dict of flat tuples, which the collection that
+    # untracks the tuples untracks too
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    for w in sorted({c.surface for c in golden_suite()}):
+        engine.lexicon_covers(w, desc)
+    gc.collect()
+    assert len(rt.cover_nodes) > 100
+    assert not any(gc.is_tracked(table) for table in rt.cover_nodes.values())
+
+
+def trace_digest(word, desc):
+    """A short SHA-256 of a trace report's steps, layer and blockers."""
+    report = engine.trace(word, "analyze", desc)
+    text = json.dumps([[[s.position, s.pair, s.died] for s in report.steps], report.layer,
+                       [list(b) for b in report.outcome.blockers]], ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_trace_reports_equal_the_untrimmed_search_ones(turkish):
+    # pinned before analyze's search was trimmed, on the golden words and
+    # the first 200 words of the oov trace sample of bench/corpus.py, seed 7:
+    # trace searches untrimmed, so it reports every rejecting pair
+    pins = json.loads((Path(__file__).parent / "trace_pins.json").read_text("utf-8"))
+    assert len(pins) == 370
+    assert set(pins) > {c.surface for c in golden_suite()}
+    for word, digest in pins.items():
+        assert trace_digest(word, turkish) == digest, word
 
 
 def test_frontier_sends_unknown_characters_to_the_empty_set():
@@ -1135,6 +1219,29 @@ def test_bundled_vectors_of_a_description_smaller_than_a_bundle():
             engine.analyze(w, desc)
             engine.trace(w, "analyze", desc)
         assert check_vectors_against_automata(desc) >= 1
+
+
+def test_compile_rejects_an_opening_boundary_that_kills_a_rule(turkish, monkeypatch):
+    automata = copy.deepcopy(turkish.rule_automata)
+    ra = automata[0]
+    del ra.dfa.delta[ra.dfa.start][ra.dfa.class_of[turkish.alphabet.frame_id]]
+    monkeypatch.setattr(rulemod, "compile_check_set", lambda *args: automata)
+    with pytest.raises(engine.DescriptionError, match="#:#") as err:
+        engine.compile_description(turkish.declarations, turkish.ground_rules, turkish.lexicon,
+                                   turkish.alphabet)
+    assert ra.name in str(err.value)
+
+
+def test_a_replaced_description_walks_its_own_composition(turkish):
+    desc = dataclasses.replace(turkish, rule_automata=list(turkish.rule_automata),
+                               _runtime=None)
+    assert desc.tables is None and turkish.tables is not None
+    fresh = compile_turkish()
+    # its runtime's walk gives the tables of a compile, with the same ids
+    assert engine.runtime(desc).tables == fresh.tables
+    words = (sorted({c.surface for c in golden_suite()}) + perturbed_golden(desc, 200, seed=103)
+             + random_surfaces(desc, 200, seed=107))
+    assert [engine.analyze(w, desc) for w in words] == [engine.analyze(w, fresh) for w in words]
 
 
 def test_runtime_rejects_an_opening_boundary_that_kills_a_rule(turkish):
