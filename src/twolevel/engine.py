@@ -4,10 +4,10 @@ The analyzer walks the lexicon trie and all rule automata in parallel over
 feasible pairs.  A load-time lint rejects insertion pairs (0:y), so every
 move reads a lexical symbol; a path that loops through deletions (x:0) and
 continuation jumps without reading a surface character is cut (_search).
-The lexicon composed with the rules is walked once, when the description
-is compiled or else when its runtime is built (_Runtime.walk), and the
-search takes no move into a state from which no final state can be
-reached.
+The lexicon composed with the rules is walked once, by the first runtime
+built for a description (_Runtime.walk), which keeps the result in the
+description, and the search takes no move into a state from which no final
+state can be reached.
 """
 
 import threading
@@ -72,16 +72,20 @@ class Description:
     rule_automata: list      # effective parallel constraint set
     ground_rules: list       # where-expanded source rules
     lexicon: object
-    _runtime: object = field(default=None, repr=False)
-    # The trimmed composition (_Runtime.tables), set by compile_description;
-    # a Description built otherwise (dataclasses.replace included) has None,
-    # and its runtime walks the composition itself.
+    # The search runtime (runtime()), which no pickle holds, and the trimmed
+    # composition it walked (_Runtime.tables), which a pickle keeps.
+    # compile_description sets both; a Description made otherwise
+    # (dataclasses.replace) gets them from its first runtime.
+    _runtime: object = field(default=None, init=False, repr=False)
     tables: object = field(default=None, init=False, repr=False)
+
+    def __getstate__(self):
+        return {**vars(self), "_runtime": None}
 
 
 def compile_description(decls, ground_rules, lexicon, alphabet):
-    """Build a Description, running the load-time lints, and walk the
-    lexicon composed with its rule automata once (_Runtime.walk)."""
+    """Build a Description, running the load-time lints, and its runtime,
+    which walks the lexicon composed with the rule automata (_Runtime.walk)."""
     for lex, surf in alphabet.pairs:
         if lex.name == NULL:
             raise DescriptionError(
@@ -95,7 +99,7 @@ def compile_description(decls, ground_rules, lexicon, alphabet):
             )
     automata = rulemod.compile_check_set(ground_rules, alphabet, decls)
     desc = Description(decls, alphabet, automata, ground_rules, lexicon)
-    desc.tables = _Runtime(desc).tables
+    desc._runtime = _Runtime(desc)
     return desc
 
 
@@ -116,12 +120,11 @@ class _Trie:
     sequence; roots maps each sublexicon to its root.  Per node k: arcs[k]
     maps a lexical symbol to the child, complete[k] holds the (gloss,
     continuation) of the entries that end at k, moves[k] and dels[k] are
-    its surface index, and live[k] and traced[k] its memos of trimmed and
-    untrimmed live moves (_Runtime.live_moves; traced is None until the
-    first trace).  A move is (lexical symbol, pair id, child, consumes), so
-    the tables hold only ints, strings and tuples of them, which the cyclic
-    collector stops tracking."""
-    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live", "traced")
+    its surface index, and live[k] its memo of live moves
+    (_Runtime.live_moves).  A move is (lexical symbol, pair id, child,
+    consumes), so the tables hold only ints, strings and tuples of them,
+    which the cyclic collector stops tracking."""
+    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live")
 
     def __init__(self, lexicon, pairs_by_lex, surf):
         self.roots = {}
@@ -150,7 +153,6 @@ class _Trie:
                                for c in {surf[m[1]] for m in every if m[3]}})
         # vid * n_codes + code -> the moves that survive the rules
         self.live = [{} for _ in self.arcs]
-        self.traced = None
 
     def add(self):
         """A new node's number."""
@@ -323,7 +325,8 @@ class _Runtime:
         # rows, each in one attribute load.
         self.intern_tables(desc.tables)
         if desc.tables is None:
-            self.intern_tables(self.walk())
+            desc.tables = self.walk()
+            self.intern_tables(desc.tables)
 
         self.pair_names = [alphabet.name_of(pid) for pid in range(self.frame_id + 1)]
         # Closure tables of the rules-off search (lexicon_covers), filled on
@@ -436,34 +439,22 @@ class _Runtime:
         return (bundle_keys, list(zip(*columns)),
                 frozenset(new[state // n] * n + state % n for state in live), len(seen))
 
-    def live_moves(self, node, vid, code, trim=True):
+    def live_moves(self, node, vid, code):
         """The moves of trie node `node` that read surface code `code` (see
-        codes) and that no rule automaton rejects from vector vid, as
-        (lexical symbol, pair id, child, consumes, next vector id) in the
-        order of trie.moves[node].  With trim, only the moves into live
-        states (walk) are kept, memoized in trie.live[node]; trace's search
-        keeps the others too, memoized in trie.traced[node].  Like the
-        other memos they are filled without a lock: threads that race build
-        equal tuples."""
+        codes), that no rule automaton rejects from vector vid and that
+        lead into live states (walk), as (lexical symbol, pair id, child,
+        consumes, next vector id) in the order of trie.moves[node];
+        memoized in trie.live[node].  Like the other memos it is filled
+        without a lock: threads that race build equal tuples."""
         trie = self.trie
         live_states, n_nodes = self.tables[2], len(trie.arcs)
         live = []
         for move in trie.moves[node].get(self.code_chars[code], trie.dels[node]):
             nvid = self.step_vec(vid, move[1])
-            if nvid is not None and (not trim or nvid * n_nodes + move[2] in live_states):
+            if nvid is not None and nvid * n_nodes + move[2] in live_states:
                 live.append(move + (nvid,))
-        live = tuple(live)
-        (trie.live if trim else self.traced())[node][vid * self.n_codes + code] = live
+        live = trie.live[node][vid * self.n_codes + code] = tuple(live)
         return live
-
-    def traced(self):
-        """trie.traced, made by the first call."""
-        trie = self.trie
-        if trie.traced is None:
-            with self._lock:
-                if trie.traced is None:
-                    trie.traced = [{} for _ in trie.arcs]
-        return trie.traced
 
     def _closure(self, states):
         """The set of (trie node, vector id) states `states` closed under
@@ -536,9 +527,8 @@ class _Runtime:
     def cache_sizes(self):
         """The sizes of the runtime's tables by name, in the order analyze
         --stats prints them: the keys and the transitions of each _Table,
-        the live-move entries, trimmed and trace's, and the composed and
-        live states (walk); the rules-off and trace counts are 0 before the
-        first lexicon_covers and trace."""
+        the live-move entries, and the composed and live states (walk); the
+        rules-off counts are 0 before the first lexicon_covers."""
         def keys(*tables):
             return sum(len(t.keys) for t in tables if t)
 
@@ -548,7 +538,6 @@ class _Runtime:
         return {"interned vectors": keys(self.vectors),
                 "vector transitions": rows(self.vectors),
                 "live-move entries": sum(map(len, self.trie.live)),
-                "trace move entries": sum(map(len, self.trie.traced or ())),
                 "frontier sets": keys(self.frontier),
                 "frontier transitions": rows(self.frontier),
                 "rules-off fronts": keys(self.covers),
@@ -690,17 +679,17 @@ def analyze(surface, desc):
     return out
 
 
-def _search(rt, roots, codes, n, observe=None, start=None, trim=True):
+def _search(rt, roots, codes, n, observe=None, start=None):
     """analyze's search, depth first in the order of a recursive one, on an
     explicit stack: (lexical, gloss) -> the pair ids of the first path
-    found.  `codes` are the word's surface codes and a final 0.  With trim
-    it takes only the moves into live states (_Runtime.live_moves), so no
-    move leads it where no reading can be completed; trace searches
-    untrimmed.  `observe(node, vid, i, live)` sees each state and its live
-    moves, which leave in rt.vec_trans[vid] an entry for every move reading
-    the state's code.  A jump into a (sublexicon, vector id) that the path
-    has jumped into since its last consuming move closes a loop that reads
-    no surface character, and is cut.  Cutting a loop never removes every
+    found.  `codes` are the word's surface codes and a final 0.  It takes
+    only the moves into live states (_Runtime.live_moves), so no move leads
+    it where no reading can be completed.  Given `observe(node, vid, i)`, it
+    takes instead the moves that this returns for each state it visits, in
+    the form of live_moves (trace's untrimmed search).  A jump into a
+    (sublexicon, vector id) that the path has jumped into since its last
+    consuming move closes a loop that reads no surface character, and is
+    cut.  Cutting a loop never removes every
     reading through the state it returns to, so the cut is exact when the
     loop added no move and no gloss.  Else the loop can run any number of times
     before each reading through its state (sublexicon, vector id,
@@ -710,14 +699,7 @@ def _search(rt, roots, codes, n, observe=None, start=None, trim=True):
     loops = {}        # the state of each cut loop that added something
     n_codes = rt.n_codes
     trie = rt.trie
-    root_of, completes = trie.roots, trie.complete
-    if trim:
-        lives, live_moves = trie.live, rt.live_moves
-    else:
-        lives = rt.traced()
-
-        def live_moves(node, vid, code):
-            return rt.live_moves(node, vid, code, False)
+    root_of, completes, lives = trie.roots, trie.complete, trie.live
     # (node, vid, i, the moves as a (last, rest) list, the glosses, the jumps
     # since the last consuming move as a ((sublexicon, vid, moves, glosses), rest) list)
     if start is None:
@@ -729,12 +711,12 @@ def _search(rt, roots, codes, n, observe=None, start=None, trim=True):
     while stack:
         node, vid, i, moves, glosses, jumps = pop()
         while True:
-            code = codes[i]
-            live = lives[node].get(vid * n_codes + code)
-            if live is None:
-                live = live_moves(node, vid, code)
-            if observe is not None:
-                observe(node, vid, i, live)
+            if observe is None:
+                live = lives[node].get(vid * n_codes + codes[i])
+                if live is None:
+                    live = rt.live_moves(node, vid, codes[i])
+            else:
+                live = observe(node, vid, i)
             if completes[node]:
                 # the jumps come before the moves: all wait on the stack
                 for move in reversed(live):
@@ -1019,13 +1001,14 @@ def lexicon_covers(surface, desc):
 def trace(word, direction, desc):
     """Search trace: per step, which rule automata died.
 
-    trace observes analyze's search (_search), untrimmed, or generate's
-    frontier (_realize) and names the rules only for the pairs that kill a
-    rule vector.  On total failure a rules-free search decides the layer: when
-    some lexicon path covers the word, only the rules can have blocked it,
-    and the blockers are the rules that rejected at the deepest depth
-    (unless the lexicon dead-ends there too), in check-set order, each with
-    its first pair; otherwise no rule is named.
+    trace observes analyze's search (_search), to which it supplies the
+    untrimmed moves, or generate's frontier (_realize), and names the rules
+    only for the pairs that kill a rule vector.  On total failure a
+    rules-free search decides the layer: when some lexicon path covers the
+    word, only the rules can have blocked it, and the blockers are the
+    rules that rejected at the deepest depth (unless the lexicon dead-ends
+    there too), in check-set order, each with its first pair; otherwise no
+    rule is named.
     """
     if direction not in ("analyze", "generate"):
         raise ValueError("direction must be analyze or generate")
@@ -1059,20 +1042,29 @@ def trace(word, direction, desc):
         codes = [rt.codes.get(c, 0) for c in word] + [0]
         complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
 
-        def observe(node, vid, i, live):
+        def observe(node, vid, i):
+            """The state's moves that no rule rejects, into dead ends too,
+            so that the report names every rule that rejects a pair on the
+            way.  They are stepped through the vector transitions, and no
+            live-move memo keeps them."""
             if i == n and any(cont == TERMINAL for _, cont in complete[node]):
                 end(n, vid)
             trans = rt.vec_trans[vid]
-            for _, pid, _, consumes in moves[node].get(rt.code_chars[codes[i]], dels[node]):
-                if trans.get(pid) is None:
+            live = []
+            for move in moves[node].get(rt.code_chars[codes[i]], dels[node]):
+                nvid = trans.get(move[1], False)
+                if nvid is False:
+                    nvid = rt.step_vec(vid, move[1])
+                if nvid is None:
                     # a consuming pair covers surface position i
-                    dead(i + consumes, vid, pid)
+                    dead(i + move[3], vid, move[1])
+                else:
+                    live.append(move + (nvid,))
             if not live and i < n:
                 failures.append((i, (), None))
+            return live
 
-        # untrimmed, so that the report names every rule that rejects a
-        # pair on the way, dead ends included
-        accepted = bool(_search(rt, desc.lexicon.roots, codes, n, observe, trim=False))
+        accepted = bool(_search(rt, desc.lexicon.roots, codes, n, observe))
         covers = lexicon_covers
 
     if accepted:

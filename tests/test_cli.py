@@ -28,7 +28,7 @@ def test_analyze_word(capsys):
     lines = err.splitlines()
     assert re.fullmatch(r"2 words in \d+\.\d\ds: \d+ words/sec", lines[0])
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
-                          r"transitions, (\d+) live-move entries, (\d+) trace move entries, "
+                          r"transitions, (\d+) live-move entries, "
                           r"(\d+) frontier sets, (\d+) frontier transitions, "
                           r"(\d+) rules-off fronts, (\d+) rules-off transitions, "
                           r"(\d+) bundle states, (\d+) bundle transitions, "
@@ -36,8 +36,8 @@ def test_analyze_word(capsys):
     # the word without a reading builds the start set and its successors,
     # and its trace the rules-off fronts of its prefixes
     assert counts and all(int(k) > 0 for k in counts.groups())
-    assert int(counts[5]) >= 2 and int(counts[7]) >= 4
-    assert int(counts[11]) > int(counts[12])
+    assert int(counts[4]) >= 2 and int(counts[6]) >= 4
+    assert int(counts[10]) > int(counts[11])
 
 
 def test_analyze_none_marker(capsys):

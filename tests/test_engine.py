@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import pickle
 import random
 import re
 import sys
@@ -545,12 +546,23 @@ def search_reference(surface, desc, live=None):
 
 
 def search_visits(surface, desc, trim=True):
-    """The (trie node, vector id, position) states that _search visits."""
+    """The (trie node, vector id, position) states that _search visits.
+    Untrimmed, its observer supplies every move that no rule rejects, as
+    trace's does."""
     rt = engine.runtime(desc)
+    trie = rt.trie
     seen = []
     codes = [rt.codes.get(c, 0) for c in surface] + [0]
-    engine._search(rt, desc.lexicon.roots, codes, len(surface),
-                   lambda node, vid, i, live: seen.append((node, vid, i)), trim=trim)
+
+    def observe(node, vid, i):
+        seen.append((node, vid, i))
+        if trim:
+            return rt.live_moves(node, vid, codes[i])
+        moves = trie.moves[node].get(rt.code_chars[codes[i]], trie.dels[node])
+        return [m + (nvid,) for m in moves for nvid in [rt.step_vec(vid, m[1])]
+                if nvid is not None]
+
+    engine._search(rt, desc.lexicon.roots, codes, len(surface), observe)
     return seen
 
 
@@ -732,8 +744,8 @@ def test_the_collector_never_sees_the_memos():
         engine.lexicon_covers(w, desc)
     gc.collect()
     gc.collect()
-    lives = rt.trie.live + rt.trie.traced
-    assert sum(map(len, rt.trie.live)) > 0 and sum(map(len, rt.trie.traced)) > 0
+    lives = rt.trie.live
+    assert sum(map(len, lives)) > 0
     assert not any(gc.is_tracked(live) for live in lives)
     assert not any(gc.is_tracked(moves) for live in lives for moves in live.values())
     fr = rt.covers
@@ -771,6 +783,25 @@ def test_trace_reports_equal_the_untrimmed_search_ones(turkish):
     assert set(pins) > {c.surface for c in golden_suite()}
     for word, digest in pins.items():
         assert trace_digest(word, turkish) == digest, word
+
+
+def test_trace_adds_no_move_entries():
+    # trace supplies its own untrimmed moves, so after analyze has searched
+    # the pinned words, tracing them adds no entry to any move memo
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    words = json.loads((Path(__file__).parent / "trace_pins.json").read_text("utf-8"))
+    for w in words:
+        engine.analyze(w, desc)
+
+    def move_entries():
+        return {name: k for name, k in rt.cache_sizes().items() if "move entries" in name}
+
+    before = move_entries()
+    assert before and all(before.values())
+    for w in words:
+        engine.trace(w, "analyze", desc)
+    assert move_entries() == before
 
 
 def test_frontier_sends_unknown_characters_to_the_empty_set():
@@ -1233,8 +1264,7 @@ def test_compile_rejects_an_opening_boundary_that_kills_a_rule(turkish, monkeypa
 
 
 def test_a_replaced_description_walks_its_own_composition(turkish):
-    desc = dataclasses.replace(turkish, rule_automata=list(turkish.rule_automata),
-                               _runtime=None)
+    desc = dataclasses.replace(turkish, rule_automata=list(turkish.rule_automata))
     assert desc.tables is None and turkish.tables is not None
     fresh = compile_turkish()
     # its runtime's walk gives the tables of a compile, with the same ids
@@ -1244,10 +1274,49 @@ def test_a_replaced_description_walks_its_own_composition(turkish):
     assert [engine.analyze(w, desc) for w in words] == [engine.analyze(w, fresh) for w in words]
 
 
+def test_a_replaced_used_description_builds_its_own_runtime(turkish):
+    # the copy answers by its own rule automata, not by the runtime of the
+    # description it was made from
+    name = "34.Instantiation of the pronominal n, N:n"
+    assert engine.analyze("evide", turkish) == []
+    assert engine.trace("evide", "analyze", turkish).blocking_rules() == [name]
+    desc = dataclasses.replace(
+        turkish, rule_automata=[ra for ra in turkish.rule_automata if ra.name != name])
+    assert desc._runtime is None and desc.tables is None
+    # without the n of the possessive before the case
+    assert lexicals(engine.analyze("evide", desc)) == [("ev^-(s)HN-DA", "[ROOT=ev]+POSS3s+LOC")]
+    assert engine.runtime(desc) is not engine.runtime(turkish)
+    assert desc.tables is not None and desc.tables != turkish.tables
+    assert engine.analyze("evide", turkish) == []
+
+
+def test_a_used_description_pickles_without_its_runtime():
+    desc = load_turkish(refresh=True)
+    assert engine.analyze("evde", desc)
+    back = pickle.loads(pickle.dumps(desc, pickle.HIGHEST_PROTOCOL))
+    assert desc._runtime is not None and back._runtime is None
+    assert back.tables == desc.tables
+    assert lexicals(engine.analyze("evde", back)) == lexicals(engine.analyze("evde", desc))
+
+
+def test_a_compile_builds_one_runtime(monkeypatch):
+    # the runtime that walks the composition is the one the searches use
+    built = []
+    runtime = engine._Runtime
+
+    def counted(desc):
+        built.append(desc)
+        return runtime(desc)
+
+    monkeypatch.setattr(engine, "_Runtime", counted)
+    desc = compile_turkish()
+    assert engine.analyze("evde", desc)
+    assert len(built) == 1 and built[0] is desc
+
+
 def test_runtime_rejects_an_opening_boundary_that_kills_a_rule(turkish):
     # compile_rule builds no such automaton; an edited one is named
-    desc = dataclasses.replace(turkish, rule_automata=copy.deepcopy(turkish.rule_automata),
-                               _runtime=None)
+    desc = dataclasses.replace(turkish, rule_automata=copy.deepcopy(turkish.rule_automata))
     ra = desc.rule_automata[0]
     del ra.dfa.delta[ra.dfa.start][ra.dfa.class_of[desc.alphabet.frame_id]]
     with pytest.raises(engine.DescriptionError, match="#:#") as err:
