@@ -7,7 +7,8 @@ continuation jumps without reading a surface character is cut (_search).
 The lexicon composed with the rules is walked once, by the first runtime
 built for a description (_Runtime.walk), which keeps the result in the
 description, and the search takes no move into a state from which no final
-state can be reached.
+state can be reached.  The result holds the rule-vector transitions that
+the walk stepped, so the search steps no rule automaton.
 """
 
 import threading
@@ -164,17 +165,18 @@ class _Trie:
 class _Table:
     """Interned keys, each with its id (its index in keys) and a memo row
     of transitions (trans[id], filled by the owner); `keys` are interned
-    first, in order."""
+    first, in order, each with a copy of its row in `rows` (default: an
+    empty one)."""
     __slots__ = ("ids", "keys", "trans")
 
-    def __init__(self, keys=()):
-        self.load(keys)
+    def __init__(self, keys=(), rows=()):
+        self.load(keys, rows)
 
-    def load(self, keys):
+    def load(self, keys, rows=()):
         """Drop every key and row, then intern `keys` in order."""
         self.keys = list(keys)
         self.ids = dict(zip(self.keys, range(len(self.keys))))   # key -> id
-        self.trans = [{} for _ in self.keys]
+        self.trans = [dict(row) for row in rows] if rows else [{} for _ in self.keys]
 
     def intern(self, key, lock):
         """The id of `key`; a new key gets its id and its row under `lock`,
@@ -366,13 +368,16 @@ class _Runtime:
     def intern_tables(self, tables):
         """Start the bundle and vector tables afresh from `tables` (walk;
         None: empty), their keys interned first, so that the ids are the
-        ones its live states name; then intern the start vector and step it
-        over the opening boundary (init_vec)."""
+        ones its live states name, and each vector's transitions from a
+        copy of its row, so that what later steps add never reaches
+        `tables`; then intern the start vector and step it over the opening
+        boundary (init_vec)."""
         self.tables = tables
-        bundle_keys, vector_keys = tables[:2] if tables else ([()] * len(self.bundles), ())
+        bundle_keys, vector_keys, rows = ((tables[0], tables[1], tables[4]) if tables
+                                          else ([()] * len(self.bundles), (), ()))
         for bundle, keys in zip(self.bundles, bundle_keys):
             bundle.load(keys)
-        self.vectors = _Table(vector_keys)
+        self.vectors = _Table(vector_keys, rows)
         self.vec_list = self.vectors.keys
         self.vec_trans = self.vectors.trans
         start = self.vectors.intern(tuple(b.intern(tuple(d.start for d in b.dfas), self._lock)
@@ -387,16 +392,20 @@ class _Runtime:
     def walk(self):
         """The tables of the lexicon composed with the rule automata: the
         keys of each bundle's tuples and of the vectors, the live states,
-        and the number of composed states.  A composed state is a (trie
-        node, vector id) state that the moves and continuation jumps reach
-        from the roots; it is live when they lead from it to a final state,
-        a node that completes an entry with # under a vector that accepts
-        the end of the word.  The walk runs forward over every composed
-        state, then backward from the final ones.  The tables keep the
-        start vector (id 0) and the vectors of the live states, and the
-        bundle tuples these hold, in the order the walk interned them; a
-        key's id is its index, and a state is the int vid * (number of trie
-        nodes) + node."""
+        the number of composed states, and the vectors' rows of
+        transitions.  A composed state is a (trie node, vector id) state
+        that the moves and continuation jumps reach from the roots; it is
+        live when they lead from it to a final state, a node that completes
+        an entry with # under a vector that accepts the end of the word.
+        The walk runs forward over every composed state, then backward from
+        the final ones.  The tables keep the start vector (id 0) and the
+        vectors of the live states, and the bundle tuples these hold, in
+        the order the walk interned them; a key's id is its index, and a
+        state is the int vid * (number of trie nodes) + node.  A vector's
+        row maps, in pair id order, each pair that the walk stepped it on
+        into a kept vector to that vector, and the end of the word to the
+        vector itself or None.  No runtime writes to a row: intern_tables
+        copies them."""
         trie, step_vec = self.trie, self.step_vec
         roots, complete, n = trie.roots, trie.complete, len(trie.arcs)
         seen = {self.init_vec * n + roots[root] for root in self.lexicon.roots}
@@ -436,21 +445,30 @@ class _Runtime:
             bundle_keys.append([bundle.keys[b] for b in bids])
             columns.append([new[self.vec_list[vid][k]] for vid in vids])
         new = dict(zip(vids, range(len(vids))))
+        rows = tuple(dict(sorted((pid, new.get(nvid)) for pid, nvid in self.vec_trans[vid].items()
+                                 if nvid in new or pid == self.end))
+                     for vid in vids)
         return (bundle_keys, list(zip(*columns)),
-                frozenset(new[state // n] * n + state % n for state in live), len(seen))
+                frozenset(new[state // n] * n + state % n for state in live), len(seen), rows)
 
     def live_moves(self, node, vid, code):
         """The moves of trie node `node` that read surface code `code` (see
         codes), that no rule automaton rejects from vector vid and that
         lead into live states (walk), as (lexical symbol, pair id, child,
         consumes, next vector id) in the order of trie.moves[node];
-        memoized in trie.live[node].  Like the other memos it is filled
-        without a lock: threads that race build equal tuples."""
+        memoized in trie.live[node].  The moves are read from the vector's
+        transitions, and no automaton is stepped: the trimmed search and
+        the frontier visit only states that the walk reached, and it
+        stepped every move of those, so a move that the row of a kept
+        vector lacks leads into a state that is not live.  Like the other
+        memos it is filled without a lock: threads that race build equal
+        tuples."""
         trie = self.trie
+        trans = self.vec_trans[vid]
         live_states, n_nodes = self.tables[2], len(trie.arcs)
         live = []
         for move in trie.moves[node].get(self.code_chars[code], trie.dels[node]):
-            nvid = self.step_vec(vid, move[1])
+            nvid = trans.get(move[1])
             if nvid is not None and nvid * n_nodes + move[2] in live_states:
                 live.append(move + (nvid,))
         live = trie.live[node][vid * self.n_codes + code] = tuple(live)
@@ -461,12 +479,12 @@ class _Runtime:
         live deletions and continuation jumps, as a frozenset without the
         states whose node neither reads a character nor completes an entry
         (the frontier steps only consuming moves and tests completions);
-        `states` is extended in place.  The deletions are stepped through
-        the vector transitions, not live_moves: a search has stepped them
-        already, but from these states it looked up the live moves of the
-        next character only, and the frontier adds no live-move entries.
-        Like live_moves, it adds only live states."""
-        step_vec, trie = self.step_vec, self.trie
+        `states` is extended in place.  The deletions are read from the
+        vector transitions, not live_moves: from these states the search
+        looked up the live moves of the next character only, and the
+        frontier adds no live-move entries.  Like live_moves, it steps no
+        automaton and adds only live states."""
+        trie = self.trie
         roots, moves, complete, dels = trie.roots, trie.moves, trie.complete, trie.dels
         live_states, n_nodes = self.tables[2], len(moves)
         stack = list(states)
@@ -477,9 +495,7 @@ class _Runtime:
             if dels[node]:
                 trans = self.vec_trans[vid]
                 for _, pid, child, _ in dels[node]:
-                    nvid = trans.get(pid, False)
-                    if nvid is False:
-                        nvid = step_vec(vid, pid)
+                    nvid = trans.get(pid)
                     if nvid is not None:
                         reached.append((child, nvid))
             for state in reached:

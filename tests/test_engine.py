@@ -743,6 +743,11 @@ def test_the_collector_never_sees_the_memos():
     for w in golden:
         engine.lexicon_covers(w, desc)
     gc.collect()
+    # a shipped vector row and the runtime's copy of it are dicts of ints
+    rows = desc.tables[4]
+    assert len(rows) > 100 and len(rt.vec_list) >= len(rows)
+    assert not any(gc.is_tracked(row) for row in rows)
+    assert not any(gc.is_tracked(row) for row in rt.vec_trans[:len(rows)])
     gc.collect()
     lives = rt.trie.live
     assert sum(map(len, lives)) > 0
@@ -1213,6 +1218,69 @@ def check_vectors_against_automata(desc):
     return n_vectors
 
 
+def test_analyze_steps_no_automaton(monkeypatch):
+    # the trimmed search and the frontier read the vector transitions that
+    # the walk stepped, shipped in the bundled description and reloaded by
+    # the walking runtime of a compiled one
+    from conftest import make_description
+    bundled = load_turkish(refresh=True)
+    compiled = [(make_description(DELETION_RULES, "LEXICON Root\n:abb # ;\n:b # ;\n"),
+                 ["ab", "abb", "b", "ba", "a", ""]),
+                (make_description(CYCLE_RULES, CYCLE_LEXICON), cycle_words(4))]
+    steps = []
+    step = engine._Bundle.step
+
+    def counted(self, *args):
+        steps.append(args)
+        return step(self, *args)
+
+    monkeypatch.setattr(engine._Bundle, "step", counted)
+    words = (sorted({c.surface for c in golden_suite()}) + perturbed_golden(bundled, 200, seed=59)
+             + random_surfaces(bundled, 200, seed=67))
+    for desc, batch in [(bundled, words)] + compiled:
+        readings = [engine.analyze(w, desc) for w in batch]
+        assert any(readings) and not all(readings)
+        assert engine.runtime(desc).frontier.start is not None
+    assert steps == []
+    # trace steps the pairs that the walk dropped, and is counted
+    assert not engine.trace("kitapı", "analyze", bundled).outcome.accepted
+    assert steps
+
+
+def test_the_shipped_rows_hold_the_walked_transitions():
+    # on a runtime whose rows start empty, every composed state's moves
+    # stepped one automaton at a time give each kept vector's row: the
+    # pairs into a kept vector, compared by the automata's states, and the
+    # end of the word wherever a composed state completes with #
+    desc = load_turkish(refresh=True)
+    rows = desc.tables[4]
+    rt = engine.runtime(desc)
+    for row in rt.vec_trans:
+        row.clear()
+    kept = {vector_states(rt, vid): vid for vid in range(len(rows))}
+    assert len(kept) == len(rows) == len(desc.tables[1])
+    expected = [{} for _ in rows]
+    # the start vector (id 0) steps over the opening boundary
+    expected[0][rt.frame_id] = vector_states(rt, rt.init_vec)
+    for node, vid in composed_states(rt):
+        if vid >= len(rows):
+            continue
+        states = vector_states(rt, vid)
+        for sym in rt.trie.arcs[node]:
+            for pid in rt.pairs_by_lex[sym]:
+                nxt = tuple(d.delta[q].get(d.class_of[pid]) for d, q in zip(rt.dfas, states))
+                if nxt in kept:
+                    expected[vid][pid] = nxt
+        if any(cont == TERMINAL for _, cont in rt.trie.complete[node]):
+            expected[vid][rt.end] = None if closing_rejecters(rt, vid) else states
+    got = [{pid: None if nvid is None else vector_states(rt, nvid) for pid, nvid in row.items()}
+           for row in rows]
+    assert got == expected
+    assert sum(map(len, rows)) > 1000
+    assert any(row.get(rt.end, ()) is None for row in got)
+    assert all(list(row) == sorted(row) for row in rows)
+
+
 def test_runtime_keeps_fewer_than_30_attributes(turkish):
     # CPython 3.11 reads the attributes of an instance with 30 or more of
     # them markedly slower, and every search reads the runtime's
@@ -1297,6 +1365,34 @@ def test_a_used_description_pickles_without_its_runtime():
     assert desc._runtime is not None and back._runtime is None
     assert back.tables == desc.tables
     assert lexicals(engine.analyze("evde", back)) == lexicals(engine.analyze("evde", desc))
+
+
+def test_a_used_description_keeps_its_tables_clean():
+    # the runtime steps from copies of the shipped rows, so what generate
+    # and trace add to them reaches neither the tables nor a pickle
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    shipped = (len(rt.vec_list), sum(map(len, rt.vec_trans)))
+    cases = golden_suite()
+    words = (sorted({c.surface for c in cases}) + perturbed_golden(desc, 150, seed=109)
+             + random_surfaces(desc, 150, seed=113))
+    strings = sorted({c.lexical for c in cases if c.polarity == "positive"})
+    glosses = sorted({(m[1], tuple(m[2].split("+")[1:])) for c in cases
+                      for m in [re.fullmatch(r"\[ROOT=([^]]+)\]((?:\+[^+]+)*)", c.gloss)] if m})
+    assert len(words) + len(strings) + len(glosses) > 400
+    for w in words:
+        engine.analyze(w, desc)
+        engine.trace(w, "analyze", desc)
+    for lex in strings:
+        engine.generate(lex, desc)
+        engine.trace(lex, "generate", desc)
+    for root, tags in glosses:
+        gloss_outcome(engine.generate_from_gloss, root, list(tags), desc)
+    assert len(rt.vec_list) > shipped[0] and sum(map(len, rt.vec_trans)) > shipped[1]
+    assert desc.tables == compile_turkish().tables
+    back = pickle.loads(pickle.dumps(desc, pickle.HIGHEST_PROTOCOL))
+    assert back.tables == desc.tables
+    assert [engine.analyze(w, back) for w in words] == [engine.analyze(w, desc) for w in words]
 
 
 def test_a_compile_builds_one_runtime(monkeypatch):
