@@ -17,6 +17,7 @@ no-parses, 2 usage or description errors.
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from . import engine
 from .turkish import compile_turkish, load_description, load_turkish, run_suite
@@ -70,8 +71,8 @@ def _load(args):
         return compile_turkish() if args.command == "compile" else load_turkish()
     if not rules or not lexicons:
         raise SystemExit2("--rules and --lexicon must be given together")
-    texts = [open(path, encoding="utf-8").read() for path in lexicons]
-    return load_description(open(rules, encoding="utf-8").read(), texts)
+    texts = [Path(path).read_text(encoding="utf-8") for path in lexicons]
+    return load_description(Path(rules).read_text(encoding="utf-8"), texts)
 
 
 class SystemExit2(Exception):

@@ -244,9 +244,13 @@ class _Glosses:
             self.subs[name] = (tagged, links)
 
 
-# Rule automata per bundle, in check-set order.  On the Turkish check set
-# (198 automata) cold analyze ran about as fast with bundles of 12 to 20,
-# and slower with bundles of 8 or 33.
+# Rule automata per bundle, in check-set order.  analyze steps no bundle:
+# the walk at compile time does, and so do trace and the vectors that
+# generate and generate_from_gloss reach off the walk.  Against one bundle
+# of all 198 Turkish automata, bundles of 16 compiled the description in
+# 0.37 s against 0.58 s, ran the golden suite in 77 ms against 170 ms and
+# warm trace at 3,600 words/s against 3,250, and pickled to 378 KB against
+# 827 KB (medians of six alternating fresh-process pairs, 2-vCPU host).
 _BUNDLE = 16
 _DEAD = -1
 _END = -1         # the end of the word: a code in a _Frontier, a class in a _Bundle

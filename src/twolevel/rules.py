@@ -335,143 +335,88 @@ def _tracker(regex, alphabet, decls, allow_empty, trackers):
 def compile_rule(rule, alphabet, decls, allow_empty_atoms=False, *, _trackers=None):
     """Compile a ground rule to a constraint DFA over framed pair strings.
 
-    Construction: deterministic position tracking.  Per context a left
-    tracker (DFA of Sigma*.LC) runs along the string; consuming a pair that
-    triggers an obligation opens a pending right monitor (DFA of RC.Sigma*,
-    absorbing finals) whose polarity says whether some licensed context must
-    or must not complete.  Satisfied monitors drop out, violated negative
-    monitors kill the state, and acceptance requires no open positive ones.
-    ``_trackers`` lets compile_check_set share trackers across its rules.
+    Per context j a left tracker, the DFA of Sigma*.LCj, runs along the
+    string.  A pair read just after LCj matched starts j's right monitor,
+    the DFA of RCj.Sigma* with absorbing finals.  A product state holds the
+    trackers' states, a set of (context, monitor state) pairs that must
+    never complete, and the open => obligations: sets of such pairs of which
+    one must complete.  A CP pair opens one obligation over the contexts
+    whose LC matched, as they license disjunctively; <= (a CP lexical
+    symbol paired otherwise) and /<= (a CP pair) add those contexts to the
+    never set, each on its own.  Dead monitors drop out; a state dies when
+    a never pair completes or an obligation empties, and accepts when none
+    is open.  ``_trackers`` lets compile_check_set share trackers.
     """
     if not rule.is_ground():
         raise ExpansionError("compile_rule needs a ground rule")
     cp_ids, lex_names = _cp_sets(rule, alphabet, decls)
-    lex_ids = frozenset(
-        pid for pid in alphabet.all_ids() if alphabet.pairs[pid][0].name in lex_names
-    )
+    lex_ids = frozenset(pid for pid in alphabet.all_ids()
+                        if alphabet.pairs[pid][0].name in lex_names)
     frame = alphabet.frame_id
-    n_syms = frame + 1
-
     trackers = {} if _trackers is None else _trackers
     any_pair = rx.Star(rx.Atom(None, None))  # wildcard includes the frame
-    left = []
-    right = []
+    left, right = [], []
     for lc, rc in rule.contexts:
         try:
-            ltrack = _tracker(rx.Concat([any_pair, lc]), alphabet, decls,
-                              allow_empty_atoms, trackers)
-            rtrack = _tracker(rx.Concat([rc, any_pair]), alphabet, decls,
-                              allow_empty_atoms, trackers)
+            left.append(_tracker(rx.Concat([any_pair, lc]), alphabet, decls,
+                                 allow_empty_atoms, trackers))
+            right.append(_tracker(rx.Concat([rc, any_pair]), alphabet, decls,
+                                  allow_empty_atoms, trackers))
         except rx.EmptyAtom as e:
             raise UnknownPair("rule %s: %s" % (rule.name, e))
-        left.append(ltrack)
-        right.append(rtrack)
-
-    n_ctx = len(rule.contexts)
     need_pos = rule.op in ("=>", "<=>")
-    need_neg = rule.op in ("<=", "<=>", "/<=")
+    never_ids = cp_ids if rule.op == "/<=" else \
+        lex_ids - cp_ids if rule.op in ("<=", "<=>") else frozenset()
 
-    # joint pair classes over all component automata plus CP / lexC membership
-    sigs = {}
-    class_of = [0] * n_syms
-    class_rep = []
-    for pid in range(n_syms):
-        sig = (
-            tuple(d.class_of[pid] for d in left),
-            tuple(d.class_of[pid] for d in right),
-            pid in cp_ids,
-            pid in lex_ids,
-            pid == frame,
-        )
-        cid = sigs.get(sig)
-        if cid is None:
-            cid = len(sigs)
-            sigs[sig] = cid
+    # joint pair classes over all trackers plus CP, lexical and frame membership
+    sigs, class_of, class_rep = {}, [], []
+    for pid in range(frame + 1):
+        sig = (tuple([d.class_of[pid] for d in left + right]),
+               pid in cp_ids, pid in lex_ids, pid == frame)
+        if sig not in sigs:
+            sigs[sig] = len(class_rep)
             class_rep.append(pid)
-        class_of[pid] = cid
-    n_classes = len(sigs)
+        class_of.append(sigs[sig])
 
-    def rstep(rvec, pid):
-        return tuple(
-            right[j].step(rvec[j], pid) if rvec[j] is not None else None for j in range(n_ctx)
-        )
+    def step(pairs, pid):  # dead monitors drop out; None once one completes
+        out = []
+        for j, r in pairs:
+            r = right[j].step(r, pid)
+            if r in right[j].finals:
+                return None
+            if r is not None:
+                out.append((j, r))
+        return frozenset(out)
 
-    def rsat(rvec, mask):
-        # absorbing finals: final once the right context has matched
-        return any(rvec[j] is not None and rvec[j] in right[j].finals for j in mask)
-
-    r_init = tuple(d.start for d in right)
-
-    init_l = tuple(d.start for d in left)
-    init = (init_l, frozenset())
-    states = {init: 0}
-    delta = [{}]
-    work = [init]
+    init = (tuple(d.start for d in left), frozenset(), frozenset())
+    states, delta, work = {init: 0}, [{}], [init]
     while work:
-        cur = work.pop()
-        ci = states[cur]
-        lvec, pendings = cur
-        mask_now = frozenset(
-            j for j in range(n_ctx) if lvec[j] is not None and lvec[j] in left[j].finals
-        )
-        for cid in range(n_classes):
-            pid = class_rep[cid]
-            is_frame = pid == frame
-            in_cp = (not is_frame) and pid in cp_ids
-            lex_in = (not is_frame) and pid in lex_ids
-
-            # step open monitors on this pair
-            new_pend = set()
-            dead = False
-            for rvec, mask, pol in pendings:
-                nvec = rstep(rvec, pid)
-                if rsat(nvec, mask):
-                    if pol:
-                        continue  # positive obligation met, drop
-                    dead = True  # negative obligation violated
-                    break
-                if all(nvec[j] is None for j in mask):
-                    if pol:
-                        dead = True  # positive obligation can never be met
-                        break
-                    continue  # negative obligation can never trigger, drop
-                new_pend.add((nvec, mask, pol))
-            if dead:
+        lvec, never, must = cur = work.pop()
+        opened = frozenset((j, right[j].start) for j, s in enumerate(lvec) if s in left[j].finals)
+        met = any(r in right[j].finals for j, r in opened)  # a nullable RC
+        for cid, pid in enumerate(class_rep):
+            nnever = step(never, pid) if never else never
+            nmust = {step(ob, pid) for ob in must}
+            if nnever is None or frozenset() in nmust:
                 continue
-
-            # obligations opened by consuming this pair
-            if need_pos and in_cp:
-                if not mask_now:
-                    continue  # no context can license: immediate violation
-                if not rsat(r_init, mask_now):
-                    if all(r_init[j] is None for j in mask_now):
-                        continue
-                    new_pend.add((r_init, frozenset(mask_now), True))
-            if need_neg and mask_now:
-                triggers = in_cp if rule.op == "/<=" else (lex_in and not in_cp)
-                if triggers:
-                    if rsat(r_init, mask_now):
-                        continue  # nullable right context: violated on the spot
-                    if not all(r_init[j] is None for j in mask_now):
-                        new_pend.add((r_init, frozenset(mask_now), False))
-
-            nlvec = tuple(left[j].step(lvec[j], pid) for j in range(n_ctx))
-            nxt = (nlvec, frozenset(new_pend))
-            j = states.get(nxt)
-            if j is None:
-                j = len(delta)
-                states[nxt] = j
+            nmust.discard(None)
+            if need_pos and pid in cp_ids and not met:
+                if not opened:
+                    continue  # no context licenses the pair
+                nmust.add(opened)
+            if pid in never_ids and opened:
+                if met:
+                    continue
+                nnever |= opened
+            nxt = (tuple([d.step(s, pid) for d, s in zip(left, lvec)]), nnever, frozenset(nmust))
+            if nxt not in states:
+                states[nxt] = len(delta)
                 delta.append({})
                 work.append(nxt)
-            delta[ci][cid] = j
+            delta[states[cur]][cid] = states[nxt]
 
-    finals = set()
-    for st, idx in states.items():
-        _, pendings = st
-        if not any(pol for _, _, pol in pendings):
-            finals.add(idx)
-
-    compiled = dfalib.PairDfa(alphabet, class_of, n_classes, delta, 0, finals)
+    finals = [i for (_, _, must), i in states.items() if not must]
+    compiled = dfalib.PairDfa(alphabet, class_of, len(class_rep), delta, 0, finals)
     return RuleAutomaton(rule, dfalib.minimize(compiled))
 
 

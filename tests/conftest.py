@@ -33,6 +33,29 @@ def equivalent(a, b):
     return not any(dfalib.product(x, y).finals for x, y in ((a, b), (b, a)))
 
 
+def canonical_dump(a):
+    """a.dump() with the states numbered breadth first from the start, arcs
+    in pair id order: equal for two automata that differ only in how their
+    states are numbered."""
+    ids = a.alphabet.all_ids(with_frame=True)
+    order = {a.start: 0}
+    queue = [a.start]
+    for s in queue:
+        for pid in ids:
+            t = a.step(s, pid)
+            if t is not None and t not in order:
+                order[t] = len(queue)
+                queue.append(t)
+    lines = []
+    for s in queue:
+        lines.append("state\t%d\t%s" % (order[s], "final" if s in a.finals else ""))
+        for pid in ids:
+            t = a.step(s, pid)
+            if t is not None:
+                lines.append("%d\t%s\t%d" % (order[s], a.alphabet.name_of(pid), order[t]))
+    return "\n".join(lines) + "\n"
+
+
 def gloss_reference(root, tags, desc):
     """generate_from_gloss as a composition: gloss_paths, then the validated
     generate of every lexical string."""

@@ -183,3 +183,19 @@ def test_analyze_reports_a_loop_that_adds_glosses(capsys, tmp_path):
     assert rc == 2
     assert err.startswith("error: sublexicon A ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_custom_description_files_are_closed(capsys):
+    # --rules and every --lexicon are read and closed: no file is left to
+    # the collector with a ResourceWarning
+    import warnings
+    from importlib import resources
+    data = resources.files("twolevel.turkish.data")
+    args = ["analyze", "evde", "--rules", str(data / "rules.twol"),
+            "--lexicon", str(data / "roots.lex"),
+            "--lexicon", str(data / "suffix_grammar.lex")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(capsys, args)
+    assert rc == 0 and "ev^-DA\t[ROOT=ev]+LOC" in out
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import canonical_dump
 from twolevel import pair_regex as rx
 from twolevel import rules as rulemod
 from twolevel.rules import (
@@ -204,7 +205,7 @@ def _oracle_holds(rule, w, alpha, decls):
     return True
 
 
-def _random_ground_rule(rng, decls, alpha):
+def _random_ground_rule(rng, decls, alpha, n_contexts=(1, 1, 2)):
     specs = ["a:a", "a:b", "b:b"]
 
     def atom():
@@ -229,7 +230,7 @@ def _random_ground_rule(rng, decls, alpha):
         return rx.Opt(regex(depth - 1))
 
     op = rng.choice(["=>", "<=", "<=>", "/<="])
-    n_ctx = rng.choice([1, 1, 2])
+    n_ctx = rng.choice(n_contexts)
     contexts = []
     for _ in range(n_ctx):
         lc = regex(2) if rng.random() < 0.8 else rx.Epsilon()
@@ -267,6 +268,51 @@ def test_compile_agrees_with_interpreter_exhaustively(toy):
     for L in range(0, 7):
         for w in itertools.product(sub, repeat=L):
             assert ra.dfa.accepts((frame,) + w + (frame,)) == rule_holds(rule, w, alpha, decls)
+
+
+def _context_pairs(rule, alpha, decls, rng, limit=6):
+    """Up to limit pairs of the rule's own: two of its correspondence, then
+    one drawn from each atom of its contexts."""
+    cp_ids, _ = rulemod._cp_sets(rule, alpha, decls)
+    pool = rng.sample(sorted(cp_ids), min(2, len(cp_ids)))
+    stack = [node for context in rule.contexts for node in context]
+    while stack and len(pool) < limit:
+        node = stack.pop(0)
+        if isinstance(node, (rx.Atom, rx.NotPair)):
+            den = rx.denote_atom(node, alpha, decls, with_frame=False, allow_empty=True)
+            if den and not den & set(pool):
+                pool.append(rng.choice(sorted(den)))
+        stack.extend(node.children())
+    return pool
+
+
+def test_multi_context_rules_compile_as_interpreted(turkish):
+    # an obligation keeps the monitors of the contexts that licensed its
+    # position, apart from every other position's: random rules of three
+    # and four contexts, and the pooled => rules of the bundled check set
+    from twolevel.symbols import parse_declarations
+    rng = random.Random(2401)
+    decls, _ = parse_declarations("ALPHABET\na b a:b ;\n")
+    alpha = derive_feasible_pairs(decls)
+    frame = alpha.frame_id
+    words = [w for L in range(6) for w in itertools.product(alpha.all_ids(), repeat=L)]
+    for _ in range(30):
+        rule = _random_ground_rule(rng, decls, alpha, n_contexts=(3, 4))
+        dfa = compile_rule(rule, alpha, decls).dfa
+        for w in words:
+            assert dfa.accepts((frame,) + w + (frame,)) == rule_holds(rule, w, alpha, decls), (
+                rule.op, w)
+
+    alpha, decls = turkish.alphabet, turkish.declarations
+    frame = alpha.frame_id
+    automata = compile_check_set(turkish.ground_rules, alpha, decls)
+    assert sum(len(ra.rule.contexts) > 2 for ra in automata) == 13
+    for ra in automata:
+        pool = _context_pairs(ra.rule, alpha, decls, rng)
+        for _ in range(150):
+            w = tuple(rng.choices(pool, k=rng.randint(0, 6)))
+            assert ra.dfa.accepts((frame,) + w + (frame,)) == rule_holds(
+                ra.rule, w, alpha, decls), (ra.name, [alpha.name_of(p) for p in w])
 
 
 def test_compile_trivial_always_licensed(toy):
@@ -404,13 +450,15 @@ def test_check_set_matches_standalone_compile(turkish):
 
 
 def test_bundled_automata_are_pinned(turkish):
-    # every bundled constraint automaton, state numbering included; a
-    # change to the regex compiler that alters any of them shows here
+    # every bundled constraint automaton by its language and its pair
+    # classes, not by how its states are numbered; a change to the rule or
+    # regex compiler that alters any of them shows here
     h = hashlib.sha256()
     for ra in turkish.rule_automata:
         h.update(ra.name.encode())
-        h.update(ra.dfa.dump().encode())
-    assert h.hexdigest() == "30acc307f24f5f8d4253a5f86b02dec84d03deab55043496303a234807d93bd3"
+        h.update(canonical_dump(ra.dfa).encode())
+        h.update(repr(ra.dfa.class_of).encode())
+    assert h.hexdigest() == "82fff154e02c13ca223211ca3c4e7f7bf57dd158756311d29eb46d61f1f38f0c"
     assert sum(ra.dfa.n_states for ra in turkish.rule_automata) == 1841
 
 
