@@ -56,11 +56,36 @@ class TraceStep:
     died: list      # rule names whose automaton rejected here
 
 
-@dataclass
 class TraceReport:
-    steps: list
-    outcome: object          # Verdict
-    layer: str = "lexicon"   # which layer stopped the word: lexicon | rules
+    """trace's answer: outcome, a rules.Verdict; layer, the layer that
+    stopped the word (lexicon | rules, none when it passes); and steps, a
+    TraceStep per pair that kills a rule vector in the observed search, in
+    visiting order.  Given a function for steps, the report calls it on the
+    first read of steps.  Threads that race build equal lists, and each
+    publishes its whole list in one assignment."""
+    __slots__ = ("_steps", "_build", "outcome", "layer")
+
+    def __init__(self, steps, outcome, layer="lexicon"):
+        self._build = steps if callable(steps) else None
+        self._steps = None if self._build else steps
+        self.outcome = outcome
+        self.layer = layer
+
+    @property
+    def steps(self):
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = self._build()
+        return steps
+
+    def __eq__(self, other):
+        if other.__class__ is not TraceReport:
+            return NotImplemented
+        return (self.steps, self.outcome, self.layer) == (other.steps, other.outcome, other.layer)
+
+    def __repr__(self):
+        return "TraceReport(steps=%r, outcome=%r, layer=%r)" % (self.steps, self.outcome,
+                                                                 self.layer)
 
     def blocking_rules(self):
         return [name for name, _, _ in self.outcome.blockers]
@@ -334,7 +359,7 @@ class _Runtime:
             desc.tables = self.walk()
             self.intern_tables(desc.tables)
 
-        self.pair_names = [alphabet.name_of(pid) for pid in range(self.frame_id + 1)]
+        self.pair_names = [alphabet.name_of(pid) for pid in range(self.end)] + ["#:#"]
         # Closure tables of the rules-off search (lexicon_covers), filled on
         # first use; at most one per trie node.
         # Like the other memos they are filled without a lock: two threads
@@ -814,8 +839,8 @@ def generate(lexical, desc, validate_morphotactics=False):
 def _realize(rt, syms, dead=None, frontier=None):
     """generate's frontier: {(vector id, surface prefix): None} after the
     lexical symbols syms, from `frontier` (default: the start of a word).
-    `dead(k, vid, pid)` hears of each pair pid that kills vector vid at
-    symbol index k."""
+    Each pair pid that kills vector vid at symbol index k is appended to
+    the list `dead` as (k, vid, pid)."""
     step_vec = rt.step_vec
     is_null = rt.is_null
     surf = rt.surf
@@ -830,7 +855,7 @@ def _realize(rt, syms, dead=None, frontier=None):
                 if nvid is not None:
                     nxt[nvid, prefix if is_null[pid] else prefix + surf[pid]] = None
                 elif dead is not None:
-                    dead(k, vid, pid)
+                    dead.append((k, vid, pid))
         frontier = nxt
     return frontier
 
@@ -1021,82 +1046,102 @@ def lexicon_covers(surface, desc):
 def trace(word, direction, desc):
     """Search trace: per step, which rule automata died.
 
-    trace observes analyze's search (_search), to which it supplies the
-    untrimmed moves, or generate's frontier (_realize), and names the rules
-    only for the pairs that kill a rule vector.  On total failure a
-    rules-free search decides the layer: when some lexicon path covers the
-    word, only the rules can have blocked it, and the blockers are the
-    rules that rejected at the deepest depth (unless the lexicon dead-ends
-    there too), in check-set order, each with its first pair; otherwise no
-    rule is named.
+    The verdict is analyze's (generate's frontier, _realize, in the
+    generate direction), and on failure the layer is lexicon_covers's
+    (is_lexicon_path's): when some lexicon path covers the word, only the
+    rules can have blocked it.  The blockers are then the rules that
+    rejected at the deepest depth of the observed search (_observe),
+    unless the lexicon dead-ends there too, in check-set order, each with
+    its first pair; otherwise no rule is named.  The observed search runs
+    for such a word, and for any other on the first read of the report's
+    steps.
     """
     if direction not in ("analyze", "generate"):
         raise ValueError("direction must be analyze or generate")
     word = unicodedata.normalize("NFC", word)
     rt = runtime(desc)
-    steps = []
-    # every failure: (depth, names of the rejecting rules, pair); a lexicon
-    # dead end names no rule
-    failures = []
-
-    def dead(depth, vid, pid):
-        died = rt.rejecters(vid, pid)
-        pair = rt.pair_names[pid]
-        steps.append(TraceStep(depth, pair, list(died)))
-        failures.append((depth, died, pair))
-
-    def end(depth, vid):
-        """True when vid accepts the closing boundary; else note its rejecters."""
-        if rt.step_vec(vid, rt.end) is not None:
-            return True
-        failures.append((depth, rt.rejecters(vid, rt.end), "#:#"))
-        return False
-
     if direction == "generate":
         syms = tokenize_lexical(word, desc.alphabet)
-        frontier = _realize(rt, syms, dead)
-        accepted = any(end(len(syms), vid) for vid, _ in frontier)
-        covers = is_lexicon_path
+        accepted = any(rt.step_vec(vid, rt.end) is not None for vid, _ in _realize(rt, syms))
+        covered = accepted or is_lexicon_path(word, desc)
     else:
-        n = len(word)
-        codes = [rt.codes.get(c, 0) for c in word] + [0]
-        complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
-
-        def observe(node, vid, i):
-            """The state's moves that no rule rejects, into dead ends too,
-            so that the report names every rule that rejects a pair on the
-            way.  They are stepped through the vector transitions, and no
-            live-move memo keeps them."""
-            if i == n and any(cont == TERMINAL for _, cont in complete[node]):
-                end(n, vid)
-            trans = rt.vec_trans[vid]
-            live = []
-            for move in moves[node].get(rt.code_chars[codes[i]], dels[node]):
-                nvid = trans.get(move[1], False)
-                if nvid is False:
-                    nvid = rt.step_vec(vid, move[1])
-                if nvid is None:
-                    # a consuming pair covers surface position i
-                    dead(i + move[3], vid, move[1])
-                else:
-                    live.append(move + (nvid,))
-            if not live and i < n:
-                failures.append((i, (), None))
-            return live
-
-        accepted = bool(_search(rt, desc.lexicon.roots, codes, n, observe))
-        covers = lexicon_covers
-
-    if accepted:
-        return TraceReport(steps, rulemod.Verdict(True, []), "none")
-    covered = covers(word, desc)
-    deepest = max((f[0] for f in failures), default=-1)
-    last = [(names, pair) for depth, names, pair in failures if depth == deepest]
+        syms = word
+        accepted = bool(analyze(word, desc))
+        covered = accepted or lexicon_covers(word, desc)
+    if accepted or not covered:
+        return TraceReport(lambda: _trace_steps(rt, _observe(rt, syms, direction)[1]),
+                           rulemod.Verdict(accepted, []), "none" if accepted else "lexicon")
+    events = _observe(rt, syms, direction)[1]
+    deepest = max((e[0] for e in events), default=-1)
+    last = [e for e in events if e[0] == deepest]
     rules = {}
-    if covered and all(names for names, _ in last):
-        for names, pair in last:
-            for name in names:
-                rules.setdefault(name, pair)
+    # where the lexicon dead-ends too, the rules are not to blame
+    if all(pid >= 0 for _, _, pid in last):
+        for _, vid, pid in last:
+            for name in rt.rejecters(vid, pid):
+                rules.setdefault(name, rt.pair_names[pid])
     blockers = [(name, deepest, rules[name])
                 for name in dict.fromkeys(rt.rule_names) if name in rules]
-    return TraceReport(steps, rulemod.Verdict(False, blockers), "rules" if covered else "lexicon")
+    return TraceReport(lambda: _trace_steps(rt, events), rulemod.Verdict(False, blockers), "rules")
+
+
+def _observe(rt, syms, direction):
+    """trace's observed search of a word: generate's frontier (_realize)
+    over the lexical symbols syms, or analyze's search (_search) over the
+    surface word syms, given the untrimmed moves: those that no rule
+    rejects, into dead ends too, so that it meets every pair that a rule
+    rejects on the way.  The events it meets, in visiting order, each as
+    (depth, vector id, pair id): a pair that kills the vector, rt.end for
+    a closing boundary that the vector rejects, and -1 for a state with no
+    move left before the end of the word (a lexicon dead end).  Returns
+    whether the search accepts the word, and the events."""
+    events = []
+    step_vec, end = rt.step_vec, rt.end
+    if direction == "generate":
+        frontier = _realize(rt, syms, events)
+        found = False
+        for vid in dict.fromkeys(vid for vid, _ in frontier):
+            if step_vec(vid, end) is None:
+                events.append((len(syms), vid, end))
+            else:
+                found = True
+        return found, events
+    n = len(syms)
+    codes = [rt.codes.get(c, 0) for c in syms] + [0]
+    # the key of trie.moves at each position: None reads the deletions alone
+    chars = [c if code else None for c, code in zip(syms, codes)] + [None]
+    complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
+    vec_trans, add = rt.vec_trans, events.append
+
+    def observe(node, vid, i):
+        """The state's moves that no rule rejects, stepped through the
+        vector transitions; no live-move memo keeps them."""
+        if (i == n and any(cont == TERMINAL for _, cont in complete[node])
+                and step_vec(vid, end) is None):
+            add((n, vid, end))
+        trans = vec_trans[vid]
+        live = []
+        for move in moves[node].get(chars[i], dels[node]):
+            pid = move[1]
+            nvid = trans.get(pid, False)
+            if nvid is False:
+                nvid = step_vec(vid, pid)
+            if nvid is None:
+                # a consuming pair covers surface position i
+                add((i + move[3], vid, pid))
+            else:
+                live.append(move + (nvid,))
+        if not live and i < n:
+            add((i, vid, -1))
+        return live
+
+    return bool(_search(rt, rt.lexicon.roots, codes, n, observe)), events
+
+
+def _trace_steps(rt, events):
+    """The TraceSteps of the observed search's events: those of the pairs
+    that kill a vector, each with the rules that reject it."""
+    names, end, rejects, rejecters = rt.pair_names, rt.end, rt.rejects, rt.rejecters
+    # rejecters' own memo read inline: a kill always has a rejecter
+    return [TraceStep(depth, names[pid], list(rejects.get((vid, pid)) or rejecters(vid, pid)))
+            for depth, vid, pid in events if 0 <= pid < end]

@@ -400,10 +400,18 @@ def perturbed_golden(desc, count, seed):
     return list(out)
 
 
+def observed_accepts(word, desc):
+    """Whether trace's observed search itself accepts the word: trace takes
+    its verdict from analyze, so only this checks the untrimmed search."""
+    word = unicodedata.normalize("NFC", word)
+    return engine._observe(engine.runtime(desc), word, "analyze")[0]
+
+
 def test_trace_agrees_with_analyze(turkish):
     for w in perturbed_golden(turkish, 300, seed=11):
         readings = engine.analyze(w, turkish)
         report = engine.trace(w, "analyze", turkish)
+        assert observed_accepts(w, turkish) == bool(readings), w
         assert report.outcome.accepted == bool(readings), w
         if not readings:
             assert (report.layer == "rules") == engine.lexicon_covers(w, turkish), w
@@ -418,6 +426,7 @@ def test_trace_agrees_with_analyze_on_any_string(turkish, data):
     w = data.draw(st.text(alphabet=st.sampled_from(letters), max_size=12))
     readings = engine.analyze(w, turkish)
     report = engine.trace(w, "analyze", turkish)
+    assert observed_accepts(w, turkish) == bool(readings)
     assert report.outcome.accepted == bool(readings)
     if not readings:
         assert (report.layer == "rules") == engine.lexicon_covers(w, turkish)
@@ -807,6 +816,82 @@ def test_trace_adds_no_move_entries():
     for w in words:
         engine.trace(w, "analyze", desc)
     assert move_entries() == before
+
+
+def test_trace_pays_for_the_observed_search_only_when_it_reads_it(monkeypatch):
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    words = {"evde": "none", "xxxx": "lexicon", "kitapı": "rules"}
+    for w in words:
+        engine.analyze(w, desc)
+    rejected, searched = [], []
+    rejecters, observe = rt.rejecters, engine._observe
+
+    def counted_rejecters(vid, pid):
+        rejected.append((vid, pid))
+        return rejecters(vid, pid)
+
+    def counted_observe(*args):
+        found, events = observe(*args)
+        searched.append(events)
+        return found, events
+
+    monkeypatch.setattr(rt, "rejecters", counted_rejecters)
+    monkeypatch.setattr(engine, "_observe", counted_observe)
+    # an accepted word and a lexicon-layer word: no search, no rule named
+    for w in ("evde", "xxxx"):
+        report = engine.trace(w, "analyze", desc)
+        assert report.layer == words[w]
+        assert rejected == [] and searched == []
+        steps = report.steps
+        assert len(searched) == 1 and report.steps is steps
+        searched.clear()
+        rejected.clear()
+    # a rules-layer word: the search runs, and only the deepest events are named
+    report = engine.trace("kitapı", "analyze", desc)
+    assert report.layer == "rules" and report.blocking_rules()
+    (events,) = searched
+    deepest = max(e[0] for e in events)
+    assert rejected and set(rejected) <= {(vid, pid) for d, vid, pid in events if d == deepest}
+    assert any(d < deepest and pid >= 0 for d, _, pid in events)
+    assert report.steps is report.steps and len(searched) == 1
+
+
+def test_lazy_steps_are_built_once_per_reader_and_equal(turkish):
+    for w, direction in (("kitapı", "analyze"), ("evde", "analyze"), ("xxxx", "analyze"),
+                         ("ev^-DA", "generate"), ("kitap^-(y)H", "generate")):
+        serial = engine.trace(w, direction, turkish).steps
+        assert serial
+        report = engine.trace(w, direction, turkish)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(k):
+            barrier.wait()
+            results[k] = report.steps
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(steps == serial for steps in results), w
+        assert report.steps == serial and report == engine.trace(w, direction, turkish)
+
+
+def test_trace_report_is_a_slotted_class(turkish):
+    report = engine.trace("kitapı", "analyze", turkish)
+    assert not hasattr(report, "__dict__") and not dataclasses.is_dataclass(report)
+    text = repr(report)
+    assert text.startswith("TraceReport(steps=[TraceStep(position=") and "layer='rules'" in text
+    other = engine.TraceReport(list(report.steps), report.outcome, "rules")
+    assert other == report and other != engine.TraceReport([], report.outcome, "rules")
+    assert (report == "kitapı") is False
 
 
 def test_frontier_sends_unknown_characters_to_the_empty_set():
