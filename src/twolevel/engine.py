@@ -61,8 +61,9 @@ class TraceReport:
     stopped the word (lexicon | rules, none when it passes); and steps, a
     TraceStep per pair that kills a rule vector in the observed search, in
     visiting order.  Given a function for steps, the report calls it on the
-    first read of steps.  Threads that race build equal lists, and each
-    publishes its whole list in one assignment."""
+    first read of steps, then lets it go with what it holds.  Threads that
+    race build equal lists, and each publishes its whole list in one
+    assignment before it drops the function."""
     __slots__ = ("_steps", "_build", "outcome", "layer")
 
     def __init__(self, steps, outcome, layer="lexicon"):
@@ -75,7 +76,12 @@ class TraceReport:
     def steps(self):
         steps = self._steps
         if steps is None:
-            steps = self._steps = self._build()
+            build = self._build
+            if build is None:
+                # another thread has published its list since the first read
+                return self._steps
+            steps = self._steps = build()
+            self._build = None
         return steps
 
     def __eq__(self, other):
@@ -152,7 +158,7 @@ class _Trie:
     which the cyclic collector stops tracking."""
     __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live")
 
-    def __init__(self, lexicon, pairs_by_lex, surf):
+    def __init__(self, lexicon, pairs_by_lex, surf, codes):
         self.roots = {}
         self.arcs = []
         self.complete = []
@@ -166,16 +172,16 @@ class _Trie:
                         nxt = self.arcs[node][sym.name] = self.add()
                     node = nxt
                 self.complete[node] += ((e.gloss, e.continuation),)
-        # Surface index: surface char -> the moves that can read it, the
-        # deletions included, in arcs order then pairs_by_lex order; dels
-        # holds the deletions alone.
+        # Surface index: surface code (codes) -> the moves that can read it,
+        # the deletions included, in arcs order then pairs_by_lex order;
+        # dels holds the deletions alone.
         self.moves = []
         self.dels = []
         for arcs in self.arcs:
             every = [(sym, pid, child, surf[pid] != NULL)
                      for sym, child in arcs.items() for pid in pairs_by_lex.get(sym, ())]
             self.dels.append(tuple(m for m in every if not m[3]))
-            self.moves.append({c: tuple(m for m in every if not m[3] or surf[m[1]] == c)
+            self.moves.append({codes[c]: tuple(m for m in every if not m[3] or surf[m[1]] == c)
                                for c in {surf[m[1]] for m in every if m[3]}})
         # vid * n_codes + code -> the moves that survive the rules
         self.live = [{} for _ in self.arcs]
@@ -220,22 +226,32 @@ class _Table:
 
 
 class _Frontier(_Table):
-    """A lazily determinized automaton over interned sets; set id 0 is the
-    empty set.  Per set: surface code -> next set id, where the end of the
-    word (_END) leads to the set itself when the word can end there and to
-    0 when it cannot.  analyze's subset frontier (_Runtime.frontier)
-    interns frozensets of (trie node, vector id) states closed under live
-    deletions and continuation jumps, and only words without a reading
-    extend it (_Runtime.extend_frontier).  The rules-off front of
-    lexicon_covers (_Runtime.covers) interns sets of trie nodes as the
-    tuples of their sorted numbers."""
-    __slots__ = ("start",)
+    """A lazily determinized automaton over interned sets, each the tuple
+    of its sorted ints: set id 0 is the empty set and id 1 the start set.
+    Per set: surface code -> next set id, where the end of the word (_END)
+    leads to the set itself when the word can end there and to 0 when it
+    cannot.  The owner supplies step(rt, key, code), the key of the set
+    that set `key` reaches on `code`, on _END `key` itself or (); it is
+    unbound, so that no reference cycle keeps a runtime alive.
+    analyze's subset frontier (_Runtime.frontier) interns composed states
+    (_Runtime.walk) with _Runtime.frontier_step; the rules-off fronts of
+    lexicon_covers (_Runtime.covers) intern trie nodes with
+    _Runtime.cover_step."""
+    __slots__ = ("step",)
 
-    def __init__(self, empty=frozenset()):
-        self.ids = {empty: 0}
-        self.keys = [empty]
-        self.trans = [{}]
-        self.start = None             # id of the start set, built on first use
+    def __init__(self, start, step):
+        super().__init__(((), start))
+        self.step = step
+
+    def fill(self, sid, code, rt):
+        """The id of the set that set sid reaches on `code`, a transition
+        that trans[sid] lacks: stepped, interned and memoized there.  Like
+        the other memos it is filled without a lock: threads that race
+        intern equal sets, so they store equal values."""
+        key = self.keys[sid]
+        nxt = self.step(rt, key, code)
+        nxt = self.trans[sid][code] = sid if nxt is key else self.intern(nxt, rt._lock)
+        return nxt
 
 
 class _Glosses:
@@ -347,10 +363,9 @@ class _Runtime:
         # both leave the deletions alone.
         chars = sorted({s for s in self.surf if s != NULL})
         self.codes = {c: k for k, c in enumerate(chars, 1)}
-        self.code_chars = [None] + chars
-        self.n_codes = len(self.code_chars)
+        self.n_codes = len(chars) + 1
 
-        self.trie = _Trie(desc.lexicon, self.pairs_by_lex, self.surf)
+        self.trie = _Trie(desc.lexicon, self.pairs_by_lex, self.surf, self.codes)
         self.lexicon = desc.lexicon
         # The interned rule vectors; every search reads their keys and
         # rows, each in one attribute load.
@@ -366,13 +381,16 @@ class _Runtime:
         # may compute one table at once, but both results are equal, so
         # either may win.
         self.cover_nodes = {}     # trie node -> node_cover(node)
-        self.covers = None        # _Frontier of rules-off fronts, built by the first lexicon_covers
+        roots = [self.trie.roots[root] for root in self.lexicon.roots]
+        self.covers = _Frontier(tuple(sorted(roots)), type(self).cover_step)
 
         # The frontier is its own object rather than five more attributes
         # here: CPython 3.11 reads the attributes of an instance that has
         # 30 or more of them markedly slower, and every search reads this
         # one's.
-        self.frontier = _Frontier()
+        n_nodes = len(self.trie.arcs)
+        self.frontier = _Frontier(self._closure({self.init_vec * n_nodes + root for root in roots}),
+                                  type(self).frontier_step)
         self.glosses = None       # _Glosses, built by the first gloss walk
 
     def step_vec(self, vid, pid):
@@ -496,7 +514,7 @@ class _Runtime:
         trans = self.vec_trans[vid]
         live_states, n_nodes = self.tables[2], len(trie.arcs)
         live = []
-        for move in trie.moves[node].get(self.code_chars[code], trie.dels[node]):
+        for move in trie.moves[node].get(code, trie.dels[node]):
             nvid = trans.get(move[1])
             if nvid is not None and nvid * n_nodes + move[2] in live_states:
                 live.append(move + (nvid,))
@@ -504,81 +522,70 @@ class _Runtime:
         return live
 
     def _closure(self, states):
-        """The set of (trie node, vector id) states `states` closed under
-        live deletions and continuation jumps, as a frozenset without the
-        states whose node neither reads a character nor completes an entry
-        (the frontier steps only consuming moves and tests completions);
-        `states` is extended in place.  The deletions are read from the
-        vector transitions, not live_moves: from these states the search
-        looked up the live moves of the next character only, and the
-        frontier adds no live-move entries.  Like live_moves, it steps no
-        automaton and adds only live states."""
+        """The set of composed states `states` (walk's ints) closed under
+        live deletions and continuation jumps, as the tuple of its sorted
+        states without those whose node neither reads a character nor
+        completes an entry (the frontier steps only consuming moves and
+        tests completions); `states` is extended in place.  The deletions
+        are read from the vector transitions, not live_moves: from these
+        states the search looked up the live moves of the next character
+        only, and the frontier adds no live-move entries.  Like live_moves,
+        it steps no automaton and adds only live states."""
         trie = self.trie
         roots, moves, complete, dels = trie.roots, trie.moves, trie.complete, trie.dels
         live_states, n_nodes = self.tables[2], len(moves)
         stack = list(states)
         while stack:
-            node, vid = stack.pop()
-            reached = [(roots[cont], vid) for _, cont in complete[node]
+            state = stack.pop()
+            vid, node = divmod(state, n_nodes)
+            reached = [state - node + roots[cont] for _, cont in complete[node]
                        if cont != TERMINAL] if complete[node] else []
             if dels[node]:
                 trans = self.vec_trans[vid]
                 for _, pid, child, _ in dels[node]:
                     nvid = trans.get(pid)
                     if nvid is not None:
-                        reached.append((child, nvid))
+                        reached.append(nvid * n_nodes + child)
             for state in reached:
-                if state not in states and state[1] * n_nodes + state[0] in live_states:
+                if state not in states and state in live_states:
                     states.add(state)
                     stack.append(state)
-        return frozenset(state for state in states if moves[state[0]] or complete[state[0]])
+        return tuple(sorted(state for state in states
+                            if moves[state % n_nodes] or complete[state % n_nodes]))
 
-    def extend_frontier(self, sid, codes):
-        """Fill the frontier's transitions from set sid (None: the start
-        set) over the surface codes of a word without a reading, until they
-        end or the set is empty, and the end of the word from the set where
-        they end: the search of the word has just visited every state of
-        that set and closed the word from none, so _END leads to 0.  Like
-        the other memos these are filled without a lock; threads that race
-        intern equal sets, so they store equal values."""
-        fr = self.frontier
-        if sid is None:
-            sid = fr.start
-            if sid is None:
-                sid = fr.start = fr.intern(self._closure(
-                    {(self.trie.roots[root], self.init_vec) for root in self.lexicon.roots}),
-                    self._lock)
-        n_codes, lives = self.n_codes, self.trie.live
-        for code in codes:
-            if not sid:
-                break
-            trans = fr.trans[sid]
-            nxt = trans.get(code)
-            if nxt is None:
-                states = set()
-                for node, vid in fr.keys[sid]:
-                    moves = lives[node].get(vid * n_codes + code)
-                    if moves is None:
-                        moves = self.live_moves(node, vid, code)
-                    for m in moves:
-                        if m[3]:
-                            states.add((m[2], m[4]))
-                nxt = trans[code] = (fr.intern(self._closure(states), self._lock)
-                                     if states else 0)
-            sid = nxt
-        if sid:
-            fr.trans[sid][_END] = 0
+    def frontier_step(self, key, code):
+        """The step of analyze's subset frontier (_Frontier): the closure
+        of the states that the live consuming moves of set `key` reach on
+        surface code `code`; on _END, `key` when one of its states
+        completes # under a vector that accepts the end of the word, else
+        ().  Only a word without a reading fills the frontier, after its
+        search has filled the live moves that this reads."""
+        complete, lives, n_nodes, n_codes = (self.trie.complete, self.trie.live,
+                                             len(self.trie.arcs), self.n_codes)
+        if code == _END:
+            return key if any(any(cont == TERMINAL for _, cont in complete[state % n_nodes])
+                              and self.step_vec(state // n_nodes, self.end) is not None
+                              for state in key) else ()
+        states = set()
+        for state in key:
+            vid, node = divmod(state, n_nodes)
+            moves = lives[node].get(vid * n_codes + code)
+            if moves is None:
+                moves = self.live_moves(node, vid, code)
+            for m in moves:
+                if m[3]:
+                    states.add(m[4] * n_nodes + m[2])
+        return self._closure(states)
 
     def cache_sizes(self):
         """The sizes of the runtime's tables by name, in the order analyze
         --stats prints them: the keys and the transitions of each _Table,
-        the live-move entries, and the composed and live states (walk); the
-        rules-off counts are 0 before the first lexicon_covers."""
+        the live-move entries, and the composed and live states (walk)."""
         def keys(*tables):
-            return sum(len(t.keys) for t in tables if t)
+            return sum(len(t.keys) for t in tables)
 
         def rows(*tables):
-            return sum(len(row) for t in tables if t for row in t.trans)
+            return sum(len(row) for t in tables for row in t.trans)
 
         return {"interned vectors": keys(self.vectors),
                 "vector transitions": rows(self.vectors),
@@ -610,22 +617,22 @@ class _Runtime:
     def node_cover(self, node):
         """The rules-off table of a trie node, over the nodes its deletion
         moves reach (itself included): surface code -> the children their
-        consuming moves reach, and code 0, the end of the word, -> the
-        continuation classes they complete, # among them when a path ends
-        there; memoized.  The table is a dict of tuples of ints or strings,
-        so a full collection untracks it."""
+        consuming moves reach, and _END -> the continuation classes they
+        complete, # among them when a path ends there; memoized.  The table
+        is a dict of tuples of ints or strings, so a full collection
+        untracks it."""
         table = self.cover_nodes.get(node)
         if table is None:
-            trie, codes = self.trie, self.codes
+            trie = self.trie
             # A trie node has one parent, so neither list repeats a node.
             closure = [node]
             for k in closure:
                 closure.extend(m[2] for m in trie.dels[k])
-            steps = {0: {}}       # the classes as keys, each once, in order
+            steps = {_END: {}}    # the classes as keys, each once, in order
             for k in closure:
-                for c, moves in trie.moves[k].items():
-                    steps.setdefault(codes[c], []).extend([m[2] for m in moves if m[3]])
-                steps[0].update(dict.fromkeys(cont for _, cont in trie.complete[k]))
+                for code, moves in trie.moves[k].items():
+                    steps.setdefault(code, []).extend([m[2] for m in moves if m[3]])
+                steps[_END].update(dict.fromkeys(cont for _, cont in trie.complete[k]))
             table = self.cover_nodes[node] = {code: tuple(v) for code, v in steps.items()}
         return table
 
@@ -639,31 +646,23 @@ class _Runtime:
         for node in nodes:
             table = node_tables.get(node) or node_cover(node)
             yield table
-            for cls in table[0]:
+            for cls in table[_END]:
                 if cls not in seen:
                     seen.add(cls)
                     nodes.append(roots[cls])
 
-    def step_front(self, fr, sid, code):
-        """The id of the rules-off front that front sid of fr reaches on
-        surface code `code` (not 0): the children of the consuming moves in
-        the node tables it reads (cover_tables); memoized in fr.trans.  Like
-        the other memos it is filled without a lock: threads that race
-        intern equal fronts."""
+    def cover_step(self, front, code):
+        """The step of the rules-off fronts (_Frontier): the children of the
+        consuming moves on surface code `code` in the node tables that
+        `front` reads (cover_tables); on _END, `front` when a lexicon path
+        ends in one of them, else ()."""
+        if code == _END:
+            return front if any(TERMINAL in table[_END] for table in self.cover_tables(front)) else ()
         nxt = set()
-        for table in self.cover_tables(fr.keys[sid]):
+        for table in self.cover_tables(front):
             if code in table:
                 nxt.update(table[code])
-        nid = fr.trans[sid][code] = fr.intern(tuple(sorted(nxt)), self._lock) if nxt else 0
-        return nid
-
-    def front_ends(self, fr, sid):
-        """The end of the word from rules-off front sid of fr: sid when a
-        path through the lexicon ends in one of the node tables it reads,
-        else 0; memoized in fr.trans[sid][_END]."""
-        ends = sid if any(TERMINAL in table[0] for table in self.cover_tables(fr.keys[sid])) else 0
-        fr.trans[sid][_END] = ends
-        return ends
+        return tuple(sorted(nxt))
 
 
 _runtime_lock = threading.Lock()
@@ -699,26 +698,31 @@ def analyze(surface, desc):
     codes = [rt.codes.get(c, 0) for c in surface]
 
     fr = rt.frontier
-    sid = fr.start
+    trans = fr.trans
+    sid = 1
     i = 0
-    if sid is not None:
-        trans = fr.trans
-        while i < n:
-            nxt = trans[sid].get(codes[i])
-            if nxt is None:
-                break
-            if not nxt:
-                return []
-            sid = nxt
-            i += 1
-        else:
-            if _END in trans[sid]:
-                return []
+    while i < n:
+        nxt = trans[sid].get(codes[i])
+        if nxt is None:
+            break
+        if not nxt:
+            return []
+        sid = nxt
+        i += 1
+    else:
+        if trans[sid].get(_END) == 0:
+            return []
 
     codes.append(0)
     results = _search(rt, desc.lexicon.roots, codes, n)
     if not results:
-        rt.extend_frontier(sid, codes[i:n])
+        # its search has just filled the live moves that the steps read,
+        # and visited every state of the sets without closing the word
+        for code in codes[i:n] + [_END]:
+            nxt = trans[sid].get(code)
+            sid = fr.fill(sid, code, rt) if nxt is None else nxt
+            if not sid:
+                break
     out = [Analysis(lex, gloss, pids) for (lex, gloss), pids in results.items()]
     out.sort(key=lambda a: (a.lexical, a.gloss))
     return out
@@ -1019,27 +1023,21 @@ def lexicon_covers(surface, desc):
     surface = unicodedata.normalize("NFC", surface)
     rt = runtime(desc)
     fr = rt.covers
-    if fr is None:
-        # threads that race build equal starts; each goes on with its own
-        fr = _Frontier(())
-        fr.start = fr.intern(tuple(sorted(rt.trie.roots[root] for root in desc.lexicon.roots)),
-                             rt._lock)
-        rt.covers = fr
-    sid = fr.start
     trans, codes = fr.trans, rt.codes
+    sid = 1
     for c in surface:
         code = codes.get(c)
         if code is None:
             return False
         nxt = trans[sid].get(code)
         if nxt is None:
-            nxt = rt.step_front(fr, sid, code)
+            nxt = fr.fill(sid, code, rt)
         if not nxt:
             return False
         sid = nxt
     ends = trans[sid].get(_END)
     if ends is None:
-        ends = rt.front_ends(fr, sid)
+        ends = fr.fill(sid, _END, rt)
     return ends != 0
 
 
@@ -1108,8 +1106,6 @@ def _observe(rt, syms, direction):
         return found, events
     n = len(syms)
     codes = [rt.codes.get(c, 0) for c in syms] + [0]
-    # the key of trie.moves at each position: None reads the deletions alone
-    chars = [c if code else None for c, code in zip(syms, codes)] + [None]
     complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
     vec_trans, add = rt.vec_trans, events.append
 
@@ -1121,7 +1117,7 @@ def _observe(rt, syms, direction):
             add((n, vid, end))
         trans = vec_trans[vid]
         live = []
-        for move in moves[node].get(chars[i], dels[node]):
+        for move in moves[node].get(codes[i], dels[node]):
             pid = move[1]
             nvid = trans.get(pid, False)
             if nvid is False:

@@ -529,8 +529,8 @@ def search_reference(surface, desc, live=None):
                 elif jumped[cont, vid] != mark:
                     loops.append((cont, vid, i))
                 gloss_acc.pop()
-            for sym, pid, child, consumes in (trie.moves[node].get(surface[i], trie.dels[node])
-                                              if i < n else trie.dels[node]):
+            for sym, pid, child, consumes in trie.moves[node].get(
+                    rt.codes.get(surface[i]) if i < n else 0, trie.dels[node]):
                 nvid = rt.step_vec(vid, pid)
                 if nvid is not None and (live is None or (child, nvid) in live):
                     lex_acc.append(sym)
@@ -567,7 +567,7 @@ def search_visits(surface, desc, trim=True):
         seen.append((node, vid, i))
         if trim:
             return rt.live_moves(node, vid, codes[i])
-        moves = trie.moves[node].get(rt.code_chars[codes[i]], trie.dels[node])
+        moves = trie.moves[node].get(codes[i], trie.dels[node])
         return [m + (nvid,) for m in moves for nvid in [rt.step_vec(vid, m[1])]
                 if nvid is not None]
 
@@ -698,9 +698,10 @@ def test_live_moves_lead_only_to_live_states():
     assert sum(map(len, entries)) > 1000
     assert all((m[2], m[4]) in live for moves in entries for m in moves)
     # and the frontier's sets hold live states alone, but for the roots
-    roots = {(rt.trie.roots[root], rt.init_vec) for root in desc.lexicon.roots}
+    roots = {rt.init_vec * n + rt.trie.roots[root] for root in desc.lexicon.roots}
     assert len(rt.frontier.keys) > 2
-    assert all(state in live for key in rt.frontier.keys for state in key - roots)
+    assert all((state % n, state // n) in live
+               for key in rt.frontier.keys for state in key if state not in roots)
 
 
 def test_the_lexicon_bounds_analyze_memory():
@@ -725,13 +726,16 @@ def test_the_lexicon_bounds_analyze_memory():
     # and its frontier interns only subsets of the complete determinization
     # of the lexicon composed with the rules, from the same start set
     fr = rt.frontier
-    subsets = {fr.keys[0], fr.keys[fr.start]}
-    stack = [fr.keys[fr.start]]
+    n = len(rt.trie.arcs)
+    assert fr.keys[1] == rt._closure({rt.init_vec * n + rt.trie.roots[root]
+                                      for root in desc.lexicon.roots})
+    subsets = {fr.keys[0], fr.keys[1]}
+    stack = [fr.keys[1]]
     while stack:
         subset = stack.pop()
         for code in range(1, n_codes):
-            reached = {(m[2], m[4]) for node, vid in subset
-                       for m in rt.live_moves(node, vid, code) if m[3]}
+            reached = {m[4] * n + m[2] for state in subset
+                       for m in rt.live_moves(state % n, state // n, code) if m[3]}
             nxt = rt._closure(reached)
             if nxt not in subsets:
                 subsets.add(nxt)
@@ -762,10 +766,11 @@ def test_the_collector_never_sees_the_memos():
     assert sum(map(len, lives)) > 0
     assert not any(gc.is_tracked(live) for live in lives)
     assert not any(gc.is_tracked(moves) for live in lives for moves in live.values())
-    fr = rt.covers
-    assert len(fr.keys) > 2
-    assert not any(gc.is_tracked(key) for key in fr.keys)
-    assert not any(gc.is_tracked(row) for row in fr.trans)
+    # and so is a frontier set or a rules-off front
+    for fr in (rt.frontier, rt.covers):
+        assert len(fr.keys) > 2
+        assert not any(gc.is_tracked(key) for key in fr.keys)
+        assert not any(gc.is_tracked(row) for row in fr.trans)
 
 
 def test_one_collection_untracks_the_cover_tables():
@@ -845,6 +850,8 @@ def test_trace_pays_for_the_observed_search_only_when_it_reads_it(monkeypatch):
         assert rejected == [] and searched == []
         steps = report.steps
         assert len(searched) == 1 and report.steps is steps
+        # a read report no longer holds the function that built its steps
+        assert report._build is None
         searched.clear()
         rejected.clear()
     # a rules-layer word: the search runs, and only the deepest events are named
@@ -855,6 +862,7 @@ def test_trace_pays_for_the_observed_search_only_when_it_reads_it(monkeypatch):
     assert rejected and set(rejected) <= {(vid, pid) for d, vid, pid in events if d == deepest}
     assert any(d < deepest and pid >= 0 for d, _, pid in events)
     assert report.steps is report.steps and len(searched) == 1
+    assert report._build is None
 
 
 def test_lazy_steps_are_built_once_per_reader_and_equal(turkish):
@@ -901,7 +909,7 @@ def test_frontier_sends_unknown_characters_to_the_empty_set():
     # the empty set, the start set and the sets after "e" and "ev"
     fr = rt.frontier
     assert len(fr.keys) == 4
-    ev = fr.trans[fr.trans[fr.start][rt.codes["e"]]][rt.codes["v"]]
+    ev = fr.trans[fr.trans[1][rt.codes["e"]]][rt.codes["v"]]
     assert fr.trans[ev] == {0: 0}
     sizes = rt.cache_sizes()
     for ch in UNKNOWN_CHARS:
@@ -914,18 +922,60 @@ def test_frontier_is_built_once_and_only_for_words_without_reading():
     rt = engine.runtime(desc)
     accepted = sorted({c.surface for c in golden_suite() if c.polarity == "positive"})
     assert all(engine.analyze(w, desc) for w in accepted)
-    # nor does analyze build a rules-off front
+    # beyond the empty and the start sets that the runtime built, nor does
+    # analyze build a rules-off front
     sizes = rt.cache_sizes()
-    assert rt.frontier.start is None
     assert [sizes[name] for name in ("frontier sets", "frontier transitions", "rules-off fronts",
-                                     "rules-off transitions")] == [1, 0, 0, 0]
+                                     "rules-off transitions")] == [2, 0, 2, 0]
     batch = perturbed_golden(desc, 300, seed=53) + random_surfaces(desc, 300, seed=59)
     first = [engine.analyze(w, desc) for w in batch]
     assert any(first) and not all(first)
     sizes = rt.cache_sizes()
-    assert sizes["frontier sets"] > 1
+    assert sizes["frontier sets"] > 2
     assert [engine.analyze(w, desc) for w in batch] == first
     assert rt.cache_sizes() == sizes
+
+
+def fill_walk(fr, rt, surface):
+    """Whether the _Frontier fr accepts the surface word: its walk over
+    the word's codes (0 for a character that no pair realizes) and the end
+    of the word, each missing transition filled on the way."""
+    sid = 1
+    for code in [rt.codes.get(c, 0) for c in unicodedata.normalize("NFC", surface)] + [engine._END]:
+        nxt = fr.trans[sid].get(code)
+        sid = fr.fill(sid, code, rt) if nxt is None else nxt
+        if not sid:
+            return False
+    return True
+
+
+def test_filled_automata_are_exact():
+    # filled along every word, the words with readings included, analyze's
+    # frontier accepts exactly the words that analyze reads, and the
+    # rules-off fronts exactly those that a lexicon path covers
+    base = load_turkish()
+    golden = sorted({c.surface for c in golden_suite()})
+    words = (golden + perturbed_golden(base, 300, seed=131) + random_surfaces(base, 300, seed=137)
+             + [w[:k] + ch + w[k:] for ch in UNKNOWN_CHARS for w in golden[::8]
+                for k in (0, len(w) // 2, len(w))])
+    ref = load_turkish(refresh=True)
+    expected = {w: (bool(engine.analyze(w, ref)), covers_reference(w, ref)) for w in words}
+    # each order fills the automata of a fresh description differently
+    for order in (words, words[::-1]):
+        desc = load_turkish(refresh=True)
+        rt = engine.runtime(desc)
+        got = {w: (fill_walk(rt.frontier, rt, w), fill_walk(rt.covers, rt, w)) for w in order}
+        assert got == expected
+        # analyze and lexicon_covers read the filled automata, add nothing
+        # to them and agree
+        sizes = rt.cache_sizes()
+        assert {w: (bool(engine.analyze(w, desc)), engine.lexicon_covers(w, desc))
+                for w in order} == expected
+        assert all(rt.cache_sizes()[name] == sizes[name] for name in
+                   ("frontier sets", "frontier transitions", "rules-off fronts",
+                    "rules-off transitions"))
+    for k in (0, 1):
+        assert any(e[k] for e in expected.values()) and not all(e[k] for e in expected.values())
 
 
 def rules_off_sizes(rt):
@@ -954,8 +1004,8 @@ def covers_reference(surface, desc):
                     return True
             else:
                 stack.append((trie.roots[cont], i))
-        for _, _, child, consumes in (trie.moves[node].get(surface[i], trie.dels[node])
-                                      if i < n else trie.dels[node]):
+        for _, _, child, consumes in trie.moves[node].get(
+                rt.codes.get(surface[i]) if i < n else 0, trie.dels[node]):
             stack.append((child, i + consumes))
     return False
 
@@ -1176,7 +1226,7 @@ def test_cover_tables_are_bounded(turkish):
 def test_rules_off_fronts_are_bounded():
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
-    assert rt.covers is None and rules_off_sizes(rt) == (0, 0)
+    assert rules_off_sizes(rt) == (2, 0)
     rng = random.Random(67)
     letters = surface_letters(desc) + list(UNKNOWN_CHARS)
     words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 12)))
@@ -1200,7 +1250,7 @@ def test_rules_off_fronts_are_bounded():
     # it dies, else in a front whose end entry holds its answer: the front
     # itself when a path ends there, else 0
     for w, covered in got.items():
-        sid = fr.start
+        sid = 1
         for c in unicodedata.normalize("NFC", w):
             sid = fr.trans[sid].get(rt.codes.get(c), 0)
         if sid:
@@ -1270,7 +1320,7 @@ def test_concurrent_calls_match_serial(turkish):
     assert len({id(rt) for rt, _ in results}) == 1
     # every table was filled, and no key lost its id or its row
     rt = results[0][0]
-    assert rt.frontier.start is not None and rt.covers.start is not None
+    assert len(rt.frontier.keys) > 2 and len(rt.covers.keys) > 2
     for table in [rt.vectors, rt.frontier, rt.covers] + rt.bundles:
         check_table(table)
     for _, out in results:
@@ -1325,7 +1375,7 @@ def test_analyze_steps_no_automaton(monkeypatch):
     for desc, batch in [(bundled, words)] + compiled:
         readings = [engine.analyze(w, desc) for w in batch]
         assert any(readings) and not all(readings)
-        assert engine.runtime(desc).frontier.start is not None
+        assert len(engine.runtime(desc).frontier.keys) > 2
     assert steps == []
     # trace steps the pairs that the walk dropped, and is counted
     assert not engine.trace("kitapı", "analyze", bundled).outcome.accepted
@@ -1370,6 +1420,16 @@ def test_runtime_keeps_fewer_than_30_attributes(turkish):
     # CPython 3.11 reads the attributes of an instance with 30 or more of
     # them markedly slower, and every search reads the runtime's
     assert len(vars(engine.runtime(turkish))) < 30
+    # nor does a call add one
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    count = len(vars(rt))
+    for w in ("evde", "evide", "xxxx"):
+        engine.analyze(w, desc)
+        engine.lexicon_covers(w, desc)
+        engine.trace(w, "analyze", desc).steps
+    engine.generate_from_gloss("ev", ["LOC"], desc)
+    assert len(vars(rt)) == count < 30
 
 
 def test_bundled_vectors_match_the_automata():
