@@ -254,37 +254,6 @@ class _Frontier(_Table):
         return nxt
 
 
-class _Glosses:
-    """The lexicon as _gloss_walk reads it: root gloss -> the start entries,
-    each with whether its lexical strings need an is_lexicon_path check,
-    and per sublexicon its glossed entries by gloss and its gloss-less
-    ones.  An entry is (form text, continuation); like tokenize_lexical,
-    the walk reads each character of the text as a lexical symbol."""
-    __slots__ = ("starts", "subs")
-
-    def __init__(self, lexicon):
-        # The sublexicons reached from a root through empty-form entries:
-        # a gloss path from one of them spells a lexicon path by itself.
-        bare = list(lexicon.roots)
-        for name in bare:
-            for e in lexicon.sublexicons[name]:
-                if not e.form and e.continuation != TERMINAL and e.continuation not in bare:
-                    bare.append(e.continuation)
-        self.starts = {}
-        self.subs = {}
-        for name, entries in lexicon.sublexicons.items():
-            tagged, links = {}, []
-            for e in entries:
-                entry = (e.form_text(), e.continuation)
-                if e.gloss.startswith("[ROOT="):
-                    self.starts.setdefault(e.gloss, []).append((entry, name not in bare))
-                if e.gloss:
-                    tagged.setdefault(e.gloss, []).append(entry)
-                else:
-                    links.append(entry)
-            self.subs[name] = (tagged, links)
-
-
 # Rule automata per bundle, in check-set order.  analyze steps no bundle:
 # the walk at compile time does, and so do trace and the vectors that
 # generate and generate_from_gloss reach off the walk.  Against one bundle
@@ -391,7 +360,7 @@ class _Runtime:
         n_nodes = len(self.trie.arcs)
         self.frontier = _Frontier(self._closure({self.init_vec * n_nodes + root for root in roots}),
                                   type(self).frontier_step)
-        self.glosses = None       # _Glosses, built by the first gloss walk
+        self.glosses = None       # _gloss_index, built by the first gloss walk
 
     def step_vec(self, vid, pid):
         """Step all rule automata, bundle by bundle; None when any of them
@@ -844,8 +813,9 @@ def _realize(rt, syms, dead=None, frontier=None):
     """generate's frontier: {(vector id, surface prefix): None} after the
     lexical symbols syms, from `frontier` (default: the start of a word).
     Each pair pid that kills vector vid at symbol index k is appended to
-    the list `dead` as (k, vid, pid)."""
-    step_vec = rt.step_vec
+    the list `dead` as (k, vid, pid).  A vector's row is read inline, and
+    step_vec runs only for a pair that the row lacks."""
+    step_vec, vec_trans = rt.step_vec, rt.vec_trans
     is_null = rt.is_null
     surf = rt.surf
     if frontier is None:
@@ -854,8 +824,11 @@ def _realize(rt, syms, dead=None, frontier=None):
         pids = rt.pairs_by_lex[sym]
         nxt = {}
         for vid, prefix in frontier:
+            trans = vec_trans[vid]
             for pid in pids:
-                nvid = step_vec(vid, pid)
+                nvid = trans.get(pid, False)
+                if nvid is False:
+                    nvid = step_vec(vid, pid)
                 if nvid is not None:
                     nxt[nvid, prefix if is_null[pid] else prefix + surf[pid]] = None
                 elif dead is not None:
@@ -898,107 +871,122 @@ def is_lexicon_path(lexical, desc):
     return False
 
 
-def _gloss_walk(rt, root, tags, frontier):
-    """The gloss paths of [ROOT=root] followed by the tags, in one iterative
-    walk of the continuation graph: a gloss-less entry keeps the tag index,
-    an entry glossed +tags[k] places tag k, and a path ends at # with every
-    tag placed.  Yields each path as (its non-empty entry texts as a (text,
-    rest) list, generate's frontier after it, whether its lexical string
-    needs an is_lexicon_path check).  The walk steps `frontier`, the
-    frontier before the root entry, through each entry once for all the
-    paths that share it; None steps nothing.  A path records the
-    sublexicons it has entered since it last placed a tag, and an entry
-    back into one is cut: exactly when the loop added no text, else
-    DescriptionError names it after the last path, if there was one.
+def _gloss_index(lexicon):
+    """The lexicon as _gloss_walk reads it: per sublexicon, its glossed
+    entries by gloss and its gloss-less ones.  An entry is (form text,
+    continuation); like tokenize_lexical, the walk reads each character of
+    the text as a lexical symbol."""
+    subs = {}
+    for name, entries in lexicon.sublexicons.items():
+        tagged, links = {}, []
+        for e in entries:
+            entry = (e.form_text(), e.continuation)
+            if e.gloss:
+                tagged.setdefault(e.gloss, []).append(entry)
+            else:
+                links.append(entry)
+        subs[name] = (tagged, links)
+    return subs
 
-    Raises MorphotacticsError naming the first tag that no path places.
+
+def _gloss_walk(rt, root, tags, frontier, start=None):
+    """The gloss paths of [ROOT=root] followed by the tags, in one iterative
+    walk of the continuation graph from the lexicon roots, where every
+    lexicon path starts.  Gloss 0 is [ROOT=root] and gloss k + 1 +tags[k];
+    a gloss-less entry keeps the gloss index, and a path ends at # with
+    every gloss placed.  Yields each path as (its lexical string,
+    generate's frontier after it), stepping `frontier` (None: nothing)
+    through each entry once for all the paths that share it.  A path that
+    re-enters a sublexicon it entered since it last placed a gloss closes
+    a loop, which is cut: exactly when the loop added no text, as in
+    _search.  Else DescriptionError names the sublexicon when a walk from
+    the state the loop returns to (sublexicon, glosses placed) alone finds
+    a path (`start`, which checks no loop).
+
+    Raises MorphotacticsError naming the first tag that no path places, or
+    with tag None when no path places the root.
     """
-    glosses = rt.glosses
-    if glosses is None:
+    subs = rt.glosses
+    if subs is None:
         # threads that race build equal indexes
-        glosses = rt.glosses = _Glosses(rt.lexicon)
-    starts = glosses.starts.get("[ROOT=%s]" % root)
-    if not starts:
-        raise MorphotacticsError("unknown root %r" % root, tag=None)
-    subs = glosses.subs
-    n = len(tags)
-    wants = ["+" + tag for tag in tags]
+        subs = rt.glosses = _gloss_index(rt.lexicon)
+    wants = ["[ROOT=%s]" % root] + ["+" + tag for tag in tags]
+    n = len(wants)
     best = -1
     found = False
-    loop = None       # the sublexicon of the first cut loop that added text
-    # (entry, tags placed, the frontier and the texts before the entry, check,
-    # the sublexicons entered since the last placed tag as a ((sublexicon, texts), rest) list)
-    stack = [(entry, 0, frontier, None, check, None) for entry, check in reversed(starts)]
+    loops = {}        # the state of each cut loop that added text
+    # (entry, glosses placed, the frontier and the lexical string before the
+    # entry, the sublexicons entered since the last placed gloss as a
+    # ((sublexicon, lexical), rest) list); the walk enters its start through
+    # an empty entry
+    starts = [(name, 0) for name in reversed(rt.lexicon.roots)] if start is None else [start]
+    stack = [(("", sub), k, frontier, "", None) for sub, k in starts]
     while stack:
-        (text, sub), k, frontier, texts, check, entered = stack.pop()
+        (text, sub), k, frontier, lexical, entered = stack.pop()
         if text:
-            texts = (text, texts)
+            lexical += text
             if frontier is not None:
                 frontier = _realize(rt, text, frontier=frontier)
         if sub == TERMINAL:
-            if k == n:
-                found = True
-                yield texts, frontier, check
+            found = True
+            yield lexical, frontier
             continue
         rest = entered
         while rest is not None and rest[0][0] != sub:
             rest = rest[1]
         if rest is not None:
-            if loop is None and rest[0][1] is not texts:
-                loop = sub
+            if rest[0][1] != lexical:
+                loops[sub, k] = None
             continue
-        entered = ((sub, texts), entered)
+        entered = ((sub, lexical), entered)
         tagged, links = subs[sub]
         matched = tagged.get(wants[k], ()) if k < n else ()
         if matched:
             best = max(best, k)
-        # an entry to # with a tag left ends no path
+        # an entry to # with a gloss left ends no path
         for entries, placed, since in ((links, k, entered), (matched, k + 1, None)):
             for entry in entries:
                 if entry[1] != TERMINAL or placed == n:
-                    stack.append((entry, placed, frontier, texts, check, since))
+                    stack.append((entry, placed, frontier, lexical, since))
+    if start is not None:
+        return
     if not found:
-        bad = tags[best + 1] if best + 1 < n else (tags[0] if tags else "#")
+        if best < 0:
+            raise MorphotacticsError("no morphotactic path places root %r" % root, tag=None)
+        bad = tags[best] if best < len(tags) else (tags[0] if tags else "#")
         raise MorphotacticsError(
             "no morphotactic path for %s + %s (stuck at %r)" % (root, "+".join(tags), bad),
             tag=bad,
         )
-    if loop is not None:
-        raise DescriptionError("sublexicon %s is re-entered by a loop that places no tag"
-                               " but adds lexical symbols" % loop)
-
-
-def _lexical(texts):
-    """The lexical string of a path's (text, rest) list."""
-    out = []
-    while texts is not None:
-        text, texts = texts
-        out.append(text)
-    return "".join(reversed(out))
+    for state in loops:
+        if next(_gloss_walk(rt, root, tags, None, state), None):
+            raise DescriptionError("sublexicon %s is re-entered by a loop that places no"
+                                   " gloss but adds lexical symbols" % state[0])
 
 
 def gloss_paths(root, tags, desc):
-    """Lexical strings whose gloss path is [ROOT=root] followed by the tags.
+    """Lexical strings of the lexicon paths glossed [ROOT=root] followed by
+    the tags, each placed by an entry of its own.
 
-    Raises MorphotacticsError naming the first tag that cannot be placed.
+    Raises MorphotacticsError naming the first tag that cannot be placed,
+    or with tag None when no path places the root.
     """
     rt = runtime(desc)
-    return sorted({_lexical(texts) for texts, _, _ in _gloss_walk(rt, root, tags, None)})
+    return sorted({lexical for lexical, _ in _gloss_walk(rt, root, tags, None)})
 
 
 def generate_from_gloss(root, tags, desc):
     """All surface forms of [ROOT=root] followed by the tags: the validated
     generate of every gloss_paths string, sorted, in one walk that steps
-    generate's frontier along the paths.
+    generate's frontier along the paths.  It inverts analyze: a surface
+    has a reading with such a path exactly when it is returned here.
 
     Raises MorphotacticsError as gloss_paths does.
     """
     rt = runtime(desc)
     out = set()
-    for texts, frontier, check in _gloss_walk(rt, root, tags, {(rt.init_vec, ""): None}):
-        surfaces = [prefix for vid, prefix in frontier if rt.step_vec(vid, rt.end) is not None]
-        if surfaces and (not check or is_lexicon_path(_lexical(texts), desc)):
-            out.update(surfaces)
+    for _, frontier in _gloss_walk(rt, root, tags, {(rt.init_vec, ""): None}):
+        out.update(prefix for vid, prefix in frontier if rt.step_vec(vid, rt.end) is not None)
     return sorted(out)
 
 

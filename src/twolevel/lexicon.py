@@ -114,20 +114,32 @@ def enumerate_paths(lexicon, max_morphemes):
 
     Returns deduplicated (lexical string, gloss string) pairs, sorted.
     Link entries do not count as morphemes.  A path that re-enters a
-    sublexicon it entered since its last non-empty entry is cut: exactly
-    when the loop added no gloss, else LinkError names the sublexicon if
-    some path was found.
+    sublexicon it entered since its last non-empty entry closes a loop,
+    which is cut: exactly when the loop added no gloss, as the cut never
+    removes every path through the state (sublexicon, non-empty entries
+    used) it returns to.  Else LinkError names the sublexicon when a walk
+    from that state alone finds a path.
     """
     if max_morphemes < 1:
         raise ValueError("max_morphemes must be >= 1")
-    # the paths in the order found, depth first as the entries are listed:
-    # nearly sorted, which makes the final sort cheap
+    loops = {}        # the state of each cut loop that added a gloss
+    found = _paths(lexicon, max_morphemes, [(root, 0) for root in lexicon.roots], loops)
+    for state in loops:
+        if _paths(lexicon, max_morphemes, [state], {}):
+            raise LinkError("LEXICON %s is re-entered by a loop of empty-form entries"
+                            " that adds glosses" % state[0])
+    return sorted(found)
+
+
+def _paths(lexicon, max_morphemes, starts, loops):
+    """enumerate_paths's walk from the states `starts`, depth first as the
+    entries are listed: {(lexical, gloss): None} in the order found, nearly
+    sorted, which makes the final sort cheap."""
     found = {}
-    loop = None       # the sublexicon of the first cut loop that added a gloss
     # (sublexicon, lexical, gloss, non-empty entries used, the sublexicons
     # entered since the last non-empty entry as a (sublexicon, gloss at
     # entry, rest) list)
-    stack = [(root, "", "", 0, (root, "", None)) for root in reversed(lexicon.roots)]
+    stack = [(name, "", "", used, (name, "", None)) for name, used in reversed(starts)]
     while stack:
         name, lexical, gloss, used, entered = stack.pop()
         if name == TERMINAL:
@@ -145,9 +157,6 @@ def enumerate_paths(lexicon, max_morphemes):
                 rest = rest[2]
             if rest is None:
                 stack.append((cont, lexical, jumped, used, (cont, jumped, entered)))
-            elif rest[1] != jumped and loop is None:
-                loop = cont
-    if loop is not None and found:
-        raise LinkError("LEXICON %s is re-entered by a loop of empty-form entries"
-                        " that adds glosses" % loop)
-    return sorted(found)
+            elif rest[1] != jumped:
+                loops[cont, used] = None
+    return found

@@ -142,6 +142,9 @@ def test_generate_from_gloss_matches_reference(turkish):
         got = gloss_outcome(engine.generate_from_gloss, root, tags, turkish)
         assert got == gloss_outcome(gloss_reference, root, tags, turkish), (root, tags)
         kinds.add(type(got))
+        if type(got) is list:
+            for lexical in engine.gloss_paths(root, tags, turkish):
+                assert engine.is_lexicon_path(lexical, turkish), (root, tags, lexical)
     assert kinds == {list, tuple}   # readings and errors both occur
 
 
@@ -153,7 +156,7 @@ RULES
 "1.b" b:b => a _ ;
 """
 
-# [ROOT=p] is reached only behind the prefix entry c.
+# [ROOT=p] is reached only behind the prefix entry [PRE]:c.
 GLOSS_LEXICON = """
 LEXICON Root
 :0 Bare ;
@@ -176,22 +179,55 @@ LEXICON Suffix
 def test_generate_from_gloss_checks_roots_behind_a_prefix():
     from conftest import gloss_reference, make_description
     desc = make_description(GLOSS_RULES, GLOSS_LEXICON)
-    # the gloss paths of p spell aa and aab, which no lexicon path spells
-    assert engine.gloss_paths("p", ["X"], desc) == ["aab"]
+    # every lexicon path to p places [PRE] first, so no gloss path of
+    # [ROOT=p]+X exists, as analyze reads caab [PRE][ROOT=p]+X
+    assert lexicals(engine.analyze("caab", desc)) == [("caab", "[PRE][ROOT=p]+X")]
     assert not engine.is_lexicon_path("aab", desc)
     assert engine.generate("caab", desc, validate_morphotactics=True) == ["caab"]
     # b:b needs an a before it: the frontier of [ROOT=b] empties at its
     # root entry, but its gloss paths exist, so nothing is raised
-    cases = [("p", [], []), ("p", ["X"], []), ("a", [], ["a"]), ("a", ["X"], ["ab"]),
-             ("b", [], []), ("b", ["X"], []), ("c", [], ["c"])]
+    cases = [("a", [], ["a"]), ("a", ["X"], ["ab"]), ("b", [], []), ("b", ["X"], []),
+             ("c", [], ["c"])]
     for root, tags, expected in cases:
         assert engine.generate_from_gloss(root, tags, desc) == expected, (root, tags)
         assert gloss_reference(root, tags, desc) == expected, (root, tags)
     for root, tags, tag in [("a", ["X", "X"], "X"), ("b", ["Y"], "Y"), ("c", ["X"], "X"),
-                            ("q", [], None)]:
-        got = gloss_outcome(engine.generate_from_gloss, root, tags, desc)
-        assert got[0] == "error" and got[2] == tag
+                            ("q", [], None), ("p", [], None), ("p", ["X"], None)]:
+        for fn in (engine.gloss_paths, engine.generate_from_gloss):
+            got = gloss_outcome(fn, root, tags, desc)
+            assert got[0] == "error" and got[2] == tag, (fn, root, tags)
         assert got == gloss_outcome(gloss_reference, root, tags, desc)
+
+
+# [ROOT=p] is reached only behind the gloss-less entry :x.
+HIDDEN_ROOT_LEXICON = """
+LEXICON Root
+:x Pre ;
+
+LEXICON Pre
+[ROOT=p]:a # ;
+"""
+
+
+def test_generate_from_gloss_inverts_analyze(turkish):
+    from conftest import make_description
+    # every reading glossed [ROOT=r]+tags of the golden surfaces and of a
+    # sample of the seed-7 paths4 words (the surfaces of every 40th
+    # 4-morpheme lexicon path from offset 7) gives its surface back
+    paths4 = sorted({s for lexical, _ in enumerate_paths(turkish.lexicon, 4)[7::40]
+                     for s in engine.generate(lexical, turkish)})
+    words = random.Random(7).sample(paths4, 1000) + sorted({c.surface for c in golden_suite()})
+    desc = make_description(GLOSS_RULES.replace("a b c", "a b c x"), HIDDEN_ROOT_LEXICON)
+    readings = 0
+    for word, d in [(w, turkish) for w in words] + [("xa", desc)]:
+        for a in engine.analyze(word, d):
+            m = re.fullmatch(r"\[ROOT=([^]]+)\]((?:\+[^+]+)*)", a.gloss)
+            if m:
+                readings += 1
+                tags = m[2].split("+")[1:]
+                assert word in engine.generate_from_gloss(m[1], tags, d), (word, a.gloss)
+    assert readings >= 1000
+    assert engine.gloss_paths("p", [], desc) == ["xa"]
 
 
 def test_gloss_walk_cuts_empty_loops_and_rejects_loops_that_add_text():
@@ -215,11 +251,32 @@ def test_gloss_walk_cuts_empty_loops_and_rejects_loops_that_add_text():
     assert engine.gloss_paths("r", [], desc) == ["b", "ba"]
 
 
+def test_loops_that_lead_to_no_path_are_cut_silently():
+    from conftest import make_description
+    # the loop of Dead adds text (gloss walk) or a gloss (enumerate_paths),
+    # but no path leaves Dead, so it repeats no path
+    desc = make_description(GLOSS_RULES, "LEXICON Root\n[ROOT=r]:c # ;\n[ROOT=r]:a Dead ;\n"
+                                         "LEXICON Dead\n:a Dead ;\n")
+    assert engine.gloss_paths("r", [], desc) == ["c"]
+    assert engine.generate_from_gloss("r", [], desc) == ["c"]
+    desc = make_description(GLOSS_RULES, "LEXICON Root\nc # ;\n:0 Dead ;\n"
+                                         "LEXICON Dead\n[G]:0 Dead ;\n")
+    assert enumerate_paths(desc.lexicon, 3) == [("c", "c")]
+    assert lexicals(engine.analyze("c", desc)) == [("c", "c")]
+
+
 def test_gloss_paths(turkish):
-    # kırmızı is a noun root and, behind RUP-, an intensified one
-    assert engine.gloss_paths("kırmızı", [], turkish) == ["kır^mızı", "kırmızı"]
+    # kırmızı is a noun root and, behind [RUP]:RUP-, an intensified one;
+    # only the noun root is reached from Root through gloss-less entries
+    assert engine.gloss_paths("kırmızı", [], turkish) == ["kır^mızı"]
     assert engine.generate_from_gloss("kırmızı", [], turkish) == ["kırmızı"]
     assert engine.gloss_paths("ev", ["PLU", "POSS1p", "ABL"], turkish) == ["ev^-lAr-(H)mHz-DAn"]
+    # every gloss path is a lexicon path
+    roots = {e.gloss[6:-1] for entries in turkish.lexicon.sublexicons.values()
+             for e in entries if e.gloss.startswith("[ROOT=")}
+    for root in sorted(roots):
+        for lexical in engine.gloss_paths(root, [], turkish):
+            assert engine.is_lexicon_path(lexical, turkish), (root, lexical)
     for fn in (engine.gloss_paths, engine.generate_from_gloss):
         with pytest.raises(engine.MorphotacticsError) as err:
             fn("nosuchroot", ["PLU"], turkish)
