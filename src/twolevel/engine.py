@@ -254,9 +254,9 @@ class _Frontier(_Table):
         return nxt
 
 
-# Rule automata per bundle, in check-set order.  analyze steps no bundle:
-# the walk at compile time does, and so do trace and the vectors that
-# generate and generate_from_gloss reach off the walk.  Against one bundle
+# Rule automata per bundle, in check-set order.  analyze and
+# generate_from_gloss step no bundle: the walk at compile time does, and so
+# do trace and the vectors that generate reaches off the walk.  Against one bundle
 # of all 198 Turkish automata, bundles of 16 compiled the description in
 # 0.37 s against 0.58 s, ran the golden suite in 77 ms against 170 ms and
 # warm trace at 3,600 words/s against 3,250, and pickled to 378 KB against
@@ -809,17 +809,18 @@ def generate(lexical, desc, validate_morphotactics=False):
                    if rt.step_vec(vid, rt.end) is not None})
 
 
-def _realize(rt, syms, dead=None, frontier=None):
+def _realize(rt, syms, dead=None):
     """generate's frontier: {(vector id, surface prefix): None} after the
-    lexical symbols syms, from `frontier` (default: the start of a word).
-    Each pair pid that kills vector vid at symbol index k is appended to
-    the list `dead` as (k, vid, pid).  A vector's row is read inline, and
-    step_vec runs only for a pair that the row lacks."""
+    lexical symbols syms, from the start of a word (generate and trace's
+    generate direction).  Each pair pid that kills vector vid at symbol
+    index k is appended to the list `dead` as (k, vid, pid).  The symbols
+    need not spell a lexicon path, so a vector may leave the walked
+    composition: its row is read inline, and step_vec runs for a pair that
+    the row lacks."""
     step_vec, vec_trans = rt.step_vec, rt.vec_trans
     is_null = rt.is_null
     surf = rt.surf
-    if frontier is None:
-        frontier = {(rt.init_vec, ""): None}
+    frontier = {(rt.init_vec, ""): None}
     for k, sym in enumerate(syms):
         pids = rt.pairs_by_lex[sym]
         nxt = {}
@@ -871,16 +872,24 @@ def is_lexicon_path(lexical, desc):
     return False
 
 
-def _gloss_index(lexicon):
+def _gloss_index(lexicon, trie):
     """The lexicon as _gloss_walk reads it: per sublexicon, its glossed
     entries by gloss and its gloss-less ones.  An entry is (form text,
-    continuation); like tokenize_lexical, the walk reads each character of
-    the text as a lexical symbol."""
+    continuation, steps, memo).  The steps are the (lexical symbol, trie
+    node) pairs of the form's path from the sublexicon's trie root, and
+    the memo maps a vector id to the entry's realization from it
+    (_realize_entry), filled as walks take the entry: at most one row
+    per kept vector.  A row holds ints and strings alone, so a full
+    collection untracks it."""
     subs = {}
     for name, entries in lexicon.sublexicons.items():
         tagged, links = {}, []
         for e in entries:
-            entry = (e.form_text(), e.continuation)
+            node, steps = trie.roots[name], []
+            for sym in e.form:
+                node = trie.arcs[node][sym.name]
+                steps.append((sym.name, node))
+            entry = (e.form_text(), e.continuation, tuple(steps), {})
             if e.gloss:
                 tagged.setdefault(e.gloss, []).append(entry)
             else:
@@ -889,27 +898,56 @@ def _gloss_index(lexicon):
     return subs
 
 
+def _realize_entry(rt, steps, vid):
+    """An entry's realization from vector vid at its sublexicon's trie
+    root: ((next vector id, surface added), ...) after its steps, taken
+    through the vector rows alone, each state kept only when it is live
+    (walk).  Every state of a gloss walk is a composed state that the
+    walk reached from the roots, so, as in live_moves, a pair that the row
+    of a kept vector lacks leads into a state that is not live: no
+    automaton is stepped and no vector interned."""
+    vec_trans, surf, is_null, pairs_by_lex = rt.vec_trans, rt.surf, rt.is_null, rt.pairs_by_lex
+    live_states, n_nodes = rt.tables[2], len(rt.trie.arcs)
+    states = {(vid, ""): None}
+    for sym, node in steps:
+        pids = pairs_by_lex[sym]
+        nxt = {}
+        for vid, added in states:
+            trans = vec_trans[vid]
+            for pid in pids:
+                nvid = trans.get(pid)
+                if nvid is not None and nvid * n_nodes + node in live_states:
+                    nxt[nvid, added if is_null[pid] else added + surf[pid]] = None
+        states = nxt
+    return tuple(states)
+
+
 def _gloss_walk(rt, root, tags, frontier, start=None):
     """The gloss paths of [ROOT=root] followed by the tags, in one iterative
     walk of the continuation graph from the lexicon roots, where every
     lexicon path starts.  Gloss 0 is [ROOT=root] and gloss k + 1 +tags[k];
     a gloss-less entry keeps the gloss index, and a path ends at # with
-    every gloss placed.  Yields each path as (its lexical string,
-    generate's frontier after it), stepping `frontier` (None: nothing)
-    through each entry once for all the paths that share it.  A path that
-    re-enters a sublexicon it entered since it last placed a gloss closes
-    a loop, which is cut: exactly when the loop added no text, as in
-    _search.  Else DescriptionError names the sublexicon when a walk from
-    the state the loop returns to (sublexicon, glosses placed) alone finds
-    a path (`start`, which checks no loop).
+    every gloss placed.  Yields each path as (its lexical string, the
+    {(vector id, surface prefix): None} frontier after it), stepping
+    `frontier` (None: nothing) through each entry once for all the paths
+    that share it, by the entry's memo of realizations per vector
+    (_realize_entry): only live composed states are kept, so every state
+    of a yielded frontier completes # in a state that the walk of the
+    composition reached.  A path that re-enters a sublexicon it entered
+    since it last placed a gloss closes a loop, which is cut: exactly when
+    the loop added no text, as in _search.  Else DescriptionError names
+    the sublexicon when a walk from the state the loop returns to
+    (sublexicon, glosses placed) alone finds a path (`start`, which
+    checks no loop).
 
-    Raises MorphotacticsError naming the first tag that no path places, or
-    with tag None when no path places the root.
+    Raises MorphotacticsError naming the first tag that no path places,
+    the last tag (# without tags) when every gloss is placed but no path
+    ends after it, or with tag None when no path places the root.
     """
     subs = rt.glosses
     if subs is None:
         # threads that race build equal indexes
-        subs = rt.glosses = _gloss_index(rt.lexicon)
+        subs = rt.glosses = _gloss_index(rt.lexicon, rt.trie)
     wants = ["[ROOT=%s]" % root] + ["+" + tag for tag in tags]
     n = len(wants)
     best = -1
@@ -920,13 +958,21 @@ def _gloss_walk(rt, root, tags, frontier, start=None):
     # ((sublexicon, lexical), rest) list); the walk enters its start through
     # an empty entry
     starts = [(name, 0) for name in reversed(rt.lexicon.roots)] if start is None else [start]
-    stack = [(("", sub), k, frontier, "", None) for sub, k in starts]
+    stack = [(("", sub, (), None), k, frontier, "", None) for sub, k in starts]
     while stack:
-        (text, sub), k, frontier, lexical, entered = stack.pop()
+        (text, sub, steps, memo), k, frontier, lexical, entered = stack.pop()
         if text:
             lexical += text
             if frontier is not None:
-                frontier = _realize(rt, text, frontier=frontier)
+                nxt = {}
+                for vid, prefix in frontier:
+                    row = memo.get(vid)
+                    if row is None:
+                        # threads that race store equal rows
+                        row = memo[vid] = _realize_entry(rt, steps, vid)
+                    for nvid, added in row:
+                        nxt[nvid, prefix + added] = None
+                frontier = nxt
         if sub == TERMINAL:
             found = True
             yield lexical, frontier
@@ -953,7 +999,7 @@ def _gloss_walk(rt, root, tags, frontier, start=None):
     if not found:
         if best < 0:
             raise MorphotacticsError("no morphotactic path places root %r" % root, tag=None)
-        bad = tags[best] if best < len(tags) else (tags[0] if tags else "#")
+        bad = tags[best] if best < len(tags) else (tags[-1] if tags else "#")
         raise MorphotacticsError(
             "no morphotactic path for %s + %s (stuck at %r)" % (root, "+".join(tags), bad),
             tag=bad,
@@ -969,7 +1015,8 @@ def gloss_paths(root, tags, desc):
     the tags, each placed by an entry of its own.
 
     Raises MorphotacticsError naming the first tag that cannot be placed,
-    or with tag None when no path places the root.
+    the last tag (# without tags) when every gloss is placed but no path
+    ends after it, or with tag None when no path places the root.
     """
     rt = runtime(desc)
     return sorted({lexical for lexical, _ in _gloss_walk(rt, root, tags, None)})
@@ -977,16 +1024,19 @@ def gloss_paths(root, tags, desc):
 
 def generate_from_gloss(root, tags, desc):
     """All surface forms of [ROOT=root] followed by the tags: the validated
-    generate of every gloss_paths string, sorted, in one walk that steps
-    generate's frontier along the paths.  It inverts analyze: a surface
-    has a reading with such a path exactly when it is returned here.
+    generate of every gloss_paths string, sorted, in one walk of the
+    trimmed composition along the paths, which steps no automaton and
+    interns no vector.  It inverts analyze: a surface has a reading with
+    such a path exactly when it is returned here.
 
     Raises MorphotacticsError as gloss_paths does.
     """
     rt = runtime(desc)
+    vec_trans, end = rt.vec_trans, rt.end
     out = set()
     for _, frontier in _gloss_walk(rt, root, tags, {(rt.init_vec, ""): None}):
-        out.update(prefix for vid, prefix in frontier if rt.step_vec(vid, rt.end) is not None)
+        # the walk stepped each of these vectors on the end of the word
+        out.update(prefix for vid, prefix in frontier if vec_trans[vid].get(end) is not None)
     return sorted(out)
 
 

@@ -120,6 +120,12 @@ def gloss_outcome(fn, root, tags, desc):
         return ("error", str(e), e.tag)
 
 
+def split_gloss(gloss):
+    """(root, tags) of a [ROOT=root]+tags gloss, the tags a tuple, or None."""
+    m = re.fullmatch(r"\[ROOT=([^]]+)\]((?:\+[^+]+)*)", gloss)
+    return (m[1], tuple(m[2].split("+")[1:])) if m else None
+
+
 def test_generate_from_gloss_matches_reference(turkish):
     # a seeded sample of the 4-morpheme glosses, each also with its tags
     # permuted, extended by one tag and truncated
@@ -249,6 +255,28 @@ def test_gloss_walk_cuts_empty_loops_and_rejects_loops_that_add_text():
     desc = make_description(GLOSS_RULES, "LEXICON Root\n[ROOT=r]:b Loop ;\n"
                                          "LEXICON Loop\n:0 Loop ;\n:a # ;\n:0 # ;\n")
     assert engine.gloss_paths("r", [], desc) == ["b", "ba"]
+
+
+def test_gloss_walk_names_the_last_tag_when_no_path_ends_after_it():
+    from conftest import gloss_reference, make_description
+    # every path places +A and +X, but S2 goes on to # only through :0,
+    # which +X skips: the path is stuck after the last tag, not at the first
+    desc = make_description(GLOSS_RULES.replace("a b c", "a b c d"),
+                            "LEXICON Root\n[ROOT=r]:a S ;\nLEXICON S\n+A:a S2 ;\n"
+                            "LEXICON S2\n+X:b T ;\n:0 # ;\nLEXICON T\n+Z:d # ;\n")
+    for fn in (engine.gloss_paths, engine.generate_from_gloss):
+        with pytest.raises(engine.MorphotacticsError, match=r"stuck at 'X'") as err:
+            fn("r", ["A", "X"], desc)
+        assert err.value.tag == "X"
+    assert engine.gloss_paths("r", ["A"], desc) == ["aa"]
+    assert engine.gloss_paths("r", ["A", "X", "Z"], desc) == ["aabd"]
+    assert gloss_reference("r", ["A", "X", "Z"], desc) == ["aabd"]
+    # with no tags, the root alone is placed and # is where the path sticks
+    desc = make_description(GLOSS_RULES, "LEXICON Root\n[ROOT=r]:a S ;\nLEXICON S\n+A:b # ;\n")
+    for fn in (engine.gloss_paths, engine.generate_from_gloss):
+        with pytest.raises(engine.MorphotacticsError, match=r"stuck at '#'") as err:
+            fn("r", [], desc)
+        assert err.value.tag == "#"
 
 
 def test_loops_that_lead_to_no_path_are_cut_silently():
@@ -801,9 +829,10 @@ def test_the_lexicon_bounds_analyze_memory():
 
 
 def test_the_collector_never_sees_the_memos():
-    # a live move holds ints and strings alone, and a rules-off front is a
-    # tuple of ints with a row of ints, so a full collection untracks the
-    # memos and later collections never walk them
+    # a live move holds ints and strings alone, a rules-off front is a
+    # tuple of ints with a row of ints, and a memo row of an entry's
+    # realizations a tuple of (int, string) tuples, so a full collection
+    # untracks the memos and later collections never walk them
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
     golden = sorted({c.surface for c in golden_suite()})
@@ -812,6 +841,9 @@ def test_the_collector_never_sees_the_memos():
         engine.trace(w, "analyze", desc)
     for w in golden:
         engine.lexicon_covers(w, desc)
+    for root, tags in {split_gloss(c.gloss) for c in golden_suite()
+                       if c.polarity == "positive"} - {None}:
+        engine.generate_from_gloss(root, list(tags), desc)
     gc.collect()
     # a shipped vector row and the runtime's copy of it are dicts of ints
     rows = desc.tables[4]
@@ -828,6 +860,13 @@ def test_the_collector_never_sees_the_memos():
         assert len(fr.keys) > 2
         assert not any(gc.is_tracked(key) for key in fr.keys)
         assert not any(gc.is_tracked(row) for row in fr.trans)
+    # and so is an entry's memo of realizations, each row a tuple of
+    # (vector id, surface) tuples
+    memos = [memo for tagged, links in rt.glosses.values()
+             for entries in [*tagged.values(), links] for *_, memo in entries]
+    assert sum(map(len, memos)) > 100
+    assert not any(gc.is_tracked(memo) for memo in memos)
+    assert not any(gc.is_tracked(row) for memo in memos for row in memo.values())
 
 
 def test_one_collection_untracks_the_cover_tables():
@@ -1336,6 +1375,7 @@ def test_concurrent_calls_match_serial(turkish):
     cases = golden_suite()
     words = sorted({c.surface for c in cases}) + perturbed_golden(turkish, 60, seed=5)
     lexicals = sorted({c.lexical for c in cases if c.polarity == "positive"})
+    glosses = sorted({split_gloss(c.gloss) for c in cases if c.polarity == "positive"} - {None})
 
     def run(desc, offset=0):
         out = {}
@@ -1346,12 +1386,18 @@ def test_concurrent_calls_match_serial(turkish):
             out["C", w] = engine.lexicon_covers(w, desc)
         for lex in lexicals:
             out["G", lex] = engine.generate(lex, desc, validate_morphotactics=True)
+        # the threads share the gloss index once one of them has stored it,
+        # and fill its memos of entry realizations
+        k = offset * len(glosses) // len(words)
+        for root, tags in glosses[k:] + glosses[:k]:
+            out["F", root, tags] = engine.generate_from_gloss(root, list(tags), desc)
         return out
 
     serial = run(turkish)
     # accepted and rejected words alike, so the threads fill the live moves
     # of dead ends too
     assert any(serial["A", w] for w in words) and not all(serial["A", w] for w in words)
+    assert len(glosses) > 100 and all(serial["F", root, tags] for root, tags in glosses)
     # rejected words at both layers, so the threads fill the closure tables
     layers = {serial["T", w][3] for w in words}
     assert {"none", "rules", "lexicon"} <= layers
@@ -1437,6 +1483,54 @@ def test_analyze_steps_no_automaton(monkeypatch):
     # trace steps the pairs that the walk dropped, and is counted
     assert not engine.trace("kitapı", "analyze", bundled).outcome.accepted
     assert steps
+
+
+# CYCLE_LEXICON with a root and tags, so that its paths have gloss paths
+GLOSSED_CYCLE_LEXICON = (CYCLE_LEXICON.replace("LEXICON Root\n:0 A ;", "LEXICON Root\n[ROOT=r]:0 A ;")
+                         .replace(":a B ;", "+A:a B ;").replace(":b A ;", "+B:b A ;"))
+
+
+def test_generate_from_gloss_steps_no_automaton(monkeypatch):
+    # gloss generation realizes each entry through the vector rows that the
+    # walk stepped, shipped in the bundled description and reloaded by the
+    # walking runtime of a compiled one, and keeps the live states alone:
+    # it steps no bundle, interns no vector, and memoizes each entry's
+    # realization per kept vector
+    from conftest import make_description
+    bundled = load_turkish(refresh=True)
+    compiled = [make_description(DELETION_RULES, "LEXICON Root\n[ROOT=r]:abb # ;\n"
+                                                 "[ROOT=r]:b S ;\nLEXICON S\n+X:a # ;\n:0 # ;\n"),
+                make_description(CYCLE_RULES, GLOSSED_CYCLE_LEXICON)]
+    steps = []
+    step = engine._Bundle.step
+
+    def counted(self, *args):
+        steps.append(args)
+        return step(self, *args)
+
+    monkeypatch.setattr(engine._Bundle, "step", counted)
+    golden = sorted({split_gloss(c.gloss) for c in golden_suite()} - {None})
+    for desc in [bundled] + compiled:
+        rt = engine.runtime(desc)
+        n_vectors = len(rt.vec_list)
+        glosses = sorted({split_gloss(g) for _, g in enumerate_paths(desc.lexicon, 4)} - {None})
+        items = random.Random(83).sample(glosses, min(500, len(glosses)))
+        outputs = [gloss_outcome(engine.generate_from_gloss, root, list(tags), desc)
+                   for root, tags in (golden if desc is bundled else []) + items]
+        assert any(type(out) is list and out for out in outputs)
+        assert len(rt.vec_list) == n_vectors
+        # every memo key is a kept vector, and every state a row holds is live
+        live, n_nodes, kept = desc.tables[2], len(rt.trie.arcs), len(desc.tables[1])
+        memos = [(entry_steps, memo) for tagged, links in rt.glosses.values()
+                 for entries in [*tagged.values(), links] for _, _, entry_steps, memo in entries]
+        assert sum(len(memo) for _, memo in memos) > 0
+        for entry_steps, memo in memos:
+            assert all(vid < kept for vid in memo)
+            if entry_steps:
+                node = entry_steps[-1][1]
+                assert all(nvid * n_nodes + node in live for row in memo.values()
+                           for nvid, _ in row)
+    assert steps == []
 
 
 def test_the_shipped_rows_hold_the_walked_transitions():
