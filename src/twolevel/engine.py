@@ -4,20 +4,22 @@ The analyzer walks the lexicon trie and all rule automata in parallel over
 feasible pairs.  A load-time lint rejects insertion pairs (0:y), so every
 move reads a lexical symbol; a path that loops through deletions (x:0) and
 continuation jumps without reading a surface character is cut (_search).
-The lexicon composed with the rules is walked once, by the first runtime
-built for a description (_Runtime.walk), which keeps the result in the
-description, and the search takes no move into a state from which no final
-state can be reached.  The result holds the rule-vector transitions that
-the walk stepped, so the search steps no rule automaton.
+A runtime is built from a description's run tables alone (run_tables):
+plain ints, strings, tuples, lists, dicts and frozensets, which the bundled
+description ships marshalled.  The lexicon composed with the rules is
+walked once, by the first runtime built from tables without the walk
+(_Runtime.walk), which stores the result in them, and the search takes no
+move into a state from which no final state can be reached.  The result
+holds the rule-vector transitions that the walk stepped, so the search
+steps no rule automaton.  This module imports no compiler module: only
+compile_description does, when it runs.
 """
 
 import threading
 import unicodedata
-from dataclasses import dataclass, field
 
-from . import rules as rulemod
-from .lexicon import TERMINAL
-from .symbols import NULL
+NULL = "0"        # symbols.NULL, the empty side of a pair
+TERMINAL = "#"    # the continuation that ends a lexicon path
 
 
 class TokenError(ValueError):
@@ -34,11 +36,31 @@ class DescriptionError(ValueError):
     pass
 
 
-@dataclass
-class Analysis:
-    lexical: str
-    gloss: str
-    pairs: tuple    # pair ids, unframed
+class _Record:
+    """A plain class with __slots__ that compares and shows itself as a
+    dataclass of its slots would: equal to an object of its own class
+    with equal slots, unhashable, and shown as Name(slot=value, ...)."""
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, name) for name in self.__slots__]
+                == [getattr(other, name) for name in self.__slots__])
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class Analysis(_Record):
+    __slots__ = ("lexical", "gloss", "pairs")
+
+    def __init__(self, lexical, gloss, pairs):
+        self.lexical = lexical
+        self.gloss = gloss
+        self.pairs = pairs      # pair ids, unframed
 
     def surface(self, alphabet):
         out = []
@@ -49,15 +71,27 @@ class Analysis:
         return "".join(out)
 
 
-@dataclass
-class TraceStep:
-    position: int
-    pair: str
-    died: list      # rule names whose automaton rejected here
+class TraceStep(_Record):
+    __slots__ = ("position", "pair", "died")
+
+    def __init__(self, position, pair, died):
+        self.position = position
+        self.pair = pair
+        self.died = died        # rule names whose automaton rejected here
+
+
+class Verdict(_Record):
+    """The outcome of running rule automata over a pair string: blockers
+    are (rule name, position, pair name)."""
+    __slots__ = ("accepted", "blockers")
+
+    def __init__(self, accepted, blockers=None):
+        self.accepted = accepted
+        self.blockers = [] if blockers is None else blockers
 
 
 class TraceReport:
-    """trace's answer: outcome, a rules.Verdict; layer, the layer that
+    """trace's answer: outcome, a Verdict; layer, the layer that
     stopped the word (lexicon | rules, none when it passes); and steps, a
     TraceStep per pair that kills a rule vector in the observed search, in
     visiting order.  Given a function for steps, the report calls it on the
@@ -97,51 +131,132 @@ class TraceReport:
         return [name for name, _, _ in self.outcome.blockers]
 
 
-@dataclass
-class Description:
-    declarations: object
-    alphabet: object
-    rule_automata: list      # effective parallel constraint set
-    ground_rules: list       # where-expanded source rules
-    lexicon: object
-    # The search runtime (runtime()), which no pickle holds, and the trimmed
-    # composition it walked (_Runtime.tables), which a pickle keeps.
-    # compile_description sets both; a Description made otherwise
-    # (dataclasses.replace) gets them from its first runtime.
-    _runtime: object = field(default=None, init=False, repr=False)
-    tables: object = field(default=None, init=False, repr=False)
+# The parts a compile produces, which no run-path function reads.
+_PARTS = ("declarations", "alphabet", "rule_automata", "ground_rules", "lexicon")
+_parts_lock = threading.Lock()
+
+
+class Description(_Record):
+    """A compiled description: its compile-time parts (_PARTS) and its run
+    tables (run_tables), from which its search runtime (runtime()) is
+    built; a pickle leaves the runtime out.  A Description made with the
+    parts gets its tables from its first runtime, and one made from
+    tables (from_tables) gets its parts on the first read of any of them,
+    from the Description that its `source` function compiles, once even
+    when several threads read them first at the same time."""
+    __slots__ = _PARTS + ("_runtime", "tables", "_source")
+
+    def __init__(self, declarations, alphabet, rule_automata, ground_rules, lexicon):
+        self.declarations = declarations
+        self.alphabet = alphabet
+        self.rule_automata = rule_automata      # effective parallel constraint set
+        self.ground_rules = ground_rules        # where-expanded source rules
+        self.lexicon = lexicon
+        self._runtime = self.tables = self._source = None
+
+    @classmethod
+    def from_tables(cls, tables, source):
+        """A Description of run tables, whose parts source() compiles."""
+        desc = cls.__new__(cls)
+        desc.tables, desc._source, desc._runtime = tables, source, None
+        return desc
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: a part of a description from_tables
+        if name not in _PARTS or self._source is None:
+            raise AttributeError(name)
+        with _parts_lock:
+            if self._source is not None:      # else a thread that raced this one compiled
+                compiled = self._source()
+                for part in _PARTS:
+                    setattr(self, part, getattr(compiled, part))
+                self._source = None
+        return getattr(self, name)
+
+    # A description whose parts are not compiled yet compares and shows
+    # its tables, so that neither == nor repr compiles it.
+    def __eq__(self, other):
+        if other.__class__ is not Description:
+            return NotImplemented
+        if self._source is None and other._source is None:
+            return _Record.__eq__(self, other)
+        return self.tables is not None and self.tables == other.tables
+
+    def __repr__(self):
+        if self._source is not None:
+            return "Description.from_tables(<run tables of %d automata>)" % len(
+                self.tables["automata"])
+        return "Description(%s)" % ", ".join("%s=%r" % (name, getattr(self, name))
+                                             for name in _PARTS)
 
     def __getstate__(self):
-        return {**vars(self), "_runtime": None}
+        # parts not compiled yet stay so
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "_runtime" and (name not in _PARTS or self._source is None)}
+
+    def __setstate__(self, state):
+        self._runtime = None
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 def compile_description(decls, ground_rules, lexicon, alphabet):
     """Build a Description, running the load-time lints, and its runtime,
     which walks the lexicon composed with the rule automata (_Runtime.walk)."""
+    from . import rules as rulemod
+
     for lex, surf in alphabet.pairs:
         if lex.name == NULL:
             raise DescriptionError(
                 "insertion pair 0:%s is unsupported (deletion-only search)" % surf.name
             )
     lexicon.validate()
-    for sym in _lexicon_symbols(lexicon):
-        if sym.name not in alphabet.by_lex:
-            raise DescriptionError(
-                "lexicon symbol %r has no feasible pair" % sym.name
-            )
+    for entries in lexicon.sublexicons.values():
+        for e in entries:
+            for sym in e.form:
+                if sym.name not in alphabet.by_lex:
+                    raise DescriptionError("lexicon symbol %r has no feasible pair" % sym.name)
     automata = rulemod.compile_check_set(ground_rules, alphabet, decls)
     desc = Description(decls, alphabet, automata, ground_rules, lexicon)
-    desc._runtime = _Runtime(desc)
+    runtime(desc)
     return desc
 
 
-def _lexicon_symbols(lexicon):
-    seen = {}
-    for entries in lexicon.sublexicons.values():
-        for e in entries:
-            for s in e.form:
-                seen[s.name] = s
-    return seen.values()
+def run_tables(desc):
+    """The run tables of a description's parts, the trie and the walk left
+    out: a dict of plain data that holds every table a runtime reads.
+        automata  per automaton of the check set: (rule name, the class of
+                  each pair id and of the boundary pair, delta, start,
+                  finals); delta maps per state a class to the next state,
+                  and the end of the word (_END) to the state itself when
+                  the boundary pair leads it to a final state
+        lexical, surface  per pair id: the names of its two sides
+        roots     the sublexicons where lexicon paths start
+        entries   sublexicon -> its entries, each (form, gloss,
+                  continuation), the form a string of lexical symbols
+    Equal rows and class maps are one object, which marshal writes once.
+    The first runtime built from them adds the trie's tables (_Trie) and
+    the walk's (walk)."""
+    alphabet, lexicon = desc.alphabet, desc.lexicon
+    frame = alphabet.frame_id
+    shared = {}
+    automata = []
+    for ra in desc.rule_automata:
+        dfa = ra.dfa
+        class_of = tuple(dfa.class_of[:frame + 1])
+        delta = [{**row, _END: q} if row.get(class_of[frame]) in dfa.finals else row
+                 for q, row in enumerate(dfa.delta)]
+        automata.append((ra.name, shared.setdefault(class_of, class_of),
+                         [shared.setdefault(tuple(row.items()), row) for row in delta],
+                         dfa.start, tuple(sorted(dfa.finals))))
+    return {
+        "automata": automata,
+        "lexical": [lex.name for lex, _ in alphabet.pairs],
+        "surface": [surf.name for _, surf in alphabet.pairs],
+        "roots": list(lexicon.roots),
+        "entries": {name: tuple((e.form_text(), e.gloss, e.continuation) for e in entries)
+                    for name, entries in lexicon.sublexicons.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +273,29 @@ class _Trie:
     which the cyclic collector stops tracking."""
     __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live")
 
-    def __init__(self, lexicon, pairs_by_lex, surf, codes):
+    def __init__(self, tables, pairs_by_lex, surf, codes):
+        if "trie" not in tables:
+            self.build(tables["entries"], pairs_by_lex, surf, codes)
+            tables["trie"] = (self.roots, self.arcs, self.complete, self.moves, self.dels)
+        self.roots, self.arcs, self.complete, self.moves, self.dels = tables["trie"]
+        # vid * n_codes + code -> the moves that survive the rules
+        self.live = [{} for _ in self.arcs]
+
+    def build(self, entries, pairs_by_lex, surf, codes):
+        """The trie's tables, built from the lexicon's entries (run_tables)."""
         self.roots = {}
         self.arcs = []
         self.complete = []
-        for name, entries in lexicon.sublexicons.items():
+        for name, sub in entries.items():
             root = self.roots[name] = self.add()
-            for e in entries:
+            for form, gloss, cont in sub:
                 node = root
-                for sym in e.form:
-                    nxt = self.arcs[node].get(sym.name)
+                for sym in form:
+                    nxt = self.arcs[node].get(sym)
                     if nxt is None:
-                        nxt = self.arcs[node][sym.name] = self.add()
+                        nxt = self.arcs[node][sym] = self.add()
                     node = nxt
-                self.complete[node] += ((e.gloss, e.continuation),)
+                self.complete[node] += ((gloss, cont),)
         # Surface index: surface code (codes) -> the moves that can read it,
         # the deletions included, in arcs order then pairs_by_lex order;
         # dels holds the deletions alone.
@@ -183,8 +307,6 @@ class _Trie:
             self.dels.append(tuple(m for m in every if not m[3]))
             self.moves.append({codes[c]: tuple(m for m in every if not m[3] or surf[m[1]] == c)
                                for c in {surf[m[1]] for m in every if m[3]}})
-        # vid * n_codes + code -> the moves that survive the rules
-        self.live = [{} for _ in self.arcs]
 
     def add(self):
         """A new node's number."""
@@ -267,24 +389,21 @@ _END = -1         # the end of the word: a code in a _Frontier, a class in a _Bu
 
 
 class _Bundle(_Table):
-    """A run of consecutive rule automata stepped as one lazily built
-    product: interned tuples of their states, and per tuple joint class ->
-    next tuple id, or _DEAD when some automaton of the run dies.  A pair's
-    joint class (of_pair[pid]) numbers its tuple of classes in the run's
-    automata (joint).  The end of the word, pair id frame + 1, is class
-    _END of every automaton: a state whose #:# transition reaches a final
-    state steps to itself on it (deltas copies only those rows), and every
-    other state dies."""
-    __slots__ = ("first", "dfas", "deltas", "of_pair", "joint")
+    """A run of consecutive rule automata (run_tables) stepped as one
+    lazily built product: interned tuples of their states, and per tuple
+    joint class -> next tuple id, or _DEAD when some automaton of the run
+    dies.  A pair's joint class (of_pair[pid]) numbers its tuple of
+    classes in the run's automata (joint).  The end of the word, pair id
+    frame + 1, is class _END of every automaton."""
+    __slots__ = ("first", "start", "deltas", "of_pair", "joint")
 
-    def __init__(self, first, dfas, frame):
-        self.first = first            # check-set index of dfas[0]
-        self.dfas = dfas
-        self.deltas = [[{**row, _END: q} if row.get(d.class_of[frame]) in d.finals else row
-                        for q, row in enumerate(d.delta)] for d in dfas]
+    def __init__(self, first, automata):
+        self.first = first            # check-set index of automata[0]
+        self.start = tuple(a[3] for a in automata)
+        self.deltas = [a[2] for a in automata]
         joint = {}
         self.of_pair = [joint.setdefault(classes, len(joint)) for classes in
-                        [*zip(*(d.class_of[:frame + 1] for d in dfas)), (_END,) * len(dfas)]]
+                        [*zip(*(a[1] for a in automata)), (_END,) * len(automata)]]
         self.joint = list(joint)
         super().__init__()            # the tuples of states
 
@@ -307,50 +426,52 @@ class _Bundle(_Table):
 
 
 class _Runtime:
-    def __init__(self, desc):
-        alphabet = desc.alphabet
-        self.alphabet = alphabet
-        self.dfas = [ra.dfa for ra in desc.rule_automata]
+    def __init__(self, tables):
         # step_vec's tables: the bundles of the check set, and per pair id (the
         # boundary pair and the end of the word included) its joint class in
         # every bundle.  A rule vector is a tuple of bundle tuple ids, one each.
-        self.frame_id = alphabet.frame_id
+        automata = tables["automata"]
+        self.surf = surf = tables["surface"]
+        self.frame_id = len(surf)
         self.end = self.frame_id + 1    # step_vec(vid, end) is vid, or None
-        self.bundles = [_Bundle(k, self.dfas[k:k + _BUNDLE], self.frame_id)
-                        for k in range(0, len(self.dfas), _BUNDLE)]
+        self.bundles = [_Bundle(k, automata[k:k + _BUNDLE])
+                        for k in range(0, len(automata), _BUNDLE)]
         self.classes = [tuple(b.of_pair[pid] for b in self.bundles) for pid in range(self.end + 1)]
-        self.surf = [p[1].name for p in alphabet.pairs]
-        self.is_null = [s == NULL for s in self.surf]
-        self.pairs_by_lex = {k: tuple(v) for k, v in alphabet.by_lex.items()}
+        self.is_null = [s == NULL for s in surf]
+        self.pairs_by_lex = {}
+        for pid, lex in enumerate(tables["lexical"]):
+            self.pairs_by_lex[lex] = self.pairs_by_lex.get(lex, ()) + (pid,)
+        # the boundary pair and the end of the word are both #:#
+        self.pair_names = ["%s:%s" % pair for pair in zip(tables["lexical"], surf)] + ["#:#"] * 2
 
         self._lock = threading.Lock()
-        self.rule_names = [ra.name for ra in desc.rule_automata]
+        self.rule_names = [a[0] for a in automata]
         self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
 
         # Codes of the surface characters for live_moves: 0 stands for the
         # end of the word and for any character that no pair realizes, as
         # both leave the deletions alone.
-        chars = sorted({s for s in self.surf if s != NULL})
+        chars = sorted({s for s in surf if s != NULL})
         self.codes = {c: k for k, c in enumerate(chars, 1)}
         self.n_codes = len(chars) + 1
 
-        self.trie = _Trie(desc.lexicon, self.pairs_by_lex, self.surf, self.codes)
-        self.lexicon = desc.lexicon
+        self.trie = _Trie(tables, self.pairs_by_lex, surf, self.codes)
+        self.roots = tables["roots"]
         # The interned rule vectors; every search reads their keys and
         # rows, each in one attribute load.
-        self.intern_tables(desc.tables)
-        if desc.tables is None:
-            desc.tables = self.walk()
-            self.intern_tables(desc.tables)
+        self.tables = tables
+        self.intern_tables()
+        if "rows" not in tables:
+            tables.update(self.walk())
+            self.intern_tables()
 
-        self.pair_names = [alphabet.name_of(pid) for pid in range(self.end)] + ["#:#"]
         # Closure tables of the rules-off search (lexicon_covers), filled on
         # first use; at most one per trie node.
         # Like the other memos they are filled without a lock: two threads
         # may compute one table at once, but both results are equal, so
         # either may win.
         self.cover_nodes = {}     # trie node -> node_cover(node)
-        roots = [self.trie.roots[root] for root in self.lexicon.roots]
+        roots = [self.trie.roots[root] for root in self.roots]
         self.covers = _Frontier(tuple(sorted(roots)), type(self).cover_step)
 
         # The frontier is its own object rather than five more attributes
@@ -381,23 +502,21 @@ class _Runtime:
         res = trans[pid] = self.vectors.intern(tuple(out), self._lock)
         return res
 
-    def intern_tables(self, tables):
-        """Start the bundle and vector tables afresh from `tables` (walk;
-        None: empty), their keys interned first, so that the ids are the
-        ones its live states name, and each vector's transitions from a
-        copy of its row, so that what later steps add never reaches
-        `tables`; then intern the start vector and step it over the opening
-        boundary (init_vec)."""
-        self.tables = tables
-        bundle_keys, vector_keys, rows = ((tables[0], tables[1], tables[4]) if tables
-                                          else ([()] * len(self.bundles), (), ()))
-        for bundle, keys in zip(self.bundles, bundle_keys):
-            bundle.load(keys)
-        self.vectors = _Table(vector_keys, rows)
+    def intern_tables(self):
+        """Start the bundle and vector tables afresh from the walk's tables
+        (empty before the walk), their keys interned first, so that the
+        ids are the ones its live states name, and each vector's
+        transitions from a copy of its row, so that what later steps add
+        never reaches the run tables; then intern the start vector and step
+        it over the opening boundary (init_vec)."""
+        tables = self.tables
+        for k, bundle in enumerate(self.bundles):
+            bundle.load(tables["bundles"][k] if "rows" in tables else ())
+        self.vectors = _Table(tables.get("vectors", ()), tables.get("rows", ()))
         self.vec_list = self.vectors.keys
         self.vec_trans = self.vectors.trans
-        start = self.vectors.intern(tuple(b.intern(tuple(d.start for d in b.dfas), self._lock)
-                                          for b in self.bundles), self._lock)
+        start = self.vectors.intern(tuple(b.intern(b.start, self._lock) for b in self.bundles),
+                                    self._lock)
         self.init_vec = self.step_vec(start, self.frame_id)
         if self.init_vec is None:
             # every automaton compile_rule builds reads the opening
@@ -406,25 +525,25 @@ class _Runtime:
                                    % ", ".join(self.rejecters(start, self.frame_id)))
 
     def walk(self):
-        """The tables of the lexicon composed with the rule automata: the
-        keys of each bundle's tuples and of the vectors, the live states,
-        the number of composed states, and the vectors' rows of
-        transitions.  A composed state is a (trie node, vector id) state
-        that the moves and continuation jumps reach from the roots; it is
-        live when they lead from it to a final state, a node that completes
-        an entry with # under a vector that accepts the end of the word.
-        The walk runs forward over every composed state, then backward from
-        the final ones.  The tables keep the start vector (id 0) and the
-        vectors of the live states, and the bundle tuples these hold, in
-        the order the walk interned them; a key's id is its index, and a
-        state is the int vid * (number of trie nodes) + node.  A vector's
-        row maps, in pair id order, each pair that the walk stepped it on
-        into a kept vector to that vector, and the end of the word to the
-        vector itself or None.  No runtime writes to a row: intern_tables
-        copies them."""
+        """The run tables of the lexicon composed with the rule automata:
+        the keys of each bundle's tuples (bundles) and of the vectors
+        (vectors), the live states (live), the number of composed states
+        (composed), and the vectors' rows of transitions (rows).  A
+        composed state is a (trie node, vector id) state that the moves and
+        continuation jumps reach from the roots; it is live when they lead
+        from it to a final state, a node that completes an entry with #
+        under a vector that accepts the end of the word.  The walk runs
+        forward over every composed state, then backward from the final
+        ones.  The tables keep the start vector (id 0) and the vectors of
+        the live states, and the bundle tuples these hold, in the order the
+        walk interned them; a key's id is its index, and a state is the int
+        vid * (number of trie nodes) + node.  A vector's row maps, in pair
+        id order, each pair that the walk stepped it on into a kept vector
+        to that vector, and the end of the word to the vector itself or
+        None.  No runtime writes to a row: intern_tables copies them."""
         trie, step_vec = self.trie, self.step_vec
         roots, complete, n = trie.roots, trie.complete, len(trie.arcs)
-        seen = {self.init_vec * n + roots[root] for root in self.lexicon.roots}
+        seen = {self.init_vec * n + roots[root] for root in self.roots}
         stack = list(seen)
         into = {}         # state -> the states with a move or a jump into it
         live = set()      # the final states, then every state that reaches one
@@ -464,8 +583,9 @@ class _Runtime:
         rows = tuple(dict(sorted((pid, new.get(nvid)) for pid, nvid in self.vec_trans[vid].items()
                                  if nvid in new or pid == self.end))
                      for vid in vids)
-        return (bundle_keys, list(zip(*columns)),
-                frozenset(new[state // n] * n + state % n for state in live), len(seen), rows)
+        return {"bundles": bundle_keys, "vectors": list(zip(*columns)),
+                "live": frozenset(new[state // n] * n + state % n for state in live),
+                "composed": len(seen), "rows": rows}
 
     def live_moves(self, node, vid, code):
         """The moves of trie node `node` that read surface code `code` (see
@@ -481,7 +601,7 @@ class _Runtime:
         tuples."""
         trie = self.trie
         trans = self.vec_trans[vid]
-        live_states, n_nodes = self.tables[2], len(trie.arcs)
+        live_states, n_nodes = self.tables["live"], len(trie.arcs)
         live = []
         for move in trie.moves[node].get(code, trie.dels[node]):
             nvid = trans.get(move[1])
@@ -502,7 +622,7 @@ class _Runtime:
         it steps no automaton and adds only live states."""
         trie = self.trie
         roots, moves, complete, dels = trie.roots, trie.moves, trie.complete, trie.dels
-        live_states, n_nodes = self.tables[2], len(moves)
+        live_states, n_nodes = self.tables["live"], len(moves)
         stack = list(states)
         while stack:
             state = stack.pop()
@@ -565,8 +685,8 @@ class _Runtime:
                 "rules-off transitions": rows(self.covers),
                 "bundle states": keys(*self.bundles),
                 "bundle transitions": rows(*self.bundles),
-                "composed states": self.tables[3],
-                "live states": len(self.tables[2])}
+                "composed states": self.tables["composed"],
+                "live states": len(self.tables["live"])}
 
     def rejecters(self, vid, pid):
         """Names of the rule automata that reject pair pid (the end of the
@@ -638,14 +758,17 @@ _runtime_lock = threading.Lock()
 
 
 def runtime(desc):
-    """The search runtime of a description, built once even when several
-    threads ask for it first at the same time."""
+    """The search runtime of a description, built from its run tables once
+    even when several threads ask for it first at the same time; a
+    description without tables gets them from its parts (run_tables)."""
     rt = desc._runtime
     if rt is None:
         with _runtime_lock:
             rt = desc._runtime
             if rt is None:
-                rt = desc._runtime = _Runtime(desc)
+                if desc.tables is None:
+                    desc.tables = run_tables(desc)
+                rt = desc._runtime = _Runtime(desc.tables)
     return rt
 
 
@@ -683,7 +806,7 @@ def analyze(surface, desc):
             return []
 
     codes.append(0)
-    results = _search(rt, desc.lexicon.roots, codes, n)
+    results = _search(rt, rt.roots, codes, n)
     if not results:
         # its search has just filled the live moves that the steps read,
         # and visited every state of the sets without closing the word
@@ -789,10 +912,12 @@ def _search(rt, roots, codes, n, observe=None, start=None):
 # ---------------------------------------------------------------------------
 # Generation
 
-def tokenize_lexical(text, alphabet):
+def tokenize_lexical(text, by_lex):
+    """The lexical symbols of `text`; by_lex holds every lexical symbol
+    (a runtime's pairs_by_lex or a PairAlphabet's by_lex)."""
     syms = []
     for ch in unicodedata.normalize("NFC", text):
-        if ch not in alphabet.by_lex:
+        if ch not in by_lex:
             raise TokenError("unknown lexical symbol %r" % ch)
         syms.append(ch)
     return syms
@@ -802,7 +927,7 @@ def generate(lexical, desc, validate_morphotactics=False):
     """All surface realizations of a lexical string; 0-erasure applied,
     duplicates removed, sorted."""
     rt = runtime(desc)
-    syms = tokenize_lexical(lexical, desc.alphabet)
+    syms = tokenize_lexical(lexical, rt.pairs_by_lex)
     if validate_morphotactics and not is_lexicon_path(lexical, desc):
         return []
     return sorted({prefix for vid, prefix in _realize(rt, syms)
@@ -848,7 +973,7 @@ def is_lexicon_path(lexical, desc):
     # continuation passed on the way.  Only trie roots are reached in more
     # than one way, so walking from each (sublexicon, position) once visits
     # every (trie node, position) at most once, continuation cycles included.
-    stack = [(root, 0) for root in desc.lexicon.roots]
+    stack = [(root, 0) for root in rt.roots]
     seen = set()
     while stack:
         state = stack.pop()
@@ -872,7 +997,7 @@ def is_lexicon_path(lexical, desc):
     return False
 
 
-def _gloss_index(lexicon, trie):
+def _gloss_index(entries, trie):
     """The lexicon as _gloss_walk reads it: per sublexicon, its glossed
     entries by gloss and its gloss-less ones.  An entry is (form text,
     continuation, steps, memo).  The steps are the (lexical symbol, trie
@@ -882,16 +1007,16 @@ def _gloss_index(lexicon, trie):
     per kept vector.  A row holds ints and strings alone, so a full
     collection untracks it."""
     subs = {}
-    for name, entries in lexicon.sublexicons.items():
+    for name, sub in entries.items():
         tagged, links = {}, []
-        for e in entries:
+        for form, gloss, cont in sub:
             node, steps = trie.roots[name], []
-            for sym in e.form:
-                node = trie.arcs[node][sym.name]
-                steps.append((sym.name, node))
-            entry = (e.form_text(), e.continuation, tuple(steps), {})
-            if e.gloss:
-                tagged.setdefault(e.gloss, []).append(entry)
+            for sym in form:
+                node = trie.arcs[node][sym]
+                steps.append((sym, node))
+            entry = (form, cont, tuple(steps), {})
+            if gloss:
+                tagged.setdefault(gloss, []).append(entry)
             else:
                 links.append(entry)
         subs[name] = (tagged, links)
@@ -907,7 +1032,7 @@ def _realize_entry(rt, steps, vid):
     of a kept vector lacks leads into a state that is not live: no
     automaton is stepped and no vector interned."""
     vec_trans, surf, is_null, pairs_by_lex = rt.vec_trans, rt.surf, rt.is_null, rt.pairs_by_lex
-    live_states, n_nodes = rt.tables[2], len(rt.trie.arcs)
+    live_states, n_nodes = rt.tables["live"], len(rt.trie.arcs)
     states = {(vid, ""): None}
     for sym, node in steps:
         pids = pairs_by_lex[sym]
@@ -947,7 +1072,7 @@ def _gloss_walk(rt, root, tags, frontier, start=None):
     subs = rt.glosses
     if subs is None:
         # threads that race build equal indexes
-        subs = rt.glosses = _gloss_index(rt.lexicon, rt.trie)
+        subs = rt.glosses = _gloss_index(rt.tables["entries"], rt.trie)
     wants = ["[ROOT=%s]" % root] + ["+" + tag for tag in tags]
     n = len(wants)
     best = -1
@@ -957,7 +1082,7 @@ def _gloss_walk(rt, root, tags, frontier, start=None):
     # entry, the sublexicons entered since the last placed gloss as a
     # ((sublexicon, lexical), rest) list); the walk enters its start through
     # an empty entry
-    starts = [(name, 0) for name in reversed(rt.lexicon.roots)] if start is None else [start]
+    starts = [(name, 0) for name in reversed(rt.roots)] if start is None else [start]
     stack = [(("", sub, (), None), k, frontier, "", None) for sub, k in starts]
     while stack:
         (text, sub, steps, memo), k, frontier, lexical, entered = stack.pop()
@@ -1097,7 +1222,7 @@ def trace(word, direction, desc):
     word = unicodedata.normalize("NFC", word)
     rt = runtime(desc)
     if direction == "generate":
-        syms = tokenize_lexical(word, desc.alphabet)
+        syms = tokenize_lexical(word, rt.pairs_by_lex)
         accepted = any(rt.step_vec(vid, rt.end) is not None for vid, _ in _realize(rt, syms))
         covered = accepted or is_lexicon_path(word, desc)
     else:
@@ -1106,7 +1231,7 @@ def trace(word, direction, desc):
         covered = accepted or lexicon_covers(word, desc)
     if accepted or not covered:
         return TraceReport(lambda: _trace_steps(rt, _observe(rt, syms, direction)[1]),
-                           rulemod.Verdict(accepted, []), "none" if accepted else "lexicon")
+                           Verdict(accepted, []), "none" if accepted else "lexicon")
     events = _observe(rt, syms, direction)[1]
     deepest = max((e[0] for e in events), default=-1)
     last = [e for e in events if e[0] == deepest]
@@ -1118,7 +1243,7 @@ def trace(word, direction, desc):
                 rules.setdefault(name, rt.pair_names[pid])
     blockers = [(name, deepest, rules[name])
                 for name in dict.fromkeys(rt.rule_names) if name in rules]
-    return TraceReport(lambda: _trace_steps(rt, events), rulemod.Verdict(False, blockers), "rules")
+    return TraceReport(lambda: _trace_steps(rt, events), Verdict(False, blockers), "rules")
 
 
 def _observe(rt, syms, direction):
@@ -1169,7 +1294,7 @@ def _observe(rt, syms, direction):
             add((i, vid, -1))
         return live
 
-    return bool(_search(rt, rt.lexicon.roots, codes, n, observe)), events
+    return bool(_search(rt, rt.roots, codes, n, observe)), events
 
 
 def _trace_steps(rt, events):

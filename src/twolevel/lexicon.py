@@ -13,6 +13,7 @@ entries are allowed (homographs).  The entry point is LEXICON Root.
 
 from dataclasses import dataclass
 
+from .engine import TERMINAL
 from .symbols import SymbolTable, _strip_comment, split_raw, split_words, unescape
 
 
@@ -23,9 +24,6 @@ class LexiconSyntaxError(ValueError):
 class LinkError(ValueError):
     """A continuation class that no LEXICON section defines, or a loop of
     empty-form entries that adds glosses (enumerate_paths)."""
-
-
-TERMINAL = "#"
 
 
 @dataclass

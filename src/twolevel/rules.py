@@ -6,10 +6,11 @@ license disjunctively; the coercion obligation of <= applies per context.
 Evaluation frames the pair string with the boundary pair on both sides.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dfa as dfalib
 from . import pair_regex as rx
+from .engine import Verdict
 from .symbols import parse_declarations
 
 OPS = ("/<=", "<=>", "=>", "<=")
@@ -66,12 +67,6 @@ class RuleAutomaton:
     @property
     def name(self):
         return self.rule.name
-
-
-@dataclass
-class Verdict:
-    accepted: bool
-    blockers: list = field(default_factory=list)  # (rule name, position, pair name)
 
 
 # ---------------------------------------------------------------------------

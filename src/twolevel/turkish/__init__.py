@@ -1,20 +1,18 @@
 """The bundled Turkish description: rules, lexicon, corpus, utilities."""
 
 import hashlib
-import pickle
+import marshal
 from importlib import resources
 
-from .. import engine, rules as rulemod
-from ..lexicon import Lexicon, parse_lexicon_file
-from ..symbols import derive_feasible_pairs
+from .. import engine
 from .corpus import GoldenCase, golden_suite, run_case, run_suite
 from .syllabify import SyllabifyError, syllabify_first
 
 _cached = None
 
 # The compiled description shipped as package data: a one-line key, then
-# the pickle of the Description as compiled from the texts below.
-ARTIFACT = "turkish.pickle"
+# the marshalled run tables of the description compiled from the texts below.
+ARTIFACT = "turkish.tables"
 _TEXTS = ("rules.twol", "roots.lex", "suffix_grammar.lex")
 # The modules a compile runs through, relative to the twolevel package.
 _SOURCES = ("symbols.py", "pair_regex.py", "rules.py", "dfa.py", "lexicon.py",
@@ -27,6 +25,9 @@ def _data(name):
 
 def load_description(rules_text, lexicon_texts):
     """Compile a description from rules-file text and lexicon file texts."""
+    from .. import rules as rulemod
+    from ..lexicon import Lexicon, parse_lexicon_file
+    from ..symbols import derive_feasible_pairs
     decls, rules = rulemod.parse_rules_file(rules_text)
     ground = []
     for r in rules:
@@ -82,21 +83,21 @@ def artifact_key():
 
 def artifact_bytes():
     """The artifact as ``python -m twolevel.turkish.build`` writes it."""
-    return artifact_key() + pickle.dumps(compile_turkish(), pickle.HIGHEST_PROTOCOL)
+    return artifact_key() + marshal.dumps(compile_turkish().tables)
 
 
 def _load_artifact():
     """The shipped Description, or None when the file is missing or its key
-    is not the current one.  Nothing is unpickled before the key matches."""
+    is not the current one.  Nothing is unmarshalled before the key matches."""
     try:
         raw = resources.files("twolevel.turkish.data").joinpath(ARTIFACT).read_bytes()
         # an installation without the module sources cannot check the key
         key = artifact_key()
     except FileNotFoundError:
         return None
-    if not raw.startswith(key):
-        return None
-    return pickle.loads(memoryview(raw)[len(key):])
+    if raw.startswith(key):
+        tables = marshal.loads(memoryview(raw)[len(key):])
+        return engine.Description.from_tables(tables, compile_turkish)
 
 
 def load_turkish(refresh=False):

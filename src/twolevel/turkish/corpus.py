@@ -6,19 +6,20 @@ not exist); negative rows without one are phonological (no analysis at all).
 """
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 
 from .. import engine
 
 
-@dataclass
-class GoldenCase:
-    surface: str
-    lexical: str
-    gloss: str
-    polarity: str   # positive | negative | negative:rules | negative:lexicon
-    source: str
+class GoldenCase(engine._Record):
+    __slots__ = ("surface", "lexical", "gloss", "polarity", "source")
+
+    def __init__(self, surface, lexical, gloss, polarity, source):
+        self.surface = surface
+        self.lexical = lexical
+        self.gloss = gloss
+        self.polarity = polarity    # positive | negative | negative:rules | negative:lexicon
+        self.source = source
 
     @property
     def layer(self):

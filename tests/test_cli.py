@@ -38,6 +38,18 @@ def test_analyze_word(capsys):
     assert counts and all(int(k) > 0 for k in counts.groups())
     assert int(counts[4]) >= 2 and int(counts[6]) >= 4
     assert int(counts[10]) > int(counts[11])
+    assert re.fullmatch(r"set-up: description load \d+\.\d{4}s, runtime build \d+\.\d{4}s",
+                        lines[2])
+
+
+def test_generate_stats_report_the_set_up_times(capsys):
+    rc = main(["generate", "--stats", "ev^-DA"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and out == "evde\n"
+    lines = err.splitlines()
+    assert len(lines) == 3 and lines[1].startswith("runtime caches: ")
+    assert re.fullmatch(r"set-up: description load \d+\.\d{4}s, runtime build \d+\.\d{4}s",
+                        lines[2])
 
 
 def test_analyze_none_marker(capsys):

@@ -9,6 +9,7 @@ import re
 import sys
 import threading
 import time
+import types
 import unicodedata
 from pathlib import Path
 
@@ -406,7 +407,7 @@ def test_decomposed_input_is_normalized(turkish):
         assert engine.trace(nfd, "analyze", turkish).outcome.accepted
         for a in readings:
             lexical = unicodedata.normalize("NFD", a.lexical)
-            assert engine.tokenize_lexical(lexical, turkish.alphabet) == list(a.lexical)
+            assert engine.tokenize_lexical(lexical, turkish.alphabet.by_lex) == list(a.lexical)
             assert engine.generate(lexical, turkish, validate_morphotactics=True) == [word]
             assert engine.trace(lexical, "generate", turkish).outcome.accepted
 
@@ -520,6 +521,13 @@ def test_trace_agrees_with_analyze_on_any_string(turkish, data):
         assert unicodedata.normalize("NFC", w) in engine.generate(a.lexical, turkish)
 
 
+def dfas(rt):
+    """The rule automata of a runtime's run tables, in check-set order."""
+    return [types.SimpleNamespace(name=name, class_of=class_of, delta=delta, start=start,
+                                  finals=finals)
+            for name, class_of, delta, start, finals in rt.tables["automata"]]
+
+
 def vector_states(rt, vid):
     """The states of every rule automaton in vector vid, from its bundles'
     tuples."""
@@ -530,7 +538,7 @@ def closing_rejecters(rt, vid):
     """The names of the rule automata whose #:# transition from vector vid
     reaches no final state, each automaton stepped on its own."""
     frame = rt.frame_id
-    return tuple(name for name, d, q in zip(rt.rule_names, rt.dfas, vector_states(rt, vid))
+    return tuple(name for name, d, q in zip(rt.rule_names, dfas(rt), vector_states(rt, vid))
                  if d.delta[q].get(d.class_of[frame]) not in d.finals)
 
 
@@ -725,7 +733,7 @@ def composed_states(rt):
     continuation jumps reach from the roots: the states of the lexicon
     composed with the rule automata."""
     trie = rt.trie
-    seen = {(trie.roots[root], rt.init_vec) for root in rt.lexicon.roots}
+    seen = {(trie.roots[root], rt.init_vec) for root in rt.roots}
     stack = list(seen)
     while stack:
         node, vid = stack.pop()
@@ -774,8 +782,8 @@ def test_live_moves_lead_only_to_live_states():
     live = coaccessible_states(rt)
     # the shipped walk found the live states this walk finds
     n = len(rt.trie.arcs)
-    assert {(state % n, state // n) for state in rt.tables[2]} == live
-    assert rt.tables[3] == len(composed_states(rt)) > len(live) > 0
+    assert {(state % n, state // n) for state in rt.tables["live"]} == live
+    assert rt.tables["composed"] == len(composed_states(rt)) > len(live) > 0
     golden = sorted({c.surface for c in golden_suite()})
     for w in golden + perturbed_golden(desc, 300, seed=97) + random_surfaces(desc, 300, seed=101):
         engine.analyze(w, desc)
@@ -783,7 +791,7 @@ def test_live_moves_lead_only_to_live_states():
     assert sum(map(len, entries)) > 1000
     assert all((m[2], m[4]) in live for moves in entries for m in moves)
     # and the frontier's sets hold live states alone, but for the roots
-    roots = {rt.init_vec * n + rt.trie.roots[root] for root in desc.lexicon.roots}
+    roots = {rt.init_vec * n + rt.trie.roots[root] for root in rt.roots}
     assert len(rt.frontier.keys) > 2
     assert all((state % n, state // n) in live
                for key in rt.frontier.keys for state in key if state not in roots)
@@ -813,7 +821,7 @@ def test_the_lexicon_bounds_analyze_memory():
     fr = rt.frontier
     n = len(rt.trie.arcs)
     assert fr.keys[1] == rt._closure({rt.init_vec * n + rt.trie.roots[root]
-                                      for root in desc.lexicon.roots})
+                                      for root in rt.roots})
     subsets = {fr.keys[0], fr.keys[1]}
     stack = [fr.keys[1]]
     while stack:
@@ -846,7 +854,7 @@ def test_the_collector_never_sees_the_memos():
         engine.generate_from_gloss(root, list(tags), desc)
     gc.collect()
     # a shipped vector row and the runtime's copy of it are dicts of ints
-    rows = desc.tables[4]
+    rows = desc.tables["rows"]
     assert len(rows) > 100 and len(rt.vec_list) >= len(rows)
     assert not any(gc.is_tracked(row) for row in rows)
     assert not any(gc.is_tracked(row) for row in rt.vec_trans[:len(rows)])
@@ -1437,12 +1445,12 @@ def check_vectors_against_automata(desc):
     rt = engine.runtime(desc)
     names, frame = rt.rule_names, rt.frame_id
     assert rt.end == frame + 1
-    classes = [[d.class_of[pid] for d in rt.dfas] for pid in range(frame + 1)]
+    classes = [[d.class_of[pid] for d in dfas(rt)] for pid in range(frame + 1)]
     n_vectors = len(rt.vec_list)
     for vid in range(n_vectors):
         states = vector_states(rt, vid)
-        assert len(states) == len(rt.dfas)
-        rows = [d.delta[q] for d, q in zip(rt.dfas, states)]
+        assert len(states) == len(dfas(rt))
+        rows = [d.delta[q] for d, q in zip(dfas(rt), states)]
         for pid in range(frame + 1):
             nxt = [row.get(c) for row, c in zip(rows, classes[pid])]
             rejecting = tuple(name for name, q in zip(names, nxt) if q is None)
@@ -1462,6 +1470,7 @@ def test_analyze_steps_no_automaton(monkeypatch):
     # the walking runtime of a compiled one
     from conftest import make_description
     bundled = load_turkish(refresh=True)
+    bundled.lexicon     # its compile-time parts, which the inputs read, compiled uncounted
     compiled = [(make_description(DELETION_RULES, "LEXICON Root\n:abb # ;\n:b # ;\n"),
                  ["ab", "abb", "b", "ba", "a", ""]),
                 (make_description(CYCLE_RULES, CYCLE_LEXICON), cycle_words(4))]
@@ -1498,6 +1507,7 @@ def test_generate_from_gloss_steps_no_automaton(monkeypatch):
     # realization per kept vector
     from conftest import make_description
     bundled = load_turkish(refresh=True)
+    bundled.lexicon     # its compile-time parts, which the inputs read, compiled uncounted
     compiled = [make_description(DELETION_RULES, "LEXICON Root\n[ROOT=r]:abb # ;\n"
                                                  "[ROOT=r]:b S ;\nLEXICON S\n+X:a # ;\n:0 # ;\n"),
                 make_description(CYCLE_RULES, GLOSSED_CYCLE_LEXICON)]
@@ -1520,7 +1530,7 @@ def test_generate_from_gloss_steps_no_automaton(monkeypatch):
         assert any(type(out) is list and out for out in outputs)
         assert len(rt.vec_list) == n_vectors
         # every memo key is a kept vector, and every state a row holds is live
-        live, n_nodes, kept = desc.tables[2], len(rt.trie.arcs), len(desc.tables[1])
+        live, n_nodes, kept = desc.tables["live"], len(rt.trie.arcs), len(desc.tables["vectors"])
         memos = [(entry_steps, memo) for tagged, links in rt.glosses.values()
                  for entries in [*tagged.values(), links] for _, _, entry_steps, memo in entries]
         assert sum(len(memo) for _, memo in memos) > 0
@@ -1539,12 +1549,12 @@ def test_the_shipped_rows_hold_the_walked_transitions():
     # pairs into a kept vector, compared by the automata's states, and the
     # end of the word wherever a composed state completes with #
     desc = load_turkish(refresh=True)
-    rows = desc.tables[4]
+    rows = desc.tables["rows"]
     rt = engine.runtime(desc)
     for row in rt.vec_trans:
         row.clear()
     kept = {vector_states(rt, vid): vid for vid in range(len(rows))}
-    assert len(kept) == len(rows) == len(desc.tables[1])
+    assert len(kept) == len(rows) == len(desc.tables["vectors"])
     expected = [{} for _ in rows]
     # the start vector (id 0) steps over the opening boundary
     expected[0][rt.frame_id] = vector_states(rt, rt.init_vec)
@@ -1554,7 +1564,7 @@ def test_the_shipped_rows_hold_the_walked_transitions():
         states = vector_states(rt, vid)
         for sym in rt.trie.arcs[node]:
             for pid in rt.pairs_by_lex[sym]:
-                nxt = tuple(d.delta[q].get(d.class_of[pid]) for d, q in zip(rt.dfas, states))
+                nxt = tuple(d.delta[q].get(d.class_of[pid]) for d, q in zip(dfas(rt), states))
                 if nxt in kept:
                     expected[vid][pid] = nxt
         if any(cont == TERMINAL for _, cont in rt.trie.complete[node]):
@@ -1586,7 +1596,7 @@ def test_runtime_keeps_fewer_than_30_attributes(turkish):
 def test_bundled_vectors_match_the_automata():
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
-    assert len(rt.bundles) == 13 and [len(b.dfas) for b in rt.bundles] == [16] * 12 + [6]
+    assert len(rt.bundles) == 13 and [len(b.deltas) for b in rt.bundles] == [16] * 12 + [6]
     for w in sorted({c.surface for c in golden_suite()}) + perturbed_golden(desc, 50, seed=71):
         engine.analyze(w, desc)
     assert check_vectors_against_automata(desc) > 100
@@ -1597,9 +1607,9 @@ def test_bundled_vectors_match_the_automata():
     assert any(engine._DEAD in nxt for nxt in steps.values())
     # the start vector and what the opening boundary makes of it
     start = vector_states(rt, 0)
-    assert start == tuple(d.start for d in rt.dfas)
+    assert start == tuple(d.start for d in dfas(rt))
     assert vector_states(rt, rt.init_vec) == tuple(
-        d.delta[d.start][d.class_of[rt.frame_id]] for d in rt.dfas)
+        d.delta[d.start][d.class_of[rt.frame_id]] for d in dfas(rt))
 
 
 def test_bundled_vectors_of_a_description_smaller_than_a_bundle():
@@ -1609,7 +1619,7 @@ def test_bundled_vectors_of_a_description_smaller_than_a_bundle():
                                    ["ab", "abb", "b", "ba", "a", ""])):
         desc = make_description(rules, lexicon)
         rt = engine.runtime(desc)
-        assert len(rt.bundles) == 1 and len(rt.bundles[0].dfas) == len(rt.dfas) < 16
+        assert len(rt.bundles) == 1 and len(rt.bundles[0].deltas) == len(dfas(rt)) < 16
         for w in words:
             engine.analyze(w, desc)
             engine.trace(w, "analyze", desc)
@@ -1627,8 +1637,14 @@ def test_compile_rejects_an_opening_boundary_that_kills_a_rule(turkish, monkeypa
     assert ra.name in str(err.value)
 
 
+def with_automata(desc, rule_automata):
+    """A new Description of desc's parts with other rule automata."""
+    return engine.Description(desc.declarations, desc.alphabet, rule_automata, desc.ground_rules,
+                              desc.lexicon)
+
+
 def test_a_replaced_description_walks_its_own_composition(turkish):
-    desc = dataclasses.replace(turkish, rule_automata=list(turkish.rule_automata))
+    desc = with_automata(turkish, list(turkish.rule_automata))
     assert desc.tables is None and turkish.tables is not None
     fresh = compile_turkish()
     # its runtime's walk gives the tables of a compile, with the same ids
@@ -1644,8 +1660,7 @@ def test_a_replaced_used_description_builds_its_own_runtime(turkish):
     name = "34.Instantiation of the pronominal n, N:n"
     assert engine.analyze("evide", turkish) == []
     assert engine.trace("evide", "analyze", turkish).blocking_rules() == [name]
-    desc = dataclasses.replace(
-        turkish, rule_automata=[ra for ra in turkish.rule_automata if ra.name != name])
+    desc = with_automata(turkish, [ra for ra in turkish.rule_automata if ra.name != name])
     assert desc._runtime is None and desc.tables is None
     # without the n of the possessive before the case
     assert lexicals(engine.analyze("evide", desc)) == [("ev^-(s)HN-DA", "[ROOT=ev]+POSS3s+LOC")]
@@ -1696,19 +1711,19 @@ def test_a_compile_builds_one_runtime(monkeypatch):
     built = []
     runtime = engine._Runtime
 
-    def counted(desc):
-        built.append(desc)
-        return runtime(desc)
+    def counted(tables):
+        built.append(tables)
+        return runtime(tables)
 
     monkeypatch.setattr(engine, "_Runtime", counted)
     desc = compile_turkish()
     assert engine.analyze("evde", desc)
-    assert len(built) == 1 and built[0] is desc
+    assert len(built) == 1 and built[0] is desc.tables
 
 
 def test_runtime_rejects_an_opening_boundary_that_kills_a_rule(turkish):
     # compile_rule builds no such automaton; an edited one is named
-    desc = dataclasses.replace(turkish, rule_automata=copy.deepcopy(turkish.rule_automata))
+    desc = with_automata(turkish, copy.deepcopy(turkish.rule_automata))
     ra = desc.rule_automata[0]
     del ra.dfa.delta[ra.dfa.start][ra.dfa.class_of[desc.alphabet.frame_id]]
     with pytest.raises(engine.DescriptionError, match="#:#") as err:
