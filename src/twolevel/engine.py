@@ -268,10 +268,11 @@ class _Trie:
     maps a lexical symbol to the child, complete[k] holds the (gloss,
     continuation) of the entries that end at k, moves[k] and dels[k] are
     its surface index, and live[k] its memo of live moves
-    (_Runtime.live_moves).  A move is (lexical symbol, pair id, child,
-    consumes), so the tables hold only ints, strings and tuples of them,
-    which the cyclic collector stops tracking."""
-    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live")
+    (_Runtime.live_moves); gen is validated generate's memo of moves
+    (_Runtime.generate_moves).  A move is (lexical symbol, pair id, child,
+    consumes), so the tables hold only ints, strings and containers of
+    them, which the cyclic collector stops tracking."""
+    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live", "gen")
 
     def __init__(self, tables, pairs_by_lex, surf, codes):
         if "trie" not in tables:
@@ -280,6 +281,9 @@ class _Trie:
         self.roots, self.arcs, self.complete, self.moves, self.dels = tables["trie"]
         # vid * n_codes + code -> the moves that survive the rules
         self.live = [{} for _ in self.arcs]
+        # state * number of pairs + the first pair id of a lexical symbol,
+        # or -1 -> {(next state, surface added): None}
+        self.gen = {}
 
     def build(self, entries, pairs_by_lex, surf, codes):
         """The trie's tables, built from the lexicon's entries (run_tables)."""
@@ -376,9 +380,10 @@ class _Frontier(_Table):
         return nxt
 
 
-# Rule automata per bundle, in check-set order.  analyze and
-# generate_from_gloss step no bundle: the walk at compile time does, and so
-# do trace and the vectors that generate reaches off the walk.  Against one bundle
+# Rule automata per bundle, in check-set order.  analyze, validated
+# generate and generate_from_gloss step no bundle: the walk at compile time
+# does, and so do trace and unvalidated generate, which reach vectors off the
+# walk.  Against one bundle
 # of all 198 Turkish automata, bundles of 16 compiled the description in
 # 0.37 s against 0.58 s, ran the golden suite in 77 ms against 170 ms and
 # warm trace at 3,600 words/s against 3,250, and pickled to 378 KB against
@@ -610,6 +615,41 @@ class _Runtime:
         live = trie.live[node][vid * self.n_codes + code] = tuple(live)
         return live
 
+    def generate_moves(self, state, sym):
+        """Validated generate's step of composed state `state` (walk) on
+        lexical symbol sym: {(next state, surface added): None}, the next
+        states closed under continuation jumps and kept only when live;
+        memoized in trie.gen under state * frame_id + the symbol's first
+        pair id.  Given sym None, the start of the word: the roots under
+        init_vec, each with "", under key -1.  As in live_moves, no
+        automaton is stepped: generate visits only live states, so a pair
+        that a kept vector's row lacks leads into a state that is not live.
+        Unlike a tuple of tuples, a dict row is untracked by the first full
+        collection, which untracks dicts after all tuples.  Filled without
+        a lock, as the other memos are."""
+        trie, live = self.trie, self.tables["live"]
+        roots, complete, n_nodes = trie.roots, trie.complete, len(trie.arcs)
+        if sym is None:
+            key, steps = -1, [(self.init_vec * n_nodes + roots[root], "") for root in self.roots]
+        else:
+            vid, node = divmod(state, n_nodes)
+            child, trans = trie.arcs[node].get(sym), self.vec_trans[vid]
+            pids = self.pairs_by_lex[sym]
+            key = state * self.frame_id + pids[0]
+            steps = [] if child is None else [
+                (trans[pid] * n_nodes + child, "" if self.is_null[pid] else self.surf[pid])
+                for pid in pids if trans.get(pid) is not None]
+        moves = [step for step in steps if step[0] in live]
+        for nxt, added in moves:
+            node = nxt % n_nodes
+            for _, cont in complete[node]:
+                if cont != TERMINAL:
+                    step = (nxt - node + roots[cont], added)
+                    if step[0] in live and step not in moves:
+                        moves.append(step)
+        moves = trie.gen[key] = dict.fromkeys(moves)
+        return moves
+
     def _closure(self, states):
         """The set of composed states `states` (walk's ints) closed under
         live deletions and continuation jumps, as the tuple of its sorted
@@ -669,7 +709,8 @@ class _Runtime:
     def cache_sizes(self):
         """The sizes of the runtime's tables by name, in the order analyze
         --stats prints them: the keys and the transitions of each _Table,
-        the live-move entries, and the composed and live states (walk)."""
+        the live-move entries, validated generate's memo entries, and the
+        composed and live states (walk)."""
         def keys(*tables):
             return sum(len(t.keys) for t in tables)
 
@@ -679,6 +720,7 @@ class _Runtime:
         return {"interned vectors": keys(self.vectors),
                 "vector transitions": rows(self.vectors),
                 "live-move entries": sum(map(len, self.trie.live)),
+                "generate moves": len(self.trie.gen),
                 "frontier sets": keys(self.frontier),
                 "frontier transitions": rows(self.frontier),
                 "rules-off fronts": keys(self.covers),
@@ -925,23 +967,49 @@ def tokenize_lexical(text, by_lex):
 
 def generate(lexical, desc, validate_morphotactics=False):
     """All surface realizations of a lexical string; 0-erasure applied,
-    duplicates removed, sorted."""
+    duplicates removed, sorted.  Validated, only those of a string that
+    spells a lexicon path, found in one walk of the trimmed composition
+    along it: a frontier {(composed state, surface prefix): None} from the
+    lexicon roots, stepped a symbol at a time (_Runtime.generate_moves),
+    which steps no automaton and interns no vector."""
     rt = runtime(desc)
     syms = tokenize_lexical(lexical, rt.pairs_by_lex)
-    if validate_morphotactics and not is_lexicon_path(lexical, desc):
-        return []
-    return sorted({prefix for vid, prefix in _realize(rt, syms)
-                   if rt.step_vec(vid, rt.end) is not None})
+    if not validate_morphotactics:
+        return sorted({prefix for vid, prefix in _realize(rt, syms)
+                       if rt.step_vec(vid, rt.end) is not None})
+    trie = rt.trie
+    memo, frame, pairs_by_lex, n_nodes = trie.gen, rt.frame_id, rt.pairs_by_lex, len(trie.arcs)
+    frontier = memo.get(-1)
+    if frontier is None:
+        frontier = rt.generate_moves(None, None)
+    for sym in syms:
+        first = pairs_by_lex[sym][0]
+        nxt = {}
+        for state, prefix in frontier:
+            moves = memo.get(state * frame + first)
+            if moves is None:
+                moves = rt.generate_moves(state, sym)
+            for nstate, added in moves:
+                nxt[nstate, prefix + added] = None
+        if not nxt:
+            return []
+        frontier = nxt
+    complete, vec_trans, end = trie.complete, rt.vec_trans, rt.end
+    # the walk stepped the vector of each live state that completes # on
+    # the end of the word
+    return sorted({prefix for state, prefix in frontier
+                   if any(cont == TERMINAL for _, cont in complete[state % n_nodes])
+                   and vec_trans[state // n_nodes].get(end) is not None})
 
 
 def _realize(rt, syms, dead=None):
-    """generate's frontier: {(vector id, surface prefix): None} after the
-    lexical symbols syms, from the start of a word (generate and trace's
-    generate direction).  Each pair pid that kills vector vid at symbol
-    index k is appended to the list `dead` as (k, vid, pid).  The symbols
-    need not spell a lexicon path, so a vector may leave the walked
-    composition: its row is read inline, and step_vec runs for a pair that
-    the row lacks."""
+    """The frontier of unvalidated generate and of trace's generate
+    direction: {(vector id, surface prefix): None} after the lexical
+    symbols syms, from the start of a word.  Each pair pid that kills
+    vector vid at symbol index k is appended to the list `dead` as (k,
+    vid, pid).  The symbols need not spell a lexicon path, so a vector may
+    leave the walked composition: its row is read inline, and step_vec
+    runs for a pair that the row lacks."""
     step_vec, vec_trans = rt.step_vec, rt.vec_trans
     is_null = rt.is_null
     surf = rt.surf

@@ -4,6 +4,7 @@ import sys
 
 from twolevel import rules
 from twolevel.cli import main
+from twolevel.turkish import load_turkish
 
 
 def run(capsys, args, stdin=None):
@@ -21,23 +22,27 @@ def run(capsys, args, stdin=None):
 
 
 def test_analyze_word(capsys):
-    rc = main(["analyze", "--trace", "--stats", "evde", "evdeQ"])
+    # a fresh runtime, so that the counts do not depend on the tests run before
+    load_turkish(refresh=True)
+    rc = main(["analyze", "--trace", "--stats", "evde", "evdeQ", "evide"])
     out, err = capsys.readouterr()
     assert rc == 0
     assert "ev^-DA\t[ROOT=ev]+LOC" in out
     lines = err.splitlines()
-    assert re.fullmatch(r"2 words in \d+\.\d\ds: \d+ words/sec", lines[0])
+    assert re.fullmatch(r"3 words in \d+\.\d\ds: \d+ words/sec", lines[0])
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
-                          r"transitions, (\d+) live-move entries, "
+                          r"transitions, (\d+) live-move entries, (\d+) generate moves, "
                           r"(\d+) frontier sets, (\d+) frontier transitions, "
                           r"(\d+) rules-off fronts, (\d+) rules-off transitions, "
                           r"(\d+) bundle states, (\d+) bundle transitions, "
                           r"(\d+) composed states, (\d+) live states", lines[1])
-    # the word without a reading builds the start set and its successors,
-    # and its trace the rules-off fronts of its prefixes
-    assert counts and all(int(k) > 0 for k in counts.groups())
-    assert int(counts[4]) >= 2 and int(counts[6]) >= 4
-    assert int(counts[10]) > int(counts[11])
+    # the words without a reading build the start set and its successors,
+    # their traces the rules-off fronts of their prefixes, and the trace of
+    # the rules-layer negative evide steps the bundles; nothing generates
+    assert counts and int(counts[4]) == 0
+    assert all(int(k) > 0 for i, k in enumerate(counts.groups(), 1) if i != 4)
+    assert int(counts[5]) >= 2 and int(counts[7]) >= 4
+    assert int(counts[11]) > int(counts[12])
     assert re.fullmatch(r"set-up: description load \d+\.\d{4}s, runtime build \d+\.\d{4}s",
                         lines[2])
 

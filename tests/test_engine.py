@@ -437,6 +437,61 @@ def test_generate_long_word_no_recursion_limit(turkish):
     assert not engine.is_lexicon_path(LONG_LEXICAL[:-1], turkish)
 
 
+def validated_reference(lexical, desc):
+    """Validated generate in two passes: the lexicon check, then the
+    unvalidated generate of a string that spells a lexicon path."""
+    return engine.generate(lexical, desc) if engine.is_lexicon_path(lexical, desc) else []
+
+
+def perturbed_lexicals(desc, count, seed):
+    """`count` distinct seeded one-edit variants (substitute, delete or
+    insert one lexical symbol) of golden lexical strings."""
+    return one_edits(sorted({c.lexical for c in golden_suite()} - {""}),
+                     sorted(engine.runtime(desc).pairs_by_lex), count, seed)
+
+
+def test_validated_generate_matches_two_passes(turkish):
+    # validated generate walks the trimmed composition once, along the
+    # lexicon paths that spell the string, keeping the live states alone
+    nfd = unicodedata.normalize("NFD", "kuş^-(y)H")
+    words = sorted({c.lexical for c in golden_suite()}) + perturbed_lexicals(turkish, 300, 97)
+    outputs = {}
+    for w in words + [nfd, "e" * 3200]:
+        outputs[w] = engine.generate(w, turkish, validate_morphotactics=True)
+        assert outputs[w] == validated_reference(w, turkish), w
+    assert outputs[""] == [] and outputs[nfd] == ["kuşu"] and outputs["e" * 3200] == []
+    assert sum(map(bool, outputs.values())) > 150
+    from conftest import make_description
+    desc = make_description(CYCLE_RULES, CYCLE_LEXICON)
+    words = cycle_words(4, sorted(engine.runtime(desc).pairs_by_lex))
+    outputs = {w: engine.generate(w, desc, validate_morphotactics=True) for w in words}
+    assert outputs == {w: validated_reference(w, desc) for w in words}
+    assert outputs[""] == [""] and outputs["abab"] == ["abab"] and outputs["a-cc"] == ["acc"]
+    for desc in (turkish, desc):
+        rt = engine.runtime(desc)
+        assert all(state in desc.tables["live"] for row in rt.trie.gen.values()
+                   for state, _ in row)
+
+
+def test_validated_generate_steps_no_automaton():
+    # validated generate reads the shipped vector rows alone: it steps no
+    # bundle and interns no vector, its memo holds a row per live state and
+    # lexical symbol at most, and the start's, and one full collection
+    # untracks the rows, dicts of (int, string) keys
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    fresh = rt.cache_sizes()
+    words = sorted({c.lexical for c in golden_suite()}) + perturbed_lexicals(desc, 300, 97)
+    assert sum(bool(engine.generate(w, desc, validate_morphotactics=True)) for w in words) > 150
+    sizes = rt.cache_sizes()
+    for name in ("interned vectors", "bundle states", "bundle transitions"):
+        assert sizes[name] == fresh[name], name
+    assert fresh["generate moves"] == 0
+    assert 0 < sizes["generate moves"] <= sizes["live states"] * len(rt.pairs_by_lex) + 1
+    gc.collect()
+    assert not any(gc.is_tracked(row) for row in rt.trie.gen.values())
+
+
 def test_trace_generate_long_word_no_recursion_limit(turkish):
     report = engine.trace(LONG_LEXICAL, "generate", turkish)
     assert report.outcome.accepted and report.layer == "none"
@@ -467,12 +522,17 @@ def surface_letters(desc):
 def perturbed_golden(desc, count, seed):
     """`count` distinct seeded one-edit variants (substitute, delete or
     insert one surface letter) of golden surfaces."""
+    return one_edits(sorted({c.surface for c in golden_suite()}), surface_letters(desc),
+                     count, seed)
+
+
+def one_edits(words, letters, count, seed):
+    """`count` distinct seeded one-edit variants (substitute, delete or
+    insert one of the letters) of the words."""
     rng = random.Random(seed)
-    letters = surface_letters(desc)
-    surfaces = sorted({c.surface for c in golden_suite()})
     out = {}
     while len(out) < count:
-        w = rng.choice(surfaces)
+        w = rng.choice(words)
         op = rng.randrange(3)
         j = rng.randrange(len(w) + (op == 2))
         if op == 0:
@@ -1161,11 +1221,11 @@ LEXICON C
 """
 
 
-def cycle_words(length):
-    """Every string of up to `length` letters over abcx."""
+def cycle_words(length, letters="abcx"):
+    """Every string of up to `length` of the letters."""
     words = [""]
     for _ in range(length):
-        words += [w + ch for w in words if len(w) == len(words[-1]) for ch in "abcx"]
+        words += [w + ch for w in words if len(w) == len(words[-1]) for ch in letters]
     return words
 
 
