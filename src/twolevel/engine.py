@@ -2,8 +2,8 @@
 
 The analyzer walks the lexicon trie and all rule automata in parallel over
 feasible pairs.  A load-time lint rejects insertion pairs (0:y), so every
-move reads a lexical symbol; a path that loops through deletions (x:0) and
-continuation jumps without reading a surface character is cut (_search).
+move reads a lexical symbol; analyze walks deletions (x:0) and continuation
+jumps once per state and character (ε-closures), cutting their loops (_walk).
 A runtime is built from a description's run tables alone (run_tables):
 plain ints, strings, tuples, lists, dicts and frozensets, which the bundled
 description ships marshalled.  The lexicon composed with the rules is
@@ -266,21 +266,18 @@ class _Trie:
     """The lexicon as one trie per sublexicon, its nodes numbered in one
     sequence; roots maps each sublexicon to its root.  Per node k: arcs[k]
     maps a lexical symbol to the child, complete[k] holds the (gloss,
-    continuation) of the entries that end at k, moves[k] and dels[k] are
-    its surface index, and live[k] its memo of live moves
-    (_Runtime.live_moves); gen is validated generate's memo of moves
+    continuation) of the entries that end at k, and moves[k] and dels[k]
+    are its surface index; gen is validated generate's memo of moves
     (_Runtime.generate_moves).  A move is (lexical symbol, pair id, child,
     consumes), so the tables hold only ints, strings and containers of
     them, which the cyclic collector stops tracking."""
-    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "live", "gen")
+    __slots__ = ("roots", "arcs", "complete", "moves", "dels", "gen")
 
     def __init__(self, tables, pairs_by_lex, surf, codes):
         if "trie" not in tables:
             self.build(tables["entries"], pairs_by_lex, surf, codes)
             tables["trie"] = (self.roots, self.arcs, self.complete, self.moves, self.dels)
         self.roots, self.arcs, self.complete, self.moves, self.dels = tables["trie"]
-        # vid * n_codes + code -> the moves that survive the rules
-        self.live = [{} for _ in self.arcs]
         # state * number of pairs + the first pair id of a lexical symbol,
         # or -1 -> {(next state, surface added): None}
         self.gen = {}
@@ -359,8 +356,10 @@ class _Frontier(_Table):
     cannot.  The owner supplies step(rt, key, code), the key of the set
     that set `key` reaches on `code`, on _END `key` itself or (); it is
     unbound, so that no reference cycle keeps a runtime alive.
-    analyze's subset frontier (_Runtime.frontier) interns composed states
-    (_Runtime.walk) with _Runtime.frontier_step; the rules-off fronts of
+    analyze's subset frontier (_Runtime.frontier) interns the composed
+    states (_Runtime.walk) that a word reaches at its start or by a
+    consuming move, stepped through their ε-closures (_walk) by
+    _Runtime.frontier_step; the rules-off fronts of
     lexicon_covers (_Runtime.covers) intern trie nodes with
     _Runtime.cover_step."""
     __slots__ = ("step",)
@@ -448,12 +447,15 @@ class _Runtime:
             self.pairs_by_lex[lex] = self.pairs_by_lex.get(lex, ()) + (pid,)
         # the boundary pair and the end of the word are both #:#
         self.pair_names = ["%s:%s" % pair for pair in zip(tables["lexical"], surf)] + ["#:#"] * 2
+        # a pair id as a character of a path (_walk), and a path's lexical symbols
+        self.chars = [chr(pid) for pid in range(self.end + 1)]
+        self.lexical = dict(enumerate(tables["lexical"]))
 
         self._lock = threading.Lock()
         self.rule_names = [a[0] for a in automata]
         self.rejects = {}         # (vector id, pair id) -> names of rejecting automata
 
-        # Codes of the surface characters for live_moves: 0 stands for the
+        # Codes of the surface characters for the walk (_walk): 0 stands for the
         # end of the word and for any character that no pair realizes, as
         # both leave the deletions alone.
         chars = sorted({s for s in surf if s != NULL})
@@ -483,9 +485,9 @@ class _Runtime:
         # here: CPython 3.11 reads the attributes of an instance that has
         # 30 or more of them markedly slower, and every search reads this
         # one's.
-        n_nodes = len(self.trie.arcs)
-        self.frontier = _Frontier(self._closure({self.init_vec * n_nodes + root for root in roots}),
-                                  type(self).frontier_step)
+        self.starts = [self.init_vec * len(self.trie.arcs) + root for root in reversed(roots)]
+        self.frontier = _Frontier(tuple(sorted(self.starts)), type(self).frontier_step)
+        self.closures = {}        # closure key -> its entries (_walk)
         self.glosses = None       # _gloss_index, built by the first gloss walk
 
     def step_vec(self, vid, pid):
@@ -592,36 +594,13 @@ class _Runtime:
                 "live": frozenset(new[state // n] * n + state % n for state in live),
                 "composed": len(seen), "rows": rows}
 
-    def live_moves(self, node, vid, code):
-        """The moves of trie node `node` that read surface code `code` (see
-        codes), that no rule automaton rejects from vector vid and that
-        lead into live states (walk), as (lexical symbol, pair id, child,
-        consumes, next vector id) in the order of trie.moves[node];
-        memoized in trie.live[node].  The moves are read from the vector's
-        transitions, and no automaton is stepped: the trimmed search and
-        the frontier visit only states that the walk reached, and it
-        stepped every move of those, so a move that the row of a kept
-        vector lacks leads into a state that is not live.  Like the other
-        memos it is filled without a lock: threads that race build equal
-        tuples."""
-        trie = self.trie
-        trans = self.vec_trans[vid]
-        live_states, n_nodes = self.tables["live"], len(trie.arcs)
-        live = []
-        for move in trie.moves[node].get(code, trie.dels[node]):
-            nvid = trans.get(move[1])
-            if nvid is not None and nvid * n_nodes + move[2] in live_states:
-                live.append(move + (nvid,))
-        live = trie.live[node][vid * self.n_codes + code] = tuple(live)
-        return live
-
     def generate_moves(self, state, sym):
         """Validated generate's step of composed state `state` (walk) on
         lexical symbol sym: {(next state, surface added): None}, the next
         states closed under continuation jumps and kept only when live;
         memoized in trie.gen under state * frame_id + the symbol's first
         pair id.  Given sym None, the start of the word: the roots under
-        init_vec, each with "", under key -1.  As in live_moves, no
+        init_vec, each with "", under key -1.  As in _walk, no
         automaton is stepped: generate visits only live states, so a pair
         that a kept vector's row lacks leads into a state that is not live.
         Unlike a tuple of tuples, a dict row is untracked by the first full
@@ -650,67 +629,31 @@ class _Runtime:
         moves = trie.gen[key] = dict.fromkeys(moves)
         return moves
 
-    def _closure(self, states):
-        """The set of composed states `states` (walk's ints) closed under
-        live deletions and continuation jumps, as the tuple of its sorted
-        states without those whose node neither reads a character nor
-        completes an entry (the frontier steps only consuming moves and
-        tests completions); `states` is extended in place.  The deletions
-        are read from the vector transitions, not live_moves: from these
-        states the search looked up the live moves of the next character
-        only, and the frontier adds no live-move entries.  Like live_moves,
-        it steps no automaton and adds only live states."""
-        trie = self.trie
-        roots, moves, complete, dels = trie.roots, trie.moves, trie.complete, trie.dels
-        live_states, n_nodes = self.tables["live"], len(moves)
-        stack = list(states)
-        while stack:
-            state = stack.pop()
-            vid, node = divmod(state, n_nodes)
-            reached = [state - node + roots[cont] for _, cont in complete[node]
-                       if cont != TERMINAL] if complete[node] else []
-            if dels[node]:
-                trans = self.vec_trans[vid]
-                for _, pid, child, _ in dels[node]:
-                    nvid = trans.get(pid)
-                    if nvid is not None:
-                        reached.append(nvid * n_nodes + child)
-            for state in reached:
-                if state not in states and state in live_states:
-                    states.add(state)
-                    stack.append(state)
-        return tuple(sorted(state for state in states
-                            if moves[state % n_nodes] or complete[state % n_nodes]))
-
     def frontier_step(self, key, code):
-        """The step of analyze's subset frontier (_Frontier): the closure
-        of the states that the live consuming moves of set `key` reach on
-        surface code `code`; on _END, `key` when one of its states
-        completes # under a vector that accepts the end of the word, else
-        ().  Only a word without a reading fills the frontier, after its
-        search has filled the live moves that this reads."""
-        complete, lives, n_nodes, n_codes = (self.trie.complete, self.trie.live,
-                                             len(self.trie.arcs), self.n_codes)
-        if code == _END:
-            return key if any(any(cont == TERMINAL for _, cont in complete[state % n_nodes])
-                              and self.step_vec(state // n_nodes, self.end) is not None
-                              for state in key) else ()
+        """The step of analyze's subset frontier (_Frontier): the states
+        after a consuming move that the ε-closures (_walk) of set `key`'s
+        states lead to on surface code `code`; on _END, `key` when one of
+        them completes, else ().  The search that found no reading has just
+        built these closures; one that the memo does not keep, as it cut a
+        loop, is built again here."""
+        memo, k, n_nodes = self.closures, self.n_codes + 1, len(self.trie.arcs)
         states = set()
         for state in key:
-            vid, node = divmod(state, n_nodes)
-            moves = lives[node].get(vid * n_codes + code)
-            if moves is None:
-                moves = self.live_moves(node, vid, code)
-            for m in moves:
-                if m[3]:
-                    states.add(m[4] * n_nodes + m[2])
-        return self._closure(states)
+            entries = memo.get(state * k + code + 1)
+            if entries is None:
+                item = (state % n_nodes, state // n_nodes, 0, "", "", None)
+                found, noted = _walk(self, [max(code, 0)], int(code != _END), start=item, stop=1)
+                entries = found if code == _END else noted
+            if code == _END and entries:
+                return key
+            states.update(e[0] // k for e in entries)
+        return () if code == _END else tuple(sorted(states))
 
     def cache_sizes(self):
         """The sizes of the runtime's tables by name, in the order analyze
         --stats prints them: the keys and the transitions of each _Table,
-        the live-move entries, validated generate's memo entries, and the
-        composed and live states (walk)."""
+        the keys and entries of the closure memo (_walk), validated
+        generate's moves, and the composed and live states (walk)."""
         def keys(*tables):
             return sum(len(t.keys) for t in tables)
 
@@ -719,7 +662,8 @@ class _Runtime:
 
         return {"interned vectors": keys(self.vectors),
                 "vector transitions": rows(self.vectors),
-                "live-move entries": sum(map(len, self.trie.live)),
+                "closure keys": len(self.closures),
+                "closure entries": sum(map(len, self.closures.values())),
                 "generate moves": len(self.trie.gen),
                 "frontier sets": keys(self.frontier),
                 "frontier transitions": rows(self.frontier),
@@ -831,10 +775,8 @@ def analyze(surface, desc):
     n = len(surface)
     codes = [rt.codes.get(c, 0) for c in surface]
 
-    fr = rt.frontier
+    fr, sid, i = rt.frontier, 1, 0
     trans = fr.trans
-    sid = 1
-    i = 0
     while i < n:
         nxt = trans[sid].get(codes[i])
         if nxt is None:
@@ -848,107 +790,163 @@ def analyze(surface, desc):
             return []
 
     codes.append(0)
-    results = _search(rt, rt.roots, codes, n)
+    results = _walk(rt, codes, n)[0]
     if not results:
-        # its search has just filled the live moves that the steps read,
-        # and visited every state of the sets without closing the word
+        # its search has built the closures of the sets' states, none of which closes the word
         for code in codes[i:n] + [_END]:
             nxt = trans[sid].get(code)
             sid = fr.fill(sid, code, rt) if nxt is None else nxt
             if not sid:
                 break
-    out = [Analysis(lex, gloss, pids) for (lex, gloss), pids in results.items()]
-    out.sort(key=lambda a: (a.lexical, a.gloss))
-    return out
+    return [Analysis(lex, gloss, results[lex, gloss]) for lex, gloss in sorted(results)]
 
 
-def _search(rt, roots, codes, n, observe=None, start=None):
-    """analyze's search, depth first in the order of a recursive one, on an
-    explicit stack: (lexical, gloss) -> the pair ids of the first path
-    found.  `codes` are the word's surface codes and a final 0.  It takes
-    only the moves into live states (_Runtime.live_moves), so no move leads
-    it where no reading can be completed.  Given `observe(node, vid, i)`, it
-    takes instead the moves that this returns for each state it visits, in
-    the form of live_moves (trace's untrimmed search).  A jump into a
-    (sublexicon, vector id) that the path has jumped into since its last
-    consuming move closes a loop that reads no surface character, and is
-    cut.  Cutting a loop never removes every
-    reading through the state it returns to, so the cut is exact when the
-    loop added no move and no gloss.  Else the loop can run any number of times
-    before each reading through its state (sublexicon, vector id,
-    position), and DescriptionError names the sublexicon when a search
-    from that state alone (`start`, which checks no loop) finds a reading."""
-    results = {}
-    loops = {}        # the state of each cut loop that added something
-    n_codes = rt.n_codes
-    trie = rt.trie
-    root_of, completes, lives = trie.roots, trie.complete, trie.live
-    # (node, vid, i, the moves as a (last, rest) list, the glosses, the jumps
-    # since the last consuming move as a ((sublexicon, vid, moves, glosses), rest) list)
-    if start is None:
-        stack = [(root_of[root], rt.init_vec, 0, None, "", None) for root in reversed(roots)]
+def _walk(rt, codes, n, observe=None, start=None, stop=None):
+    """analyze's search of a word, `codes` its surface codes and a final 0:
+    the readings, (lexical, gloss) -> the pair ids of the first path found,
+    and the consuming moves of a closure built alone (`start`, `stop`).
+    The one per-state walk runs depth first in the order of a recursive
+    search, on a stack of (trie node, vector id, position, path, glosses,
+    jumps since the last consuming move), a path being the string of its
+    pair ids (rt.chars), over the moves into live states (_Runtime.walk
+    stepped every move of a live state) or those that `observe(node, vid,
+    i)` returns.  A jump into a (sublexicon, vector id) jumped into since
+    the last consuming move closes a loop, which is cut: exactly when it
+    added nothing, else DescriptionError is raised when a walk from the
+    loop's state alone finds a reading.  Given observe or start, the walk
+    runs to the end of the word, or to position `stop`.  Else it searches
+    over the ε-closures of rt.closures, keyed state * (n_codes + 1) + 1 +
+    the code (+ 0 at the end) for the states reached at the start or by a
+    consuming move: what the walk from the state alone reaches without
+    reading a character, in its order, each consuming move as (key base of
+    its state, glosses, path) and each # completion at the end as (path,
+    gloss).  The walk builds a closure at its first meeting; one that cut a
+    loop which added something is not kept, so that the search meets the
+    loop at each position."""
+    # the (path, gloss) of the # completions and the consuming moves met
+    found, noted, loops, cut = {}, [], {}, False
+    n_codes, trie, memo = rt.n_codes, rt.trie, rt.closures
+    root_of, completes = trie.roots, trie.complete
+    arcs, dels, vec_trans, live_states = trie.moves, trie.dels, rt.vec_trans, rt.tables["live"]
+    get, k, n_nodes, chars = memo.get, n_codes + 1, len(completes), rt.chars
+    if start is not None:
+        stack, todo, ends = [start], None, found
+    elif observe is not None:
+        stack = [(root_of[root], rt.init_vec, 0, "", "", None) for root in reversed(rt.roots)]
+        todo, ends = None, found
     else:
-        cont, vid, i = start
-        stack = [(root_of[cont], vid, i, None, "", ((cont, vid, None, ""), None))]
+        # the closure starts waiting, each (key base, position, path, glosses)
+        stack, todo, ends = [], [(state * k + 1, 0, "", "") for state in rt.starts], {}
+        (base, at, prefix, glossed), entries = todo.pop(), None
     pop, push = stack.pop, stack.append
-    while stack:
-        node, vid, i, moves, glosses, jumps = pop()
-        while True:
-            if observe is None:
-                live = lives[node].get(vid * n_codes + codes[i])
-                if live is None:
-                    live = rt.live_moves(node, vid, codes[i])
+    while True:
+        while stack:
+            node, vid, i, path, glosses, jumps = pop()
+            while True:
+                if i == stop:
+                    noted.append(((vid * n_nodes + node) * k + 1, glosses, path))
+                    break
+                if observe is None:
+                    # the walk stepped every move of a live state (_Runtime.walk)
+                    trans = vec_trans[vid]
+                    live = []
+                    for move in arcs[node].get(codes[i], dels[node]):
+                        nvid = trans.get(move[1])
+                        if nvid is not None and nvid * n_nodes + move[2] in live_states:
+                            live.append(move + (nvid, chars[move[1]]))
+                else:
+                    live = observe(node, vid, i)
+                if completes[node]:
+                    # the jumps come before the moves: all wait on the stack
+                    for move in reversed(live):
+                        push((move[2], move[4], i + move[3], path + move[5], glosses,
+                              None if move[3] else jumps))
+                    # a reading found here cannot also be found below a jump
+                    # with other pairs, as every move adds a lexical symbol
+                    for gloss, cont in reversed(completes[node]):
+                        if cont != TERMINAL:
+                            jumped = glosses + gloss
+                            rest = jumps
+                            while rest is not None and (rest[0][0] != cont or rest[0][1] != vid):
+                                rest = rest[1]
+                            if rest is None:
+                                push((root_of[cont], vid, i, path, jumped,
+                                      ((cont, vid, path, jumped), jumps)))
+                            elif rest[0][2] is not path or rest[0][3] != jumped:
+                                loops[cont, vid, i], cut = None, True
+                        elif i == n and rt.step_vec(vid, rt.end) is not None:
+                            found[path, glosses + gloss] = None
+                    break
+                if not live:
+                    break
+                # the first move is taken at once (most states have at most
+                # one), the others wait on the stack
+                if len(live) > 1:
+                    for move in live[:0:-1]:
+                        push((move[2], move[4], i + move[3], path + move[5], glosses,
+                              None if move[3] else jumps))
+                move = live[0]
+                node = move[2]
+                vid = move[4]
+                path += move[5]
+                if move[3]:
+                    i += 1
+                    jumps = None
+        if todo is None:
+            break
+        if stop is not None:
+            # the closure just built
+            if at < n:
+                entries = tuple(noted)
+                if noted:
+                    noted = []
             else:
-                live = observe(node, vid, i)
-            if completes[node]:
-                # the jumps come before the moves: all wait on the stack
-                for move in reversed(live):
-                    push((move[2], move[4], i + move[3], (move, moves), glosses,
-                          None if move[3] else jumps))
-                # a reading found here cannot also be found below a jump
-                # with other pairs, as every move adds a lexical symbol
-                for gloss, cont in reversed(completes[node]):
-                    if cont != TERMINAL:
-                        jumped = glosses + gloss
-                        rest = jumps
-                        while rest is not None and (rest[0][0] != cont or rest[0][1] != vid):
-                            rest = rest[1]
-                        if rest is None:
-                            push((root_of[cont], vid, i, moves, jumped,
-                                  ((cont, vid, moves, jumped), jumps)))
-                        elif rest[0][2] is not moves or rest[0][3] != jumped:
-                            loops[cont, vid, i] = None
-                    elif i == n and rt.step_vec(vid, rt.end) is not None:
-                        path, rest = [], moves
-                        while rest is not None:
-                            move, rest = rest
-                            path.append(move)
-                        key = ("".join(m[0] for m in reversed(path)), glosses + gloss)
-                        if key not in results:
-                            results[key] = tuple(m[1] for m in reversed(path))
+                entries = tuple(found)
+                found = {}
+            if cut:
+                cut = False
+            else:
+                memo[key] = entries
+            stop = None
+        # the search over the closures, (base, at, prefix, glossed) in hand
+        while True:
+            if entries is None:
+                key = base - 1 if at == n else base + codes[at]
+                entries = get(key)
+                if entries is None:
+                    vid, node = divmod(base // k, n_nodes)
+                    push((node, vid, at, "", "", None))
+                    stop = at + 1
+                    break
+            if at == n:
+                for path, gloss in entries:
+                    ends[prefix + path, glossed + gloss] = None
+            elif entries:
+                # the first entry is taken at once, the others wait
+                if len(entries) > 1:
+                    for entry in entries[:0:-1]:
+                        todo.append((entry[0], at + 1, prefix + entry[2], glossed + entry[1]))
+                entry = entries[0]
+                base, at, prefix, glossed = entry[0], at + 1, prefix + entry[2], glossed + entry[1]
+                entries = None
+                continue
+            if not todo:
+                todo = None
                 break
-            if not live:
-                break
-            # the first move is taken at once (most states have at most
-            # one), the others wait on the stack
-            if len(live) > 1:
-                for move in live[:0:-1]:
-                    push((move[2], move[4], i + move[3], (move, moves), glosses,
-                          None if move[3] else jumps))
-            move = live[0]
-            node = move[2]
-            vid = move[4]
-            if move[3]:
-                i += 1
-                jumps = None
-            moves = (move, moves)
-    if start is None and results:
-        for state in loops:
-            if _search(rt, roots, codes, n, start=state):
+            (base, at, prefix, glossed), entries = todo.pop(), None
+    results = {}
+    for path, gloss in ends:
+        reading = (path.translate(rt.lexical), gloss)
+        if reading not in results:
+            results[reading] = tuple(map(ord, path))
+    if start is None and results and loops:
+        for cont, vid, i in loops:
+            # the walk from the loop's state alone, the jump into it taken
+            if _walk(rt, codes, n, start=(root_of[cont], vid, i, "", "",
+                                          ((cont, vid, "", ""), None)))[0]:
                 raise DescriptionError("sublexicon %s is re-entered by a loop that reads no"
-                                       " surface character but adds symbols or glosses"
-                                       % state[0])
-    return results
+                                       " surface character but adds symbols or glosses" % cont)
+    return results, noted
 
 
 # ---------------------------------------------------------------------------
@@ -1072,8 +1070,8 @@ def _gloss_index(entries, trie):
     node) pairs of the form's path from the sublexicon's trie root, and
     the memo maps a vector id to the entry's realization from it
     (_realize_entry), filled as walks take the entry: at most one row
-    per kept vector.  A row holds ints and strings alone, so a full
-    collection untracks it."""
+    per kept vector.  A row is a dict of ints and strings alone, so the
+    first full collection untracks it."""
     subs = {}
     for name, sub in entries.items():
         tagged, links = {}, []
@@ -1093,10 +1091,10 @@ def _gloss_index(entries, trie):
 
 def _realize_entry(rt, steps, vid):
     """An entry's realization from vector vid at its sublexicon's trie
-    root: ((next vector id, surface added), ...) after its steps, taken
+    root: {(next vector id, surface added): None} after its steps, taken
     through the vector rows alone, each state kept only when it is live
     (walk).  Every state of a gloss walk is a composed state that the
-    walk reached from the roots, so, as in live_moves, a pair that the row
+    walk reached from the roots, so, as in _walk, a pair that the row
     of a kept vector lacks leads into a state that is not live: no
     automaton is stepped and no vector interned."""
     vec_trans, surf, is_null, pairs_by_lex = rt.vec_trans, rt.surf, rt.is_null, rt.pairs_by_lex
@@ -1112,7 +1110,7 @@ def _realize_entry(rt, steps, vid):
                 if nvid is not None and nvid * n_nodes + node in live_states:
                     nxt[nvid, added if is_null[pid] else added + surf[pid]] = None
         states = nxt
-    return tuple(states)
+    return states
 
 
 def _gloss_walk(rt, root, tags, frontier, start=None):
@@ -1128,7 +1126,7 @@ def _gloss_walk(rt, root, tags, frontier, start=None):
     of a yielded frontier completes # in a state that the walk of the
     composition reached.  A path that re-enters a sublexicon it entered
     since it last placed a gloss closes a loop, which is cut: exactly when
-    the loop added no text, as in _search.  Else DescriptionError names
+    the loop added no text, as in _walk.  Else DescriptionError names
     the sublexicon when a walk from the state the loop returns to
     (sublexicon, glosses placed) alone finds a path (`start`, which
     checks no loop).
@@ -1316,7 +1314,7 @@ def trace(word, direction, desc):
 
 def _observe(rt, syms, direction):
     """trace's observed search of a word: generate's frontier (_realize)
-    over the lexical symbols syms, or analyze's search (_search) over the
+    over the lexical symbols syms, or analyze's per-state walk (_walk) over the
     surface word syms, given the untrimmed moves: those that no rule
     rejects, into dead ends too, so that it meets every pair that a rule
     rejects on the way.  The events it meets, in visiting order, each as
@@ -1338,11 +1336,11 @@ def _observe(rt, syms, direction):
     n = len(syms)
     codes = [rt.codes.get(c, 0) for c in syms] + [0]
     complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
-    vec_trans, add = rt.vec_trans, events.append
+    vec_trans, add, chars = rt.vec_trans, events.append, rt.chars
 
     def observe(node, vid, i):
         """The state's moves that no rule rejects, stepped through the
-        vector transitions; no live-move memo keeps them."""
+        vector transitions, in the form of _walk's, into dead ends too."""
         if (i == n and any(cont == TERMINAL for _, cont in complete[node])
                 and step_vec(vid, end) is None):
             add((n, vid, end))
@@ -1357,12 +1355,12 @@ def _observe(rt, syms, direction):
                 # a consuming pair covers surface position i
                 add((i + move[3], vid, pid))
             else:
-                live.append(move + (nvid,))
+                live.append(move + (nvid, chars[pid]))
         if not live and i < n:
             add((i, vid, -1))
         return live
 
-    return bool(_search(rt, rt.roots, codes, n, observe)), events
+    return bool(_walk(rt, codes, n, observe)[0]), events
 
 
 def _trace_steps(rt, events):

@@ -31,18 +31,20 @@ def test_analyze_word(capsys):
     lines = err.splitlines()
     assert re.fullmatch(r"3 words in \d+\.\d\ds: \d+ words/sec", lines[0])
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
-                          r"transitions, (\d+) live-move entries, (\d+) generate moves, "
+                          r"transitions, (\d+) closure keys, (\d+) closure entries, "
+                          r"(\d+) generate moves, "
                           r"(\d+) frontier sets, (\d+) frontier transitions, "
                           r"(\d+) rules-off fronts, (\d+) rules-off transitions, "
                           r"(\d+) bundle states, (\d+) bundle transitions, "
                           r"(\d+) composed states, (\d+) live states", lines[1])
-    # the words without a reading build the start set and its successors,
-    # their traces the rules-off fronts of their prefixes, and the trace of
-    # the rules-layer negative evide steps the bundles; nothing generates
-    assert counts and int(counts[4]) == 0
-    assert all(int(k) > 0 for i, k in enumerate(counts.groups(), 1) if i != 4)
-    assert int(counts[5]) >= 2 and int(counts[7]) >= 4
-    assert int(counts[11]) > int(counts[12])
+    # the words without a reading build the start set and its successors
+    # and the closures these read, their traces the rules-off fronts of
+    # their prefixes, and the trace of the rules-layer negative evide steps
+    # the bundles; nothing generates
+    assert counts and int(counts[5]) == 0
+    assert all(int(k) > 0 for i, k in enumerate(counts.groups(), 1) if i != 5)
+    assert int(counts[6]) >= 2 and int(counts[8]) >= 4
+    assert int(counts[12]) > int(counts[13])
     assert re.fullmatch(r"set-up: description load \d+\.\d{4}s, runtime build \d+\.\d{4}s",
                         lines[2])
 

@@ -707,24 +707,89 @@ def search_reference(surface, desc, live=None):
     return sorted((lex, gloss, pids) for (lex, gloss), pids in results.items()), order
 
 
+def closure_reference(rt, state, code, live, memo=None):
+    """The ε-closure of composed state `state` on surface code `code`
+    (engine._END at the end of the word) by recursion, as search_reference
+    walks: from the state alone, without reading a character, each
+    consuming move on the code that no rule rejects into a state of `live`,
+    as (the state it leads to, the lexical symbols, the glosses and the
+    pair ids taken), and at the end each # completion under a vector whose
+    automata accept the end of the word, as (None, lexical, gloss, pair
+    ids), the first of each (lexical, gloss) alone.  A node's # completions
+    come first, in reverse order, then its jumps, then its moves, each
+    followed by all it leads to.  None when the walk cuts a loop that added
+    symbols or glosses.  Memoized in `memo`."""
+    if memo is not None and (state, code) in memo:
+        return memo[state, code]
+    trie = rt.trie
+    n = len(trie.arcs)
+    entries, cut, ends = [], [], set()
+
+    def rec(node, vid, syms, pids, glosses, jumped):
+        for gloss, cont in reversed(trie.complete[node]):
+            if (cont == TERMINAL and code == engine._END and not closing_rejecters(rt, vid)
+                    and (syms, glosses + gloss) not in ends):
+                ends.add((syms, glosses + gloss))
+                entries.append((None, syms, glosses + gloss, pids))
+        for gloss, cont in trie.complete[node]:
+            mark = (len(syms), glosses + gloss)
+            if cont == TERMINAL:
+                continue
+            if (cont, vid) not in jumped:
+                rec(trie.roots[cont], vid, syms, pids, glosses + gloss, {**jumped, (cont, vid): mark})
+            elif jumped[cont, vid] != mark:
+                cut.append((cont, vid))
+        for sym, pid, child, consumes in trie.moves[node].get(max(code, 0), trie.dels[node]):
+            nvid = rt.step_vec(vid, pid)
+            if nvid is not None and (child, nvid) in live:
+                if consumes:
+                    entries.append((nvid * n + child, syms + sym, glosses, pids + (pid,)))
+                else:
+                    rec(child, nvid, syms + sym, pids + (pid,), glosses, jumped)
+
+    rec(state % n, state // n, "", (), "", {})
+    entries = None if cut else entries
+    if memo is not None:
+        memo[state, code] = entries
+    return entries
+
+
+def closure_entries(rt, entries):
+    """A memoized closure's entries in the form of closure_reference's:
+    the path of an entry is the string of its pair ids, each as chr(pid)."""
+    return [(None, entry[0].translate(rt.lexical), entry[1], tuple(map(ord, entry[0])))
+            if isinstance(entry[0], str)
+            else (entry[0] // (rt.n_codes + 1), entry[2].translate(rt.lexical), entry[1],
+                  tuple(map(ord, entry[2])))
+            for entry in entries]
+
+
+def trimmed_moves(rt, node, vid, code, trim=True):
+    """The moves of trie node `node` on surface code `code` that no rule
+    rejects from vector vid, as (lexical symbol, pair id, child, consumes,
+    next vector id, chr(pair id)) in the order of the trie's surface index;
+    trimmed, only those into live states (the shipped walk's), as analyze's
+    walk takes them."""
+    n = len(rt.trie.arcs)
+    return [m + (nvid, chr(m[1])) for m in rt.trie.moves[node].get(code, rt.trie.dels[node])
+            for nvid in [rt.step_vec(vid, m[1])]
+            if nvid is not None and (not trim or nvid * n + m[2] in rt.tables["live"])]
+
+
 def search_visits(surface, desc, trim=True):
-    """The (trie node, vector id, position) states that _search visits.
+    """The (trie node, vector id, position) states that the per-state walk
+    (_walk) visits.
     Untrimmed, its observer supplies every move that no rule rejects, as
     trace's does."""
     rt = engine.runtime(desc)
-    trie = rt.trie
     seen = []
     codes = [rt.codes.get(c, 0) for c in surface] + [0]
 
     def observe(node, vid, i):
         seen.append((node, vid, i))
-        if trim:
-            return rt.live_moves(node, vid, codes[i])
-        moves = trie.moves[node].get(codes[i], trie.dels[node])
-        return [m + (nvid,) for m in moves for nvid in [rt.step_vec(vid, m[1])]
-                if nvid is not None]
+        return trimmed_moves(rt, node, vid, codes[i], trim)
 
-    engine._search(rt, desc.lexicon.roots, codes, len(surface), observe)
+    engine._walk(rt, codes, len(surface), observe)
     return seen
 
 
@@ -769,12 +834,13 @@ def test_live_moves_are_bounded():
         engine.analyze(w, desc)
 
     def keys():
-        return {(node, key) for node, live in enumerate(rt.trie.live) for key in live}
+        return set(rt.closures)
 
-    # characters that no pair realizes share code 0 with the end of the
-    # word; NFC composes "evde\u0301" into "evd\u00e9", whose unknown
-    # character stands at position 3, as Q does in "evdQ"
+    # characters that no pair realizes share code 0; NFC composes
+    # "evde\u0301" into "evd\u00e9", whose unknown character stands at
+    # position 3, as Q does in "evdQ"
     engine.analyze("evde", desc)
+    engine.analyze("evdeQ", desc)
     engine.analyze("evQde", desc)
     engine.analyze("evdQ", desc)
     before = keys()
@@ -784,8 +850,8 @@ def test_live_moves_are_bounded():
         engine.analyze("ev%sde" % ch, desc)
         assert keys() == before, repr(ch)
     assert rt.n_codes == len({s for s in rt.surf if s != NULL}) + 1
-    bound = len(rt.vec_list) * rt.n_codes
-    assert 0 < len(before) and all(0 <= key < bound for _, key in before)
+    bound = len(rt.vec_list) * len(rt.trie.arcs) * (rt.n_codes + 1)
+    assert 0 < len(before) and all(0 <= key < bound for key in before)
 
 
 def composed_states(rt):
@@ -847,9 +913,12 @@ def test_live_moves_lead_only_to_live_states():
     golden = sorted({c.surface for c in golden_suite()})
     for w in golden + perturbed_golden(desc, 300, seed=97) + random_surfaces(desc, 300, seed=101):
         engine.analyze(w, desc)
-    entries = [moves for memo in rt.trie.live for moves in memo.values()]
-    assert sum(map(len, entries)) > 1000
-    assert all((m[2], m[4]) in live for moves in entries for m in moves)
+    # a closure's consuming moves lead into live states alone
+    k = rt.n_codes + 1
+    targets = [e[0] // k for entries in rt.closures.values() for e in entries
+               if not isinstance(e[0], str)]
+    assert len(targets) > 1000
+    assert all((state % n, state // n) in live for state in targets)
     # and the frontier's sets hold live states alone, but for the roots
     roots = {rt.init_vec * n + rt.trie.roots[root] for root in rt.roots}
     assert len(rt.frontier.keys) > 2
@@ -871,36 +940,82 @@ def test_the_lexicon_bounds_analyze_memory():
         engine.analyze(w, desc)
     # analyze steps vectors only along composed states, so it interns none
     assert len(rt.vec_list) == vectors
-    # and it keeps live moves only for composed states and surface codes
+    # and it keeps closures only for composed states and surface codes or
+    # the end of the word
     n_codes = rt.n_codes
-    assert all((node, key // n_codes) in states
-               for node, live in enumerate(rt.trie.live) for key in live)
-    assert 0 < sum(map(len, rt.trie.live)) <= len(states) * n_codes
-    # and its frontier interns only subsets of the complete determinization
-    # of the lexicon composed with the rules, from the same start set
-    fr = rt.frontier
     n = len(rt.trie.arcs)
-    assert fr.keys[1] == rt._closure({rt.init_vec * n + rt.trie.roots[root]
-                                      for root in rt.roots})
+    assert all((key // (n_codes + 1) % n, key // (n_codes + 1) // n) in states
+               for key in rt.closures)
+    assert 0 < len(rt.closures) <= len(states) * (n_codes + 1)
+    # and its frontier interns only subsets of the complete determinization
+    # of the lexicon composed with the rules, from the same start set: sets
+    # of states after a consuming move, stepped through their closures,
+    # here those of the reference recursion
+    fr = rt.frontier
+    assert fr.keys[1] == tuple(sorted(rt.init_vec * n + rt.trie.roots[root]
+                                      for root in rt.roots))
+    live = coaccessible_states(rt)
+    steps = {}
     subsets = {fr.keys[0], fr.keys[1]}
     stack = [fr.keys[1]]
     while stack:
         subset = stack.pop()
         for code in range(1, n_codes):
-            reached = {m[4] * n + m[2] for state in subset
-                       for m in rt.live_moves(state % n, state // n, code) if m[3]}
-            nxt = rt._closure(reached)
+            nxt = tuple(sorted({e[0] for state in subset
+                                for e in closure_reference(rt, state, code, live, steps)}))
             if nxt not in subsets:
                 subsets.add(nxt)
                 stack.append(nxt)
     assert len(fr.keys) > 1 and set(fr.keys) <= subsets
 
 
+def test_the_closure_memo_is_bounded():
+    # analyze keeps at most one closure per live state and surface code or
+    # end of the word, whatever the input, and a closure's entries hold
+    # ints, strings and tuples of them alone, so one full collection
+    # untracks every entry
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    words = (sorted({c.surface for c in golden_suite()}) + perturbed_golden(desc, 300, seed=71)
+             + random_surfaces(desc, 300, seed=73))
+    for w in words + words:
+        engine.analyze(w, desc)
+    memo, k, live = rt.closures, rt.n_codes + 1, desc.tables["live"]
+    assert set(rt.starts) <= live
+    assert 0 < len(memo) <= len(live) * k
+    assert all(key // k in live for key in memo)
+    entries = [entry for value in memo.values() if value for entry in value]
+    assert len(entries) > 1000
+    assert all(entry[0] // k in live for entry in entries if not isinstance(entry[0], str))
+    gc.collect()
+    assert not any(gc.is_tracked(entry) for entry in entries)
+
+
+def test_closure_entries_match_the_recursive_walk(cycle):
+    # every memoized closure holds, in order, the consuming moves and the #
+    # completions that the recursive walk reaches from its state without
+    # reading a character
+    turkish = load_turkish(refresh=True)
+    for desc, words in ((turkish, sorted({c.surface for c in golden_suite()})
+                         + perturbed_golden(turkish, 300, seed=113)),
+                        (cycle, cycle_words(4))):
+        rt = engine.runtime(desc)
+        for w in words:
+            engine.analyze(w, desc)
+        live = coaccessible_states(rt)
+        k = rt.n_codes + 1
+        assert rt.closures
+        for key, entries in rt.closures.items():
+            state, code = divmod(key, k)
+            assert closure_entries(rt, entries) == closure_reference(rt, state, code - 1, live), key
+    assert len(engine.runtime(turkish).closures) > 1000
+
+
 def test_the_collector_never_sees_the_memos():
-    # a live move holds ints and strings alone, a rules-off front is a
+    # a closure entry holds ints and strings alone, a rules-off front is a
     # tuple of ints with a row of ints, and a memo row of an entry's
-    # realizations a tuple of (int, string) tuples, so a full collection
-    # untracks the memos and later collections never walk them
+    # realizations a dict of (int, string) keys, so a full collection
+    # untracks them and later collections never walk them
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
     golden = sorted({c.surface for c in golden_suite()})
@@ -918,23 +1033,23 @@ def test_the_collector_never_sees_the_memos():
     assert len(rows) > 100 and len(rt.vec_list) >= len(rows)
     assert not any(gc.is_tracked(row) for row in rows)
     assert not any(gc.is_tracked(row) for row in rt.vec_trans[:len(rows)])
+    # and so is each row of the entries' realizations, a dict of (vector
+    # id, surface) keys
+    rows = [row for tagged, links in rt.glosses.values()
+            for entries in [*tagged.values(), links] for *_, memo in entries
+            for row in memo.values()]
+    assert len(rows) > 100
+    assert not any(gc.is_tracked(row) for row in rows)
+    # and so is each entry of a closure
+    entries = [entry for entries in rt.closures.values() for entry in entries]
+    assert len(entries) > 1000
+    assert not any(gc.is_tracked(entry) for entry in entries)
     gc.collect()
-    lives = rt.trie.live
-    assert sum(map(len, lives)) > 0
-    assert not any(gc.is_tracked(live) for live in lives)
-    assert not any(gc.is_tracked(moves) for live in lives for moves in live.values())
     # and so is a frontier set or a rules-off front
     for fr in (rt.frontier, rt.covers):
         assert len(fr.keys) > 2
         assert not any(gc.is_tracked(key) for key in fr.keys)
         assert not any(gc.is_tracked(row) for row in fr.trans)
-    # and so is an entry's memo of realizations, each row a tuple of
-    # (vector id, surface) tuples
-    memos = [memo for tagged, links in rt.glosses.values()
-             for entries in [*tagged.values(), links] for *_, memo in entries]
-    assert sum(map(len, memos)) > 100
-    assert not any(gc.is_tracked(memo) for memo in memos)
-    assert not any(gc.is_tracked(row) for memo in memos for row in memo.values())
 
 
 def test_one_collection_untracks_the_cover_tables():
@@ -970,7 +1085,8 @@ def test_trace_reports_equal_the_untrimmed_search_ones(turkish):
 
 def test_trace_adds_no_move_entries():
     # trace supplies its own untrimmed moves, so after analyze has searched
-    # the pinned words, tracing them adds no entry to any move memo
+    # the pinned words, tracing them adds no entry to the memo of analyze's
+    # moves, the closures
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
     words = json.loads((Path(__file__).parent / "trace_pins.json").read_text("utf-8"))
@@ -978,7 +1094,7 @@ def test_trace_adds_no_move_entries():
         engine.analyze(w, desc)
 
     def move_entries():
-        return {name: k for name, k in rt.cache_sizes().items() if "move entries" in name}
+        return {name: k for name, k in rt.cache_sizes().items() if name.startswith("closure")}
 
     before = move_entries()
     assert before and all(before.values())
@@ -1462,7 +1578,7 @@ def test_concurrent_calls_match_serial(turkish):
         return out
 
     serial = run(turkish)
-    # accepted and rejected words alike, so the threads fill the live moves
+    # accepted and rejected words alike, so the threads fill the closures
     # of dead ends too
     assert any(serial["A", w] for w in words) and not all(serial["A", w] for w in words)
     assert len(glosses) > 100 and all(serial["F", root, tags] for root, tags in glosses)

@@ -145,9 +145,9 @@ def test_one_collection_untracks_the_loaded_tables():
             *(row for a in tables["automata"] for row in a[2]),
             *(a[1] for a in tables["automata"])]
     trie = rt.trie
-    entries = [*trie.arcs, *trie.complete, *trie.moves, *trie.dels, *trie.live]
+    entries = [*trie.arcs, *trie.complete, *trie.moves, *trie.dels]
     deltas = [row for bundle in rt.bundles for delta in bundle.deltas for row in delta]
-    assert len(rows) > 5000 and len(entries) > 5 * 1500 and len(deltas) > 1800
+    assert len(rows) > 5000 and len(entries) > 4 * 1500 and len(deltas) > 1800
     assert [x for x in rows + entries + deltas if gc.is_tracked(x)] == []
 
 
