@@ -447,9 +447,8 @@ class _Runtime:
             self.pairs_by_lex[lex] = self.pairs_by_lex.get(lex, ()) + (pid,)
         # the boundary pair and the end of the word are both #:#
         self.pair_names = ["%s:%s" % pair for pair in zip(tables["lexical"], surf)] + ["#:#"] * 2
-        # a pair id as a character of a path (_walk), and a path's lexical symbols
+        # a pair id as a character of a path (_walk)
         self.chars = [chr(pid) for pid in range(self.end + 1)]
-        self.lexical = dict(enumerate(tables["lexical"]))
 
         self._lock = threading.Lock()
         self.rule_names = [a[0] for a in automata]
@@ -487,8 +486,12 @@ class _Runtime:
         # one's.
         self.starts = [self.init_vec * len(self.trie.arcs) + root for root in reversed(roots)]
         self.frontier = _Frontier(tuple(sorted(self.starts)), type(self).frontier_step)
-        self.closures = {}        # closure key -> its entries (_walk)
+        self.closures = {}        # closure key -> its entries (_closure)
         self.glosses = None       # _gloss_index, built by the first gloss walk
+        # what the per-state walk (_walk) reads, in one attribute load
+        trie = self.trie
+        self.walk_parts = (trie.roots, trie.complete, trie.moves, trie.dels, self.vec_trans,
+                           tables["live"], len(trie.arcs), self.chars, self.n_codes + 1)
 
     def step_vec(self, vid, pid):
         """Step all rule automata, bundle by bundle; None when any of them
@@ -631,19 +634,17 @@ class _Runtime:
 
     def frontier_step(self, key, code):
         """The step of analyze's subset frontier (_Frontier): the states
-        after a consuming move that the ε-closures (_walk) of set `key`'s
+        after a consuming move that the ε-closures (_closure) of set `key`'s
         states lead to on surface code `code`; on _END, `key` when one of
         them completes, else ().  The search that found no reading has just
-        built these closures; one that the memo does not keep, as it cut a
-        loop, is built again here."""
-        memo, k, n_nodes = self.closures, self.n_codes + 1, len(self.trie.arcs)
+        built these closures but those that cut a loop."""
+        get, k = self.closures.get, self.n_codes + 1
+        codes, n = [max(code, 0)], int(code != _END)
         states = set()
         for state in key:
-            entries = memo.get(state * k + code + 1)
+            entries = get(state * k + code + 1)
             if entries is None:
-                item = (state % n_nodes, state // n_nodes, 0, "", "", None)
-                found, noted = _walk(self, [max(code, 0)], int(code != _END), start=item, stop=1)
-                entries = found if code == _END else noted
+                entries = _closure(self, codes, n, 0, state * k + code + 1, {})
             if code == _END and entries:
                 return key
             states.update(e[0] // k for e in entries)
@@ -790,7 +791,7 @@ def analyze(surface, desc):
             return []
 
     codes.append(0)
-    results = _walk(rt, codes, n)[0]
+    results = _search(rt, codes, n)
     if not results:
         # its search has built the closures of the sets' states, none of which closes the word
         for code in codes[i:n] + [_END]:
@@ -801,152 +802,151 @@ def analyze(surface, desc):
     return [Analysis(lex, gloss, results[lex, gloss]) for lex, gloss in sorted(results)]
 
 
-def _walk(rt, codes, n, observe=None, start=None, stop=None):
+def _search(rt, codes, n):
     """analyze's search of a word, `codes` its surface codes and a final 0:
-    the readings, (lexical, gloss) -> the pair ids of the first path found,
-    and the consuming moves of a closure built alone (`start`, `stop`).
-    The one per-state walk runs depth first in the order of a recursive
-    search, on a stack of (trie node, vector id, position, path, glosses,
-    jumps since the last consuming move), a path being the string of its
-    pair ids (rt.chars), over the moves into live states (_Runtime.walk
-    stepped every move of a live state) or those that `observe(node, vid,
-    i)` returns.  A jump into a (sublexicon, vector id) jumped into since
-    the last consuming move closes a loop, which is cut: exactly when it
-    added nothing, else DescriptionError is raised when a walk from the
-    loop's state alone finds a reading.  Given observe or start, the walk
-    runs to the end of the word, or to position `stop`.  Else it searches
-    over the ε-closures of rt.closures, keyed state * (n_codes + 1) + 1 +
-    the code (+ 0 at the end) for the states reached at the start or by a
-    consuming move: what the walk from the state alone reaches without
-    reading a character, in its order, each consuming move as (key base of
-    its state, glosses, path) and each # completion at the end as (path,
-    gloss).  The walk builds a closure at its first meeting; one that cut a
-    loop which added something is not kept, so that the search meets the
-    loop at each position."""
-    # the (path, gloss) of the # completions and the consuming moves met
-    found, noted, loops, cut = {}, [], {}, False
-    n_codes, trie, memo = rt.n_codes, rt.trie, rt.closures
-    root_of, completes = trie.roots, trie.complete
-    arcs, dels, vec_trans, live_states = trie.moves, trie.dels, rt.vec_trans, rt.tables["live"]
-    get, k, n_nodes, chars = memo.get, n_codes + 1, len(completes), rt.chars
-    if start is not None:
-        stack, todo, ends = [start], None, found
-    elif observe is not None:
-        stack = [(root_of[root], rt.init_vec, 0, "", "", None) for root in reversed(rt.roots)]
-        todo, ends = None, found
-    else:
-        # the closure starts waiting, each (key base, position, path, glosses)
-        stack, todo, ends = [], [(state * k + 1, 0, "", "") for state in rt.starts], {}
-        (base, at, prefix, glossed), entries = todo.pop(), None
+    (lexical, gloss) -> the pair ids of the first path found.  It runs
+    depth first over the ε-closures (_closure) of the states reached at
+    the start or by a consuming move, in the per-state walk's order, on a
+    stack of (closure key base of the state, position, path, glosses)."""
+    ends, loops = {}, {}
+    get, k = rt.closures.get, rt.n_codes + 1
+    stack = [(state * k + 1, 0, "", "") for state in rt.starts]
     pop, push = stack.pop, stack.append
-    while True:
-        while stack:
-            node, vid, i, path, glosses, jumps = pop()
-            while True:
-                if i == stop:
-                    noted.append(((vid * n_nodes + node) * k + 1, glosses, path))
-                    break
-                if observe is None:
-                    # the walk stepped every move of a live state (_Runtime.walk)
-                    trans = vec_trans[vid]
-                    live = []
-                    for move in arcs[node].get(codes[i], dels[node]):
-                        nvid = trans.get(move[1])
-                        if nvid is not None and nvid * n_nodes + move[2] in live_states:
-                            live.append(move + (nvid, chars[move[1]]))
-                else:
-                    live = observe(node, vid, i)
-                if completes[node]:
-                    # the jumps come before the moves: all wait on the stack
-                    for move in reversed(live):
-                        push((move[2], move[4], i + move[3], path + move[5], glosses,
-                              None if move[3] else jumps))
-                    # a reading found here cannot also be found below a jump
-                    # with other pairs, as every move adds a lexical symbol
-                    for gloss, cont in reversed(completes[node]):
-                        if cont != TERMINAL:
-                            jumped = glosses + gloss
-                            rest = jumps
-                            while rest is not None and (rest[0][0] != cont or rest[0][1] != vid):
-                                rest = rest[1]
-                            if rest is None:
-                                push((root_of[cont], vid, i, path, jumped,
-                                      ((cont, vid, path, jumped), jumps)))
-                            elif rest[0][2] is not path or rest[0][3] != jumped:
-                                loops[cont, vid, i], cut = None, True
-                        elif i == n and rt.step_vec(vid, rt.end) is not None:
-                            found[path, glosses + gloss] = None
-                    break
-                if not live:
-                    break
-                # the first move is taken at once (most states have at most
-                # one), the others wait on the stack
-                if len(live) > 1:
-                    for move in live[:0:-1]:
-                        push((move[2], move[4], i + move[3], path + move[5], glosses,
-                              None if move[3] else jumps))
-                move = live[0]
-                node = move[2]
-                vid = move[4]
-                path += move[5]
-                if move[3]:
-                    i += 1
-                    jumps = None
-        if todo is None:
-            break
-        if stop is not None:
-            # the closure just built
-            if at < n:
-                entries = tuple(noted)
-                if noted:
-                    noted = []
-            else:
-                entries = tuple(found)
-                found = {}
-            if cut:
-                cut = False
-            else:
-                memo[key] = entries
-            stop = None
-        # the search over the closures, (base, at, prefix, glossed) in hand
+    while stack:
+        base, at, prefix, glossed = pop()
         while True:
+            key = base - 1 if at == n else base + codes[at]
+            entries = get(key)
             if entries is None:
-                key = base - 1 if at == n else base + codes[at]
-                entries = get(key)
-                if entries is None:
-                    vid, node = divmod(base // k, n_nodes)
-                    push((node, vid, at, "", "", None))
-                    stop = at + 1
-                    break
+                entries = _closure(rt, codes, n, at, key, loops)
             if at == n:
                 for path, gloss in entries:
                     ends[prefix + path, glossed + gloss] = None
-            elif entries:
-                # the first entry is taken at once, the others wait
-                if len(entries) > 1:
-                    for entry in entries[:0:-1]:
-                        todo.append((entry[0], at + 1, prefix + entry[2], glossed + entry[1]))
-                entry = entries[0]
-                base, at, prefix, glossed = entry[0], at + 1, prefix + entry[2], glossed + entry[1]
-                entries = None
-                continue
-            if not todo:
-                todo = None
                 break
-            (base, at, prefix, glossed), entries = todo.pop(), None
-    results = {}
+            if not entries:
+                break
+            # the first entry is taken at once, the others wait
+            if len(entries) > 1:
+                for entry in entries[:0:-1]:
+                    push((entry[0], at + 1, prefix + entry[2], glossed + entry[1]))
+            base, gloss, path = entries[0]
+            at += 1
+            prefix += path
+            glossed += gloss
+    return _readings(rt, codes, n, ends, loops)
+
+
+def _walk(rt, codes, n, observe=None, stack=None, stop=None):
+    """The one per-state walk, depth first in the order of a recursive
+    search, on a stack of (trie node, vector id, position, path, glosses,
+    jumps since the last consuming move), from the lexicon roots or the
+    items of `stack`.  A path is the string of its pair ids (rt.chars).
+    The walk takes the moves into live states (_Runtime.walk stepped every
+    move of a live state), or those that `observe(node, vid, i)` returns,
+    and runs to the end of the word or to position `stop`.  A jump into a
+    (sublexicon, vector id) jumped into since the last consuming move
+    closes a loop, which is cut: exactly when it added nothing (_readings).
+    Returns the # completions at the end of the word, {(path, gloss):
+    None}; the consuming moves into position `stop`, each as (closure key
+    base of its state, glosses, path); and the state (sublexicon, vector
+    id, position) of each cut loop that added something."""
+    found, noted, loops = {}, [], {}
+    root_of, completes, arcs, dels, vec_trans, live_states, n_nodes, chars, k = rt.walk_parts
+    if stack is None:
+        stack = [(root_of[root], rt.init_vec, 0, "", "", None) for root in reversed(rt.roots)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, vid, i, path, glosses, jumps = pop()
+        while True:
+            if i == stop:
+                noted.append(((vid * n_nodes + node) * k + 1, glosses, path))
+                break
+            if observe is None:
+                trans = vec_trans[vid]
+                live = []
+                for move in arcs[node].get(codes[i], dels[node]):
+                    nvid = trans.get(move[1])
+                    if nvid is not None and nvid * n_nodes + move[2] in live_states:
+                        live.append(move + (nvid, chars[move[1]]))
+            else:
+                live = observe(node, vid, i)
+            if completes[node]:
+                # the jumps come before the moves: all wait on the stack
+                for move in reversed(live):
+                    push((move[2], move[4], i + move[3], path + move[5], glosses,
+                          None if move[3] else jumps))
+                # a reading found here cannot also be found below a jump
+                # with other pairs, as every move adds a lexical symbol
+                for gloss, cont in reversed(completes[node]):
+                    if cont != TERMINAL:
+                        jumped = glosses + gloss
+                        rest = jumps
+                        while rest is not None and (rest[0][0] != cont or rest[0][1] != vid):
+                            rest = rest[1]
+                        if rest is None:
+                            push((root_of[cont], vid, i, path, jumped,
+                                  ((cont, vid, path, jumped), jumps)))
+                        elif rest[0][2] is not path or rest[0][3] != jumped:
+                            loops[cont, vid, i] = None
+                    elif i == n and rt.step_vec(vid, rt.end) is not None:
+                        found[path, glosses + gloss] = None
+                break
+            if not live:
+                break
+            # the first move is taken at once (most states have at most
+            # one), the others wait on the stack
+            if len(live) > 1:
+                for move in live[:0:-1]:
+                    push((move[2], move[4], i + move[3], path + move[5], glosses,
+                          None if move[3] else jumps))
+            move = live[0]
+            node = move[2]
+            vid = move[4]
+            path += move[5]
+            if move[3]:
+                i += 1
+                jumps = None
+    return found, noted, loops
+
+
+def _closure(rt, codes, n, at, key, loops):
+    """The ε-closure of closure key `key` at position `at` of a word,
+    `codes` its surface codes: what the per-state walk (_walk) from
+    composed state key // (n_codes + 1) alone reaches without reading a
+    character, in its order, each consuming move as (closure key base of
+    its state, glosses, path) and at the end of the word each # completion
+    as (path, gloss).  rt.closures keeps it unless the walk cut a loop that
+    added something, which goes into `loops` instead, so that every search
+    meets the loop."""
+    state, n_nodes = key // (rt.n_codes + 1), len(rt.trie.arcs)
+    found, noted, cut = _walk(rt, codes, n, None,
+                              [(state % n_nodes, state // n_nodes, at, "", "", None)], at + 1)
+    entries = tuple(found) if at == n else tuple(noted)
+    if cut:
+        loops.update(cut)
+    else:
+        rt.closures[key] = entries
+    return entries
+
+
+def _readings(rt, codes, n, ends, loops):
+    """The readings of the # completions `ends` of a word's walk, (lexical,
+    gloss) -> the pair ids of the first path found.  A cut loop that added
+    something can run any number of times before each reading through its
+    state, so DescriptionError names its sublexicon when the walk from that
+    state alone, the jump into it taken, finds a reading."""
+    results, lexical = {}, rt.tables["lexical"]
     for path, gloss in ends:
-        reading = (path.translate(rt.lexical), gloss)
+        reading = (path.translate(lexical), gloss)
         if reading not in results:
             results[reading] = tuple(map(ord, path))
-    if start is None and results and loops:
+    if results:
         for cont, vid, i in loops:
-            # the walk from the loop's state alone, the jump into it taken
-            if _walk(rt, codes, n, start=(root_of[cont], vid, i, "", "",
-                                          ((cont, vid, "", ""), None)))[0]:
+            start = (rt.trie.roots[cont], vid, i, "", "", ((cont, vid, "", ""), None))
+            if _walk(rt, codes, n, stack=[start])[0]:
                 raise DescriptionError("sublexicon %s is re-entered by a loop that reads no"
                                        " surface character but adds symbols or glosses" % cont)
-    return results, noted
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1070,8 +1070,8 @@ def _gloss_index(entries, trie):
     node) pairs of the form's path from the sublexicon's trie root, and
     the memo maps a vector id to the entry's realization from it
     (_realize_entry), filled as walks take the entry: at most one row
-    per kept vector.  A row is a dict of ints and strings alone, so the
-    first full collection untracks it."""
+    per kept vector.  A row holds ints and strings alone, so a full
+    collection untracks it."""
     subs = {}
     for name, sub in entries.items():
         tagged, links = {}, []
@@ -1091,7 +1091,7 @@ def _gloss_index(entries, trie):
 
 def _realize_entry(rt, steps, vid):
     """An entry's realization from vector vid at its sublexicon's trie
-    root: {(next vector id, surface added): None} after its steps, taken
+    root: ((next vector id, surface added), ...) after its steps, taken
     through the vector rows alone, each state kept only when it is live
     (walk).  Every state of a gloss walk is a composed state that the
     walk reached from the roots, so, as in _walk, a pair that the row
@@ -1110,7 +1110,7 @@ def _realize_entry(rt, steps, vid):
                 if nvid is not None and nvid * n_nodes + node in live_states:
                     nxt[nvid, added if is_null[pid] else added + surf[pid]] = None
         states = nxt
-    return states
+    return tuple(states)
 
 
 def _gloss_walk(rt, root, tags, frontier, start=None):
@@ -1360,7 +1360,8 @@ def _observe(rt, syms, direction):
             add((i, vid, -1))
         return live
 
-    return bool(_walk(rt, codes, n, observe)[0]), events
+    found, _, loops = _walk(rt, codes, n, observe)
+    return bool(_readings(rt, codes, n, found, loops)), events
 
 
 def _trace_steps(rt, events):

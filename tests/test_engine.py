@@ -736,7 +736,8 @@ def closure_reference(rt, state, code, live, memo=None):
             if cont == TERMINAL:
                 continue
             if (cont, vid) not in jumped:
-                rec(trie.roots[cont], vid, syms, pids, glosses + gloss, {**jumped, (cont, vid): mark})
+                rec(trie.roots[cont], vid, syms, pids, glosses + gloss,
+                    {**jumped, (cont, vid): mark})
             elif jumped[cont, vid] != mark:
                 cut.append((cont, vid))
         for sym, pid, child, consumes in trie.moves[node].get(max(code, 0), trie.dels[node]):
@@ -757,9 +758,10 @@ def closure_reference(rt, state, code, live, memo=None):
 def closure_entries(rt, entries):
     """A memoized closure's entries in the form of closure_reference's:
     the path of an entry is the string of its pair ids, each as chr(pid)."""
-    return [(None, entry[0].translate(rt.lexical), entry[1], tuple(map(ord, entry[0])))
+    lexical = rt.tables["lexical"]
+    return [(None, entry[0].translate(lexical), entry[1], tuple(map(ord, entry[0])))
             if isinstance(entry[0], str)
-            else (entry[0] // (rt.n_codes + 1), entry[2].translate(rt.lexical), entry[1],
+            else (entry[0] // (rt.n_codes + 1), entry[2].translate(lexical), entry[1],
                   tuple(map(ord, entry[2])))
             for entry in entries]
 
@@ -1012,10 +1014,11 @@ def test_closure_entries_match_the_recursive_walk(cycle):
 
 
 def test_the_collector_never_sees_the_memos():
-    # a closure entry holds ints and strings alone, a rules-off front is a
-    # tuple of ints with a row of ints, and a memo row of an entry's
-    # realizations a dict of (int, string) keys, so a full collection
-    # untracks them and later collections never walk them
+    # a closure entry holds ints and strings alone, a closure is a tuple of
+    # entries, a rules-off front a tuple of ints with a row of ints, and a
+    # memo row of an entry's realizations a tuple of (int, string) tuples,
+    # so full collections untrack the memos and later collections never
+    # walk them
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
     golden = sorted({c.surface for c in golden_suite()})
@@ -1033,23 +1036,28 @@ def test_the_collector_never_sees_the_memos():
     assert len(rows) > 100 and len(rt.vec_list) >= len(rows)
     assert not any(gc.is_tracked(row) for row in rows)
     assert not any(gc.is_tracked(row) for row in rt.vec_trans[:len(rows)])
-    # and so is each row of the entries' realizations, a dict of (vector
-    # id, surface) keys
-    rows = [row for tagged, links in rt.glosses.values()
-            for entries in [*tagged.values(), links] for *_, memo in entries
-            for row in memo.values()]
-    assert len(rows) > 100
-    assert not any(gc.is_tracked(row) for row in rows)
     # and so is each entry of a closure
     entries = [entry for entries in rt.closures.values() for entry in entries]
     assert len(entries) > 1000
     assert not any(gc.is_tracked(entry) for entry in entries)
     gc.collect()
+    # and so is each closure, and the memo of them
+    closures = rt.closures
+    assert len(closures) > 1000
+    assert not gc.is_tracked(closures)
+    assert not any(gc.is_tracked(entries) for entries in closures.values())
     # and so is a frontier set or a rules-off front
     for fr in (rt.frontier, rt.covers):
         assert len(fr.keys) > 2
         assert not any(gc.is_tracked(key) for key in fr.keys)
         assert not any(gc.is_tracked(row) for row in fr.trans)
+    # and so is an entry's memo of realizations, each row a tuple of
+    # (vector id, surface) tuples
+    memos = [memo for tagged, links in rt.glosses.values()
+             for entries in [*tagged.values(), links] for *_, memo in entries]
+    assert sum(map(len, memos)) > 100
+    assert not any(gc.is_tracked(memo) for memo in memos)
+    assert not any(gc.is_tracked(row) for memo in memos for row in memo.values())
 
 
 def test_one_collection_untracks_the_cover_tables():
