@@ -170,7 +170,11 @@ def _dispatch(args):
                 return "".join(o + "\n" for o in outs), True
             lines = ["*NONE*"]
             if args.trace:
-                lines.append(_blocked(word, "generate", desc))
+                # trace judges the string unvalidated, which passes some non-paths
+                if args.validate_morphotactics and not engine.is_lexicon_path(word, desc):
+                    lines.append("! blocked at lexicon layer: -")
+                else:
+                    lines.append(_blocked(word, "generate", desc))
             return "\n".join(lines) + "\n", False
         return _batch(args, run, desc, setup)
 

@@ -973,8 +973,7 @@ def generate(lexical, desc, validate_morphotactics=False):
     rt = runtime(desc)
     syms = tokenize_lexical(lexical, rt.pairs_by_lex)
     if not validate_morphotactics:
-        return sorted({prefix for vid, prefix in _realize(rt, syms)
-                       if rt.step_vec(vid, rt.end) is not None})
+        return sorted({prefix for _, prefix in _realize(rt, syms)})
     trie = rt.trie
     memo, frame, pairs_by_lex, n_nodes = trie.gen, rt.frame_id, rt.pairs_by_lex, len(trie.arcs)
     frontier = memo.get(-1)
@@ -1001,12 +1000,13 @@ def generate(lexical, desc, validate_morphotactics=False):
 
 
 def _realize(rt, syms, dead=None):
-    """The frontier of unvalidated generate and of trace's generate
-    direction: {(vector id, surface prefix): None} after the lexical
-    symbols syms, from the start of a word.  Each pair pid that kills
+    """The end of unvalidated generate and of trace's generate direction:
+    the states (vector id, surface prefix) after the lexical symbols syms
+    whose vector accepts the end of the word.  Each pair pid that kills
     vector vid at symbol index k is appended to the list `dead` as (k,
-    vid, pid).  The symbols need not spell a lexicon path, so a vector may
-    leave the walked composition: its row is read inline, and step_vec
+    vid, pid), then each vector that rejects the end, once, as (len(syms),
+    vid, rt.end).  The symbols need not spell a lexicon path, so a vector
+    may leave the walked composition: its row is read inline, and step_vec
     runs for a pair that the row lacks."""
     step_vec, vec_trans = rt.step_vec, rt.vec_trans
     is_null = rt.is_null
@@ -1026,7 +1026,10 @@ def _realize(rt, syms, dead=None):
                 elif dead is not None:
                     dead.append((k, vid, pid))
         frontier = nxt
-    return frontier
+    ends = {vid: step_vec(vid, rt.end) is not None for vid, _ in frontier}
+    if dead is not None:
+        dead.extend((len(syms), vid, rt.end) for vid, ends_word in ends.items() if not ends_word)
+    return [state for state in frontier if ends[state[0]]]
 
 
 def is_lexicon_path(lexical, desc):
@@ -1273,32 +1276,32 @@ def lexicon_covers(surface, desc):
 def trace(word, direction, desc):
     """Search trace: per step, which rule automata died.
 
-    The verdict is analyze's (generate's frontier, _realize, in the
-    generate direction), and on failure the layer is lexicon_covers's
-    (is_lexicon_path's): when some lexicon path covers the word, only the
-    rules can have blocked it.  The blockers are then the rules that
-    rejected at the deepest depth of the observed search (_observe),
-    unless the lexicon dead-ends there too, in check-set order, each with
-    its first pair; otherwise no rule is named.  The observed search runs
-    for such a word, and for any other on the first read of the report's
-    steps.
+    The verdict is analyze's (_realize's in the generate direction), and
+    on failure the layer is lexicon_covers's (is_lexicon_path's): when
+    some lexicon path covers the word, only the rules can have blocked it.
+    The blockers are then the rules that rejected at the deepest depth of
+    the observed search, unless the lexicon dead-ends there too, in
+    check-set order, each with its first pair; otherwise no rule is named.
+    The observed search is the verdict's own _realize in the generate
+    direction; analyze's (_observe) runs for a rules-layer word, and for
+    any other on the first read of the report's steps.
     """
     if direction not in ("analyze", "generate"):
         raise ValueError("direction must be analyze or generate")
     word = unicodedata.normalize("NFC", word)
     rt = runtime(desc)
     if direction == "generate":
-        syms = tokenize_lexical(word, rt.pairs_by_lex)
-        accepted = any(rt.step_vec(vid, rt.end) is not None for vid, _ in _realize(rt, syms))
+        events = []
+        accepted = bool(_realize(rt, tokenize_lexical(word, rt.pairs_by_lex), events))
         covered = accepted or is_lexicon_path(word, desc)
+        steps = _trace_steps(rt, events)
     else:
-        syms = word
         accepted = bool(analyze(word, desc))
         covered = accepted or lexicon_covers(word, desc)
+        events = None if accepted or not covered else _observe(rt, word)[1]
+        steps = lambda: _trace_steps(rt, _observe(rt, word)[1] if events is None else events)
     if accepted or not covered:
-        return TraceReport(lambda: _trace_steps(rt, _observe(rt, syms, direction)[1]),
-                           Verdict(accepted, []), "none" if accepted else "lexicon")
-    events = _observe(rt, syms, direction)[1]
+        return TraceReport(steps, Verdict(accepted, []), "none" if accepted else "lexicon")
     deepest = max((e[0] for e in events), default=-1)
     last = [e for e in events if e[0] == deepest]
     rules = {}
@@ -1309,32 +1312,22 @@ def trace(word, direction, desc):
                 rules.setdefault(name, rt.pair_names[pid])
     blockers = [(name, deepest, rules[name])
                 for name in dict.fromkeys(rt.rule_names) if name in rules]
-    return TraceReport(lambda: _trace_steps(rt, events), Verdict(False, blockers), "rules")
+    return TraceReport(steps, Verdict(False, blockers), "rules")
 
 
-def _observe(rt, syms, direction):
-    """trace's observed search of a word: generate's frontier (_realize)
-    over the lexical symbols syms, or analyze's per-state walk (_walk) over the
-    surface word syms, given the untrimmed moves: those that no rule
-    rejects, into dead ends too, so that it meets every pair that a rule
-    rejects on the way.  The events it meets, in visiting order, each as
-    (depth, vector id, pair id): a pair that kills the vector, rt.end for
+def _observe(rt, word):
+    """trace's observed search of a surface word in the analyze direction:
+    analyze's per-state walk (_walk), given the untrimmed moves: those that
+    no rule rejects, into dead ends too, so that it meets every pair that a
+    rule rejects on the way.  The events it meets, in visiting order, each
+    as (depth, vector id, pair id): a pair that kills the vector, rt.end for
     a closing boundary that the vector rejects, and -1 for a state with no
     move left before the end of the word (a lexicon dead end).  Returns
     whether the search accepts the word, and the events."""
     events = []
     step_vec, end = rt.step_vec, rt.end
-    if direction == "generate":
-        frontier = _realize(rt, syms, events)
-        found = False
-        for vid in dict.fromkeys(vid for vid, _ in frontier):
-            if step_vec(vid, end) is None:
-                events.append((len(syms), vid, end))
-            else:
-                found = True
-        return found, events
-    n = len(syms)
-    codes = [rt.codes.get(c, 0) for c in syms] + [0]
+    n = len(word)
+    codes = [rt.codes.get(c, 0) for c in word] + [0]
     complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
     vec_trans, add, chars = rt.vec_trans, events.append, rt.chars
 

@@ -70,6 +70,22 @@ def test_analyze_strict_exit_code(capsys):
     assert rc == 1
 
 
+def test_generate_unknown_symbol_fails_only_when_strict(capsys):
+    assert run(capsys, ["generate", "--strict", "evx"]) == (
+        1, "*NONE*\tunknown lexical symbol 'x'\n")
+    assert run(capsys, ["generate", "evx"]) == (0, "*NONE*\tunknown lexical symbol 'x'\n")
+
+
+def test_generate_validated_trace_blames_the_lexicon_for_a_non_path(capsys):
+    # unvalidated, both strings have a surface; validated, no lexicon path
+    # spells them, so no rule is to blame
+    rc, out = run(capsys, ["generate", "--validate-morphotactics", "--trace", "evev", "ev-DA"])
+    assert rc == 0
+    assert out.splitlines() == ["*NONE*", "! blocked at lexicon layer: -"] * 2
+    rc, out = run(capsys, ["generate", "--trace", "evev"])
+    assert (rc, out) == (0, "evev\n")
+
+
 def test_generate_word(capsys):
     rc, out = run(capsys, ["generate", "ev^"])
     assert rc == 0
@@ -82,12 +98,15 @@ def test_generate_many(capsys):
     assert out.split() == ["saatlerimizden", "retten"]
 
 
-def test_batch_stdin_order_is_input_order(capsys):
+def test_batch_stdin_order_is_input_order(capsys, tmp_path):
     rc, out = run(capsys, ["analyze", "--input", "-"],
                   stdin="evde\nbana\nsuyu\n")
     assert rc == 0
     heads = [line for line in out.splitlines() if line and "\t" not in line]
     assert heads == ["evde", "bana", "suyu"]
+    words = tmp_path / "words.txt"
+    words.write_text("evde\nbana\nsuyu\n", encoding="utf-8")
+    assert run(capsys, ["analyze", "--input", str(words)]) == (rc, out)
 
 
 def test_roundtrip_analyze_then_generate(capsys):
@@ -103,6 +122,7 @@ def test_syllabify_command(capsys):
     rc, out = run(capsys, ["syllabify", "gazete", "tuz"])
     assert rc == 0
     assert out.split() == ["ga^zete", "tuz^"]
+    assert run(capsys, ["syllabify", "xyz"]) == (2, "")
 
 
 def test_trace_command(capsys):
@@ -119,9 +139,13 @@ def test_analyze_trace_at_the_lexicon_layer_names_no_rule(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    rc, _ = run(capsys, ["generate", "--rules", "/nonexistent.twol",
-                         "--lexicon", "/nonexistent.lex", "ev"])
-    assert rc == 2
+    for args in (["generate", "--rules", "/nonexistent.twol", "--lexicon", "/nonexistent.lex",
+                  "ev"],
+                 # --rules without --lexicon, and no words
+                 ["analyze", "--rules", "/nonexistent.twol", "evde"],
+                 ["generate"]):
+        rc, out = run(capsys, args)
+        assert (rc, out) == (2, ""), args
 
 
 def test_compile_reports(capsys, monkeypatch):

@@ -550,7 +550,7 @@ def observed_accepts(word, desc):
     """Whether trace's observed search itself accepts the word: trace takes
     its verdict from analyze, so only this checks the untrimmed search."""
     word = unicodedata.normalize("NFC", word)
-    return engine._observe(engine.runtime(desc), word, "analyze")[0]
+    return engine._observe(engine.runtime(desc), word)[0]
 
 
 def test_trace_agrees_with_analyze(turkish):
@@ -1151,6 +1151,36 @@ def test_trace_pays_for_the_observed_search_only_when_it_reads_it(monkeypatch):
     assert any(d < deepest and pid >= 0 for d, _, pid in events)
     assert report.steps is report.steps and len(searched) == 1
     assert report._build is None
+
+
+def test_trace_generate_realizes_the_string_once_and_never_observes(monkeypatch, turkish):
+    realized, observed = [], []
+    realize = engine._realize
+
+    def counted_realize(*args):
+        realized.append(args)
+        return realize(*args)
+
+    monkeypatch.setattr(engine, "_realize", counted_realize)
+    monkeypatch.setattr(engine, "_observe", lambda *args: observed.append(args))
+    for w, layer in (("ev^-DA", "none"), ("Ev^", "lexicon"),
+                     ("gid^-(D)HX-(D)HX-DH", "rules")):
+        report = engine.trace(w, "generate", turkish)
+        assert report.layer == layer and report.steps is report.steps
+        assert report._build is None and len(realized) == 1 and observed == [], w
+        realized.clear()
+    assert report.blocking_rules()
+
+
+def test_trace_generate_names_a_rule_that_rejects_the_end_of_the_word():
+    from conftest import make_description
+    desc = make_description('ALPHABET\na b ;\nRULES\n"end" a:a /<= _ # ;\n',
+                            "LEXICON Root\na # ;\nab # ;\n")
+    report = engine.trace("a", "generate", desc)
+    assert report.layer == "rules" and report.outcome.blockers == [("end", 1, "#:#")]
+    assert engine.generate("a", desc) == [] and engine.generate("ab", desc) == ["ab"]
+    with pytest.raises(ValueError):
+        engine.trace("a", "sideways", desc)
 
 
 def test_lazy_steps_are_built_once_per_reader_and_equal(turkish):

@@ -270,6 +270,37 @@ def test_compile_agrees_with_interpreter_exhaustively(toy):
             assert ra.dfa.accepts((frame,) + w + (frame,)) == rule_holds(rule, w, alpha, decls)
 
 
+NOT_UNION = """ALPHABET
+a b c b:c ;
+DEFINITIONS
+M = [a | b:c] ;
+RULES
+"u" b:c <=> \\[a | b:c] _ ;
+"m" b:c <=> _ \\M ;
+"w" b:c <=> \\[c | #] _ ;
+"""
+
+
+def test_not_over_a_union_or_definition_compiles_as_interpreted():
+    decls, rules = parse_rules_file(NOT_UNION)
+    alpha = derive_feasible_pairs(decls, rules)
+    frame = alpha.frame_id
+    # \ over a union, and over a definition of one, leaves every other pair
+    others = frozenset(pairs(alpha, "b", "c")) | {frame}
+    for rule in rules[:2]:
+        (node,) = [n for context in rule.contexts for n in context
+                   if isinstance(n, rx.NotPair)]
+        assert rx.denote_atom(node, alpha, decls) == others, rule.name
+    words = [w for L in range(5) for w in itertools.product(alpha.all_ids(), repeat=L)]
+    for rule in rules:
+        dfa = compile_rule(rule, alpha, decls).dfa
+        for w in words:
+            assert dfa.accepts((frame,) + w + (frame,)) == rule_holds(rule, w, alpha, decls), (
+                rule.name, w)
+    with pytest.raises(rx.ParseError):
+        rx.denote_atom(rx.parse_pair_regex("\\(a b)", decls), alpha, decls)
+
+
 def _context_pairs(rule, alpha, decls, rng, limit=6):
     """Up to limit pairs of the rule's own: two of its correspondence, then
     one drawn from each atom of its contexts."""
