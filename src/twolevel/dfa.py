@@ -16,7 +16,7 @@ class AlphabetError(ValueError):
 class PairDfa:
     def __init__(self, alphabet, class_of, n_classes, delta, start, finals):
         self.alphabet = alphabet
-        self.class_of = class_of          # list over pair ids (+frame) -> class
+        self.class_of = class_of          # list over framed pair ids -> class
         self.n_classes = n_classes
         self.delta = delta                # per state: dict class -> state
         self.start = start
@@ -47,7 +47,7 @@ class PairDfa:
             mark = "final" if s in self.finals else ""
             lines.append("state\t%d\t%s" % (s, mark))
             arcs = {}
-            for pid in self.alphabet.all_ids(with_frame=True):
+            for pid in range(self.alphabet.frame_id + 1):
                 t = self.step(s, pid)
                 if t is not None:
                     arcs.setdefault(t, []).append(self.alphabet.name_of(pid))
@@ -74,7 +74,7 @@ def partition_for(denotations, n_symbols):
     """Group pair ids by their membership signature across the denotations.
 
     A pair's signature is a bitmask with bit k set when it is in
-    denotations[k]; ids outside range(n_symbols) are ignored.  Classes are
+    denotations[k], each a set of ids in range(n_symbols).  Classes are
     numbered in order of their first pair id.
 
     Returns (class_of list, classes as list of id-tuples).
@@ -83,8 +83,7 @@ def partition_for(denotations, n_symbols):
     for k, den in enumerate(denotations):
         bit = 1 << k
         for pid in den:
-            if 0 <= pid < n_symbols:
-                sig_of[pid] |= bit
+            sig_of[pid] |= bit
     sigs = {}
     class_of = [0] * n_symbols
     classes = []
@@ -168,16 +167,14 @@ def _build_nfa(nfa, node, leaves):
     return s, e
 
 
-def compile_regex(node, alphabet, decls, with_frame=False, allow_empty=False):
+def compile_regex(node, alphabet, decls, allow_empty=False):
     """Compile a PairRegex to a trimmed, deterministic PairDfa.
 
-    ``with_frame`` admits the boundary pair into the automaton alphabet
-    (rule compilation wants it; plain expressions usually do not).  Each
-    difference is compiled on its own by product and spliced into the NFA,
-    so the expression is determinized once.
+    The automaton alphabet is the framed one: the feasible pairs and the
+    boundary pair, id ``alphabet.frame_id``.  Each difference is compiled
+    on its own by product and spliced into the NFA, so the expression is
+    determinized once.
     """
-    n_symbols = len(alphabet.pairs) + (1 if with_frame else 0)
-
     atoms = []
     _collect_atoms(node, atoms)
     dens = {}
@@ -186,17 +183,17 @@ def compile_regex(node, alphabet, decls, with_frame=False, allow_empty=False):
         if id(a) in dens:
             continue
         if isinstance(a, rx.Diff):
-            d = product(compile_regex(a.left, alphabet, decls, with_frame, allow_empty),
-                        compile_regex(a.right, alphabet, decls, with_frame, allow_empty))
+            d = product(compile_regex(a.left, alphabet, decls, allow_empty),
+                        compile_regex(a.right, alphabet, decls, allow_empty))
             sub_classes = {}
             for pid, c in enumerate(d.class_of):
                 sub_classes.setdefault(c, []).append(pid)
             den_list.extend(sub_classes.values())
         else:
-            d = rx.denote_atom(a, alphabet, decls, with_frame=with_frame, allow_empty=allow_empty)
+            d = rx.denote_atom(a, alphabet, decls, allow_empty=allow_empty)
             den_list.append(d)
         dens[id(a)] = d
-    class_of, classes = partition_for(den_list, n_symbols)
+    class_of, classes = partition_for(den_list, alphabet.frame_id + 1)
     # classes are signature-uniform: the first member speaks for the class
     leaves = {}
     for key, d in dens.items():

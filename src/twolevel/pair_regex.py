@@ -1,10 +1,12 @@
-"""Regular expressions over feasible pairs.
+"""Regular expressions over the framed pair alphabet: the feasible pairs
+and the boundary pair #:#.
 
 Grammar (loosest to tightest): union "|", difference "-", concatenation,
-postfix "*"/"+".  "( )" is optionality, "[ ]" and "{ }" group, "\\X" is any
-single feasible pair not matching X, "#" the word boundary.  Atoms are
-"x", "x:y", "x:", ":y" where either side may be a symbol or a set name;
-whitespace around ":" matters ("H: y" is two atoms, "H:y" one pair).
+postfix "*"/"+".  "( )" is optionality, "[ ]" and "{ }" group, "#" is the
+boundary pair, and "\\X" any single pair, the boundary pair included, not in
+the single-pair form X.  Atoms are "x", "x:y", "x:", ":y" where either side
+may be a symbol or a set name; whitespace around ":" matters ("H: y" is two
+atoms, "H:y" one pair).
 """
 
 from .symbols import BOUNDARY, WHITESPACE, scan
@@ -144,10 +146,12 @@ class Opt(Node):
 
 
 class NotPair(Node):
-    """Any single feasible pair (or the boundary pair) not matching item.
+    """Any single pair of the framed alphabet not matching item: \\# is
+    every feasible pair.
 
-    Restricted to single-pair denotations; anything else is flagged when the
-    regex is compiled or matched.
+    item is a single-pair form: an atom, #, \\X, a union of such forms or a
+    definition of one.  Anything else is a ParseError when the regex is
+    compiled or matched.
     """
 
     def __init__(self, item):
@@ -372,65 +376,39 @@ def regex_key(node):
     return head + tuple(regex_key(c) for c in node.children())
 
 
-def denote_atom(node, alphabet, decls, with_frame=True, allow_empty=False):
-    """The set of pair ids an Atom / NotPair / Boundary node matches."""
+def denote_atom(node, alphabet, decls, allow_empty=False):
+    """The set of framed pair ids a single-pair form matches."""
     # Keyed by structure, so that the fresh but equal nodes of a repeated
     # compile find their entries instead of adding new ones.
-    key = (regex_key(node), with_frame)
+    key = regex_key(node)
     out = alphabet.denotation_cache.get(key)
     if out is None:
-        out = alphabet.denotation_cache[key] = _denote_atom_uncached(
-            node, alphabet, decls, with_frame)
+        out = alphabet.denotation_cache[key] = _pair_set(node, alphabet, decls)
     if not out and not allow_empty:
         raise EmptyAtom("atom %r matches no feasible pair" % node)
     return out
 
 
-def _denote_atom_uncached(node, alphabet, decls, with_frame):
+def _pair_set(node, alphabet, decls):
+    """Framed ids of an atom, #, \\X, a union of single-pair forms or a
+    definition of one; the full wildcard spans the boundary pair too."""
+    if isinstance(node, MacroRef):
+        return _pair_set(node.target, alphabet, decls)
     if isinstance(node, Boundary):
-        return frozenset([alphabet.frame_id]) if with_frame else frozenset()
+        return frozenset([alphabet.frame_id])
     if isinstance(node, NotPair):
-        inner = node.item
-        if isinstance(inner, MacroRef):
-            inner = inner.target
-        if not isinstance(inner, (Atom, Boundary, Union)):
-            raise ParseError("\\ applies to single-pair denotations only, got %r" % inner)
-        ids = denote_atom(inner, alphabet, decls, with_frame=False, allow_empty=True) \
-            if isinstance(inner, Atom) else _denote_union_pairs(inner, alphabet, decls)
-        full = set(alphabet.all_ids())
-        if with_frame:
-            full.add(alphabet.frame_id)
-        return frozenset(full - set(ids))
+        return frozenset(range(alphabet.frame_id + 1)) - _pair_set(node.item, alphabet, decls)
+    if isinstance(node, Union):
+        return frozenset().union(*(_pair_set(item, alphabet, decls) for item in node.items))
     if not isinstance(node, Atom):
-        raise TypeError("not an atomic node: %r" % node)
-    return _denote_plain_atom(node, alphabet, decls, with_frame)
-
-
-def _denote_plain_atom(node, alphabet, decls, with_frame):
+        raise ParseError("\\ applies to single-pair denotations only, got %r" % node)
     lexnames = side_names(node.lex, decls)
     surfnames = side_names(node.surf, decls)
-    out = set()
-    for i, (lex, surf) in enumerate(alphabet.pairs):
-        if lexnames is not None and lex.name not in lexnames:
-            continue
-        if surfnames is not None and surf.name not in surfnames:
-            continue
-        out.add(i)
-    # the full wildcard spans anything, the boundary pair included
-    if with_frame and lexnames is None and surfnames is None:
-        out.add(alphabet.frame_id)
-    return frozenset(out)
-
-
-def _denote_union_pairs(node, alphabet, decls):
-    out = set()
-    for item in node.items:
-        if isinstance(item, MacroRef):
-            item = item.target
-        if not isinstance(item, (Atom, Boundary)):
-            raise ParseError("\\ applies to single-pair denotations only")
-        out |= denote_atom(item, alphabet, decls, with_frame=False, allow_empty=True)
-    return out
+    if lexnames is None and surfnames is None:
+        return frozenset(range(alphabet.frame_id + 1))
+    return frozenset(i for i, (lex, surf) in enumerate(alphabet.pairs)
+                     if (lexnames is None or lex.name in lexnames)
+                     and (surfnames is None or surf.name in surfnames))
 
 
 def match_ends(node, pairs, start, alphabet, decls, memo):

@@ -249,12 +249,9 @@ def expand_where(rule):
 
 def _cp_sets(rule, alphabet, decls):
     """(pair ids of CP, lexical symbol names of CP) for a ground rule."""
-    try:
-        cp_ids = rx.denote_atom(rule.cp, alphabet, decls, with_frame=False) \
-            if isinstance(rule.cp, (rx.Atom, rx.NotPair, rx.Boundary)) else None
-    except rx.EmptyAtom:
-        raise EmptyCorrespondence("rule %s: correspondence denotes no feasible pair" % rule.name)
-    if cp_ids is None:
+    if isinstance(rule.cp, (rx.Atom, rx.NotPair, rx.Boundary)):
+        cp_ids = rx.denote_atom(rule.cp, alphabet, decls, allow_empty=True) - {alphabet.frame_id}
+    else:
         # general regexes as CP: collect pairs it can match as one-pair strings
         cp_ids = frozenset(
             pid for pid in alphabet.all_ids() if rx.match(rule.cp, (pid,), alphabet, decls)
@@ -322,8 +319,7 @@ def _tracker(regex, alphabet, decls, allow_empty, trackers):
     """The framed DFA of regex, compiled once per key in trackers."""
     key = (rx.regex_key(regex), allow_empty)
     if key not in trackers:
-        trackers[key] = dfalib.compile_regex(regex, alphabet, decls,
-                                             with_frame=True, allow_empty=allow_empty)
+        trackers[key] = dfalib.compile_regex(regex, alphabet, decls, allow_empty=allow_empty)
     return trackers[key]
 
 

@@ -184,8 +184,8 @@ class PairAlphabet:
     """The feasible pairs of one description; the alphabet of every automaton.
 
     Pairs are (lexical Symbol, surface Symbol).  The boundary pair (#,#) is
-    kept out of the alphabet proper; rule automata receive it as an extra
-    framing symbol with id ``len(pairs)``.
+    not a feasible pair, but every denotation and automaton is over the
+    framed ids: the feasible pairs and the boundary pair, id ``frame_id``.
     """
 
     def __init__(self, table, pairs):
@@ -218,9 +218,8 @@ class PairAlphabet:
         lex, surf = self.pairs[pid]
         return "%s:%s" % (lex.name, surf.name)
 
-    def all_ids(self, with_frame=False):
-        n = len(self.pairs) + (1 if with_frame else 0)
-        return range(n)
+    def all_ids(self):
+        return range(len(self.pairs))
 
 
 def _strip_comment(line):

@@ -37,7 +37,7 @@ def canonical_dump(a):
     """a.dump() with the states numbered breadth first from the start, arcs
     in pair id order: equal for two automata that differ only in how their
     states are numbered."""
-    ids = a.alphabet.all_ids(with_frame=True)
+    ids = range(a.alphabet.frame_id + 1)
     order = {a.start: 0}
     queue = [a.start]
     for s in queue:

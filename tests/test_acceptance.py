@@ -87,7 +87,7 @@ def _sub_alphabet(rule, alpha, decls):
                 atoms.append(node)
             stack.extend(node.children())
     for a in atoms:
-        den = rx.denote_atom(a, alpha, decls, with_frame=False, allow_empty=True)
+        den = rx.denote_atom(a, alpha, decls, allow_empty=True) - {alpha.frame_id}
         for pid in sorted(den):
             if pid not in chosen:
                 chosen.append(pid)

@@ -172,6 +172,18 @@ def test_compile_reports(capsys, monkeypatch):
     assert re.fullmatch(r"largest automaton: 74 states \(.*23\.SIV-DELETION.*\)", lines[5])
 
 
+def test_compile_a_complement_of_the_boundary(capsys, tmp_path):
+    # \# is every feasible pair: the boundary is one more pair to leave out
+    rules_file, lexicon = tmp_path / "r.twol", tmp_path / "r.lex"
+    rules_file.write_text('ALPHABET a b a:b ;\nRULES\n"r" a:b => \\# _ ;\n', encoding="utf-8")
+    lexicon.write_text("LEXICON Root\na # ;\n", encoding="utf-8")
+    rc = main(["compile", "--rules", str(rules_file), "--lexicon", str(lexicon)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out.splitlines()[:3] == ["feasible pairs: 3", "ground rules: 1",
+                                    "constraint automata: 1 (2 states)"]
+
+
 def test_test_command_runs_corpus(capsys, turkish):
     rc, out = run(capsys, ["test"])
     assert rc == 0

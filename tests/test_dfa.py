@@ -125,8 +125,8 @@ def _partition_reference(denotations, n_symbols):
 @st.composite
 def _denotation_lists(draw):
     n_symbols = draw(st.integers(0, 40))
-    # ids past n_symbols and empty sets included; more than 64 sets at times
-    den = st.frozensets(st.integers(0, n_symbols + 8))
+    # empty sets included; more than 64 sets at times
+    den = st.frozensets(st.integers(0, n_symbols - 1)) if n_symbols else st.just(frozenset())
     return draw(st.lists(den, max_size=70)), n_symbols
 
 

@@ -14,7 +14,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twolevel import engine
@@ -645,6 +645,57 @@ def test_any_string_raises_only_documented_errors(turkish, cycle, data):
             pass
 
 
+# The pieces of the rules files below: atoms over the pairs a:a b:b c:c
+# a:b b:0, sides of the set S, the definition D and the boundary, and the
+# operators.
+RULE_ATOMS = ["a", "b", "c", "a:b", "b:0", "a:", ":0", "S", "S:", ":S", "D", "#", "[ ]"]
+RULE_OPS = ["\\", "[", "]", "{", "}", "(", ")", "|", "-", "*", "+"]
+
+
+def _rule_item(op, neg, form, group, closure, atoms):
+    """A well-formed piece of an expression: after the operator op, the
+    single-pair form over atoms, complemented when neg is \\, then grouped
+    and closed."""
+    single = "%s %s" % (neg, form % atoms[:form.count("%s")])
+    return "%s %s %s" % (op, group % single, closure)
+
+
+_RULE_ITEM = st.builds(
+    _rule_item, st.sampled_from(["", "|", "-"]), st.sampled_from(["", "\\"]),
+    st.sampled_from(["%s", "[%s | %s]", "{%s}"]), st.sampled_from(["%s", "(%s)", "[%s]"]),
+    st.sampled_from(["", "*", "+"]), st.tuples(*[st.sampled_from(RULE_ATOMS)] * 2))
+RULE_EXPRESSIONS = (st.lists(st.sampled_from(RULE_ATOMS + RULE_OPS), max_size=6),
+                    st.lists(_RULE_ITEM, max_size=3))
+
+
+RULES_FILE = ('ALPHABET a b c a:b b:0 ;\nSETS\nS = a b ;\nDEFINITIONS\nD = %s ;\nRULES\n'
+              '"r" %s %s %s ;\n')
+
+
+@st.composite
+def _rules_files(draw):
+    """A small rules file: its definition and contexts all token soup or
+    all well formed, its correspondence an atom or the complement of one."""
+    expr = draw(st.sampled_from(RULE_EXPRESSIONS)).map(" ".join)
+    definition = draw(expr.filter(lambda e: e.strip() and "D" not in e))
+    cp = " ".join(draw(st.tuples(st.sampled_from(["", "\\"]), st.sampled_from(RULE_ATOMS))))
+    op = draw(st.sampled_from(["=>", "<=", "<=>", "/<="]))
+    contexts = draw(st.lists(st.tuples(expr, expr), min_size=1, max_size=2))
+    return RULES_FILE % (definition, cp, op, " ; ".join("%s _ %s" % c for c in contexts))
+
+
+@settings(max_examples=150, deadline=None)
+@example(RULES_FILE % ("#", "a:b", "=>", "\\ # _"))
+@example(RULES_FILE % ("{#}", "\\ D", "<=>", "_ \\ [c | D]"))
+@given(_rules_files())
+def test_any_rules_file_compiles_or_raises_only_documented_errors(text):
+    from twolevel.turkish import load_description
+    try:
+        load_description(text, ["LEXICON Root\na # ;\nab # ;\n"])
+    except ValueError:
+        pass
+
+
 def search_reference(surface, desc, live=None):
     """analyze's search without the live-move memo, by recursion: its
     readings as sorted (lexical, gloss, pairs), and the (trie node, vector
@@ -1181,6 +1232,16 @@ def test_trace_generate_names_a_rule_that_rejects_the_end_of_the_word():
     assert engine.generate("a", desc) == [] and engine.generate("ab", desc) == ["ab"]
     with pytest.raises(ValueError):
         engine.trace("a", "sideways", desc)
+
+
+def test_a_complement_excludes_the_boundary_it_names():
+    # \[b | #] is any pair but b:b and #:#, so it licenses a:b after a:a or
+    # a:b, and never at the start of the word
+    from conftest import make_description
+    desc = make_description('ALPHABET\na b a:b ;\nRULES\n"r" a:b => \\[b | #] _ ;\n',
+                            "LEXICON Root\na # ;\naa # ;\n")
+    assert engine.analyze("b", desc) == [] and engine.analyze("bb", desc) == []
+    assert [r.lexical for r in engine.analyze("ab", desc)] == ["aa"]
 
 
 def test_lazy_steps_are_built_once_per_reader_and_equal(turkish):

@@ -164,9 +164,9 @@ def test_random_framed_regex_dfa_matches_recursive_matcher():
     alpha = derive_feasible_pairs(decls)
     rng = random.Random(5)
     leaves = (rx.Boundary(), rx.Atom(None, None))
-    words = _words_upto(list(alpha.all_ids(with_frame=True)), 5)
+    words = _words_upto(list(range(alpha.frame_id + 1)), 5)
     for trial in range(150):
         node = _random_regex(rng, ["a", "b", "c"], 4, leaves)
-        d = dfalib.compile_regex(node, alpha, decls, with_frame=True, allow_empty=True)
+        d = dfalib.compile_regex(node, alpha, decls, allow_empty=True)
         for w in words:
             assert d.accepts(w) == rx.match(node, w, alpha, decls), (trial, w, node)

@@ -278,6 +278,7 @@ RULES
 "u" b:c <=> \\[a | b:c] _ ;
 "m" b:c <=> _ \\M ;
 "w" b:c <=> \\[c | #] _ ;
+"n" b:c => _ \\# ;
 """
 
 
@@ -291,6 +292,12 @@ def test_not_over_a_union_or_definition_compiles_as_interpreted():
         (node,) = [n for context in rule.contexts for n in context
                    if isinstance(n, rx.NotPair)]
         assert rx.denote_atom(node, alpha, decls) == others, rule.name
+    # # is the boundary pair under \ too: \# is every feasible pair, and
+    # \[c | #] leaves out the boundary with c
+    not_c_or_boundary, not_boundary = rules[2].contexts[0][0], rules[3].contexts[0][1]
+    assert rx.denote_atom(not_c_or_boundary, alpha, decls) == frozenset(
+        pairs(alpha, "a", "b", "b:c"))
+    assert rx.denote_atom(not_boundary, alpha, decls) == set(alpha.all_ids())
     words = [w for L in range(5) for w in itertools.product(alpha.all_ids(), repeat=L)]
     for rule in rules:
         dfa = compile_rule(rule, alpha, decls).dfa
@@ -310,7 +317,7 @@ def _context_pairs(rule, alpha, decls, rng, limit=6):
     while stack and len(pool) < limit:
         node = stack.pop(0)
         if isinstance(node, (rx.Atom, rx.NotPair)):
-            den = rx.denote_atom(node, alpha, decls, with_frame=False, allow_empty=True)
+            den = rx.denote_atom(node, alpha, decls, allow_empty=True) - {alpha.frame_id}
             if den and not den & set(pool):
                 pool.append(rng.choice(sorted(den)))
         stack.extend(node.children())
