@@ -167,6 +167,7 @@ def _build_nfa(nfa, node, leaves):
     return s, e
 
 
+@rx.bounded_nesting
 def compile_regex(node, alphabet, decls, allow_empty=False):
     """Compile a PairRegex to a trimmed, deterministic PairDfa.
 

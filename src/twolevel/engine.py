@@ -307,7 +307,7 @@ class _Trie:
                      for sym, child in arcs.items() for pid in pairs_by_lex.get(sym, ())]
             self.dels.append(tuple(m for m in every if not m[3]))
             self.moves.append({codes[c]: tuple(m for m in every if not m[3] or surf[m[1]] == c)
-                               for c in {surf[m[1]] for m in every if m[3]}})
+                               for c in sorted({surf[m[1]] for m in every if m[3]})})
 
     def add(self):
         """A new node's number."""
@@ -487,6 +487,7 @@ class _Runtime:
         self.starts = [self.init_vec * len(self.trie.arcs) + root for root in reversed(roots)]
         self.frontier = _Frontier(tuple(sorted(self.starts)), type(self).frontier_step)
         self.closures = {}        # closure key -> its entries (_closure)
+        self.observed = {}        # closure key -> its observed closure (_closure)
         self.glosses = None       # _gloss_index, built by the first gloss walk
         # what the per-state walk (_walk) reads, in one attribute load
         trie = self.trie
@@ -653,7 +654,7 @@ class _Runtime:
     def cache_sizes(self):
         """The sizes of the runtime's tables by name, in the order analyze
         --stats prints them: the keys and the transitions of each _Table,
-        the keys and entries of the closure memo (_walk), validated
+        the keys and entries of the two closure memos (_closure), validated
         generate's moves, and the composed and live states (walk)."""
         def keys(*tables):
             return sum(len(t.keys) for t in tables)
@@ -665,6 +666,8 @@ class _Runtime:
                 "vector transitions": rows(self.vectors),
                 "closure keys": len(self.closures),
                 "closure entries": sum(map(len, self.closures.values())),
+                "observed closure keys": len(self.observed),
+                "observed closure entries": sum(map(len, self.observed.values())),
                 "generate moves": len(self.trie.gen),
                 "frontier sets": keys(self.frontier),
                 "frontier transitions": rows(self.frontier),
@@ -836,7 +839,7 @@ def _search(rt, codes, n):
     return _readings(rt, codes, n, ends, loops)
 
 
-def _walk(rt, codes, n, observe=None, stack=None, stop=None):
+def _walk(rt, codes, n, observe=None, stack=None, stop=None, noted=None):
     """The one per-state walk, depth first in the order of a recursive
     search, on a stack of (trie node, vector id, position, path, glosses,
     jumps since the last consuming move), from the lexicon roots or the
@@ -847,10 +850,11 @@ def _walk(rt, codes, n, observe=None, stack=None, stop=None):
     (sublexicon, vector id) jumped into since the last consuming move
     closes a loop, which is cut: exactly when it added nothing (_readings).
     Returns the # completions at the end of the word, {(path, gloss):
-    None}; the consuming moves into position `stop`, each as (closure key
-    base of its state, glosses, path); and the state (sublexicon, vector
-    id, position) of each cut loop that added something."""
-    found, noted, loops = {}, [], {}
+    None}; `noted` (a new list by default) with the consuming moves into
+    position `stop` appended, each as (closure key base of its state,
+    glosses, path); and the state (sublexicon, vector id, position) of each
+    cut loop that added something."""
+    found, loops, noted = {}, {}, [] if noted is None else noted
     root_of, completes, arcs, dels, vec_trans, live_states, n_nodes, chars, k = rt.walk_parts
     if stack is None:
         stack = [(root_of[root], rt.init_vec, 0, "", "", None) for root in reversed(rt.roots)]
@@ -909,7 +913,7 @@ def _walk(rt, codes, n, observe=None, stack=None, stop=None):
     return found, noted, loops
 
 
-def _closure(rt, codes, n, at, key, loops):
+def _closure(rt, codes, n, at, key, loops, observe=None, out=None):
     """The ε-closure of closure key `key` at position `at` of a word,
     `codes` its surface codes: what the per-state walk (_walk) from
     composed state key // (n_codes + 1) alone reaches without reading a
@@ -917,15 +921,29 @@ def _closure(rt, codes, n, at, key, loops):
     its state, glosses, path) and at the end of the word each # completion
     as (path, gloss).  rt.closures keeps it unless the walk cut a loop that
     added something, which goes into `loops` instead, so that every search
-    meets the loop."""
+    meets the loop.  Given trace's observer and the list `out` it fills
+    (_observe), rt.observed keeps the observed walk's closure: one flat
+    tuple of runs of events with a consuming move after each but the last,
+    a run as its largest offset (-1 if none), its length, then offset from
+    `at`, vector id, pair id per event, and the # completions at the end."""
     state, n_nodes = key // (rt.n_codes + 1), len(rt.trie.arcs)
-    found, noted, cut = _walk(rt, codes, n, None,
-                              [(state % n_nodes, state // n_nodes, at, "", "", None)], at + 1)
-    entries = tuple(found) if at == n else tuple(noted)
+    found, noted, cut = _walk(rt, codes, n, observe,
+                              [(state % n_nodes, state // n_nodes, at, "", "", None)], at + 1, out)
+    if observe is None:
+        memo, entries = rt.closures, tuple(found) if at == n else tuple(noted)
+    else:
+        memo, entries, run = rt.observed, (), []
+        for item in noted + [sum(found, ())]:
+            if item.__class__ is tuple:     # a consuming move, or the completions last
+                entries += (max(run[::3], default=-1), len(run), *run, *item)
+                run = []
+            else:
+                run.append(item)
+        noted.clear()
     if cut:
         loops.update(cut)
     else:
-        rt.closures[key] = entries
+        memo[key] = entries
     return entries
 
 
@@ -1298,20 +1316,23 @@ def trace(word, direction, desc):
     else:
         accepted = bool(analyze(word, desc))
         covered = accepted or lexicon_covers(word, desc)
-        events = None if accepted or not covered else _observe(rt, word)[1]
-        steps = lambda: _trace_steps(rt, _observe(rt, word)[1] if events is None else events)
+        seen = None if accepted or not covered else _observe(rt, word)
+        steps = lambda: _trace_steps(rt, _events((seen or _observe(rt, word))[2]))
     if accepted or not covered:
         return TraceReport(steps, Verdict(accepted, []), "none" if accepted else "lexicon")
-    deepest = max((e[0] for e in events), default=-1)
-    last = [e for e in events if e[0] == deepest]
+    if direction == "generate":
+        deepest = max((e[0] for e in events), default=-1)
+        last = [e for e in events if e[0] == deepest]
+    else:
+        _, deepest, runs = seen
+        last = _events(runs, deepest)
     rules = {}
     # where the lexicon dead-ends too, the rules are not to blame
     if all(pid >= 0 for _, _, pid in last):
         for _, vid, pid in last:
             for name in rt.rejecters(vid, pid):
                 rules.setdefault(name, rt.pair_names[pid])
-    blockers = [(name, deepest, rules[name])
-                for name in dict.fromkeys(rt.rule_names) if name in rules]
+    blockers = [(name, deepest, rules[name]) for name in sorted(rules, key=rt.rule_names.index)]
     return TraceReport(steps, Verdict(False, blockers), "rules")
 
 
@@ -1319,24 +1340,29 @@ def _observe(rt, word):
     """trace's observed search of a surface word in the analyze direction:
     analyze's per-state walk (_walk), given the untrimmed moves: those that
     no rule rejects, into dead ends too, so that it meets every pair that a
-    rule rejects on the way.  The events it meets, in visiting order, each
-    as (depth, vector id, pair id): a pair that kills the vector, rt.end for
-    a closing boundary that the vector rejects, and -1 for a state with no
-    move left before the end of the word (a lexicon dead end).  Returns
-    whether the search accepts the word, and the events."""
-    events = []
-    step_vec, end = rt.step_vec, rt.end
+    rule rejects on the way.  Its events, each (depth, vector id, pair id),
+    are a pair that kills the vector, rt.end for a closing boundary that
+    the vector rejects, and -1 for a state with no move left before the end
+    of the word (a lexicon dead end).  Like _search it runs depth first
+    over observed closures (_closure), on a stack of (closure, index of its
+    next run, position, path, glosses), None and a key base for a state not
+    entered yet.  Returns whether the search accepts the word, the deepest
+    depth of its events (-1 if none), and its runs in visiting order, each
+    (position, closure, index)."""
     n = len(word)
     codes = [rt.codes.get(c, 0) for c in word] + [0]
+    step_vec, end = rt.step_vec, rt.end
     complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
-    vec_trans, add, chars = rt.vec_trans, events.append, rt.chars
+    vec_trans, chars, out = rt.vec_trans, rt.chars, []
+    add = out.extend
 
     def observe(node, vid, i):
         """The state's moves that no rule rejects, stepped through the
-        vector transitions, in the form of _walk's, into dead ends too."""
+        vector transitions, in the form of _walk's, into dead ends too;
+        its events go to `out`, flat, offset from position i."""
         if (i == n and any(cont == TERMINAL for _, cont in complete[node])
                 and step_vec(vid, end) is None):
-            add((n, vid, end))
+            add((0, vid, end))
         trans = vec_trans[vid]
         live = []
         for move in moves[node].get(codes[i], dels[node]):
@@ -1346,15 +1372,42 @@ def _observe(rt, word):
                 nvid = step_vec(vid, pid)
             if nvid is None:
                 # a consuming pair covers surface position i
-                add((i + move[3], vid, pid))
+                add((move[3], vid, pid))
             else:
                 live.append(move + (nvid, chars[pid]))
         if not live and i < n:
-            add((i, vid, -1))
+            add((0, vid, -1))
         return live
 
-    found, _, loops = _walk(rt, codes, n, observe)
-    return bool(_readings(rt, codes, n, found, loops)), events
+    get, k = rt.observed.get, rt.n_codes + 1
+    runs, ends, loops = [], {}, {}
+    stack = [(None, state * k + 1, 0, "", "") for state in rt.starts]
+    while stack:
+        entry, j, at, prefix, glossed = stack.pop()
+        while True:
+            if entry is None:
+                key = j - 1 if at == n else j + codes[at]
+                entry, j = get(key) or _closure(rt, codes, n, at, key, loops, observe, out), 0
+            if entry[j + 1]:
+                runs.append((at, entry, j))
+            j += 2 + entry[j + 1]
+            if at == n or j == len(entry):
+                for p in range(j, len(entry), 2):
+                    ends[prefix + entry[p], glossed + entry[p + 1]] = None
+                break
+            if len(entry) > j + 5:      # the rest after the move is more than an empty run
+                stack.append((entry, j + 3, at, prefix, glossed))
+            at, prefix, glossed = at + 1, prefix + entry[j + 2], glossed + entry[j + 1]
+            entry, j = None, entry[j]
+    deepest = max((at + entry[j] for at, entry, j in runs), default=-1)
+    return bool(_readings(rt, codes, n, ends, loops)), deepest, runs
+
+
+def _events(runs, depth=None):
+    """The events of _observe's runs, in visiting order, each (depth,
+    vector id, pair id); given a depth, only those at it."""
+    return [(at + e[p], e[p + 1], e[p + 2]) for at, e, j in runs if depth in (None, at + e[j])
+            for p in range(j + 2, j + 2 + e[j + 1], 3) if depth in (None, at + e[p])]
 
 
 def _trace_steps(rt, events):

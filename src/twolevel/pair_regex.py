@@ -9,6 +9,8 @@ may be a symbol or a set name; whitespace around ":" matters ("H: y" is two
 atoms, "H:y" one pair).
 """
 
+import functools
+
 from .symbols import BOUNDARY, WHITESPACE, scan
 
 
@@ -22,6 +24,20 @@ class ParseError(ValueError):
 
 class EmptyAtom(ValueError):
     """An atom that denotes no feasible pair (compile-time diagnostic)."""
+
+
+def bounded_nesting(walk):
+    """`walk`, the entry to recursive walks over an expression, raising
+    ParseError for an expression nested too deeply for the interpreter's
+    stack.  Only entries carry it, so that it costs the walks no frame per
+    level of nesting."""
+    @functools.wraps(walk)
+    def checked(*args, **kwargs):
+        try:
+            return walk(*args, **kwargs)
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +370,7 @@ class _Parser:
         raise ParseError("unexpected token %r" % (t,), self.pos)
 
 
+@bounded_nesting
 def parse_pair_regex(source, decls):
     """Parse a pair regex from text or a token list."""
     toks = tokenize(source) if isinstance(source, str) else list(source)
@@ -376,6 +393,7 @@ def regex_key(node):
     return head + tuple(regex_key(c) for c in node.children())
 
 
+@bounded_nesting
 def denote_atom(node, alphabet, decls, allow_empty=False):
     """The set of framed pair ids a single-pair form matches."""
     # Keyed by structure, so that the fresh but equal nodes of a repeated

@@ -315,6 +315,7 @@ def rule_holds(rule, pairs, alphabet, decls):
 # ---------------------------------------------------------------------------
 # Compilation
 
+@rx.bounded_nesting
 def _tracker(regex, alphabet, decls, allow_empty, trackers):
     """The framed DFA of regex, compiled once per key in trackers."""
     key = (rx.regex_key(regex), allow_empty)

@@ -32,6 +32,7 @@ def test_analyze_word(capsys):
     assert re.fullmatch(r"3 words in \d+\.\d\ds: \d+ words/sec", lines[0])
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
                           r"transitions, (\d+) closure keys, (\d+) closure entries, "
+                          r"(\d+) observed closure keys, (\d+) observed closure entries, "
                           r"(\d+) generate moves, "
                           r"(\d+) frontier sets, (\d+) frontier transitions, "
                           r"(\d+) rules-off fronts, (\d+) rules-off transitions, "
@@ -40,11 +41,11 @@ def test_analyze_word(capsys):
     # the words without a reading build the start set and its successors
     # and the closures these read, their traces the rules-off fronts of
     # their prefixes, and the trace of the rules-layer negative evide steps
-    # the bundles; nothing generates
-    assert counts and int(counts[5]) == 0
-    assert all(int(k) > 0 for i, k in enumerate(counts.groups(), 1) if i != 5)
-    assert int(counts[6]) >= 2 and int(counts[8]) >= 4
-    assert int(counts[12]) > int(counts[13])
+    # the bundles and fills the observed closures; nothing generates
+    assert counts and int(counts[7]) == 0
+    assert all(int(k) > 0 for i, k in enumerate(counts.groups(), 1) if i != 7)
+    assert int(counts[8]) >= 2 and int(counts[10]) >= 4
+    assert int(counts[14]) > int(counts[15])
     assert re.fullmatch(r"set-up: description load \d+\.\d{4}s, runtime build \d+\.\d{4}s",
                         lines[2])
 
@@ -182,6 +183,25 @@ def test_compile_a_complement_of_the_boundary(capsys, tmp_path):
     assert rc == 0 and err == ""
     assert out.splitlines()[:3] == ["feasible pairs: 3", "ground rules: 1",
                                     "constraint automata: 1 (2 states)"]
+
+
+def test_compile_a_deeply_nested_context_exits_2(capsys, tmp_path):
+    # a context nested deeper than the interpreter's stack is a parse error,
+    # in the parser (brackets, \) and in the walks of the compiled expression
+    # (a chain of definitions), not a traceback
+    lexicon = tmp_path / "r.lex"
+    lexicon.write_text("LEXICON Root\na # ;\n", encoding="utf-8")
+    chain = "".join("D%d = [D%d] ;\n" % (k, k - 1) for k in range(1, 3000))
+    for k, rules in enumerate(['RULES\n"r" a:b => ' + "\\" * 3000 + "a _ ;\n",
+                               'RULES\n"r" a:b => ' + "[" * 3000 + "a" + "]" * 3000 + " _ ;\n",
+                               "DEFINITIONS\nD0 = a ;\n" + chain + 'RULES\n"r" a:b => D2999 _ ;\n']):
+        rules_file = tmp_path / ("r%d.twol" % k)
+        rules_file.write_text("ALPHABET a b a:b ;\n" + rules, encoding="utf-8")
+        rc = main(["compile", "--rules", str(rules_file), "--lexicon", str(lexicon)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "", k
+        assert err.startswith("error: ") and "expression nested too deeply" in err, k
+        assert "Traceback" not in err and len(err.splitlines()) == 1, k
 
 
 def test_test_command_runs_corpus(capsys, turkish):

@@ -581,6 +581,87 @@ def test_trace_agrees_with_analyze_on_any_string(turkish, data):
         assert unicodedata.normalize("NFC", w) in engine.generate(a.lexical, turkish)
 
 
+def observed_walk(rt, word):
+    """trace's observed search as one direct observed walk (_walk) from the
+    lexicon roots: whether it accepts the word, and its events (depth,
+    vector id, pair id) in visiting order."""
+    events = []
+    step_vec, end = rt.step_vec, rt.end
+    n = len(word)
+    codes = [rt.codes.get(c, 0) for c in word] + [0]
+    complete, moves, dels = rt.trie.complete, rt.trie.moves, rt.trie.dels
+    vec_trans, add, chars = rt.vec_trans, events.append, rt.chars
+
+    def observe(node, vid, i):
+        if (i == n and any(cont == TERMINAL for _, cont in complete[node])
+                and step_vec(vid, end) is None):
+            add((n, vid, end))
+        trans = vec_trans[vid]
+        live = []
+        for move in moves[node].get(codes[i], dels[node]):
+            pid = move[1]
+            nvid = trans.get(pid, False)
+            if nvid is False:
+                nvid = step_vec(vid, pid)
+            if nvid is None:
+                add((i + move[3], vid, pid))
+            else:
+                live.append(move + (nvid, chars[pid]))
+        if not live and i < n:
+            add((i, vid, -1))
+        return live
+
+    found, _, loops = engine._walk(rt, codes, n, observe)
+    return bool(engine._readings(rt, codes, n, found, loops)), events
+
+
+def expected_trace(rt, desc, word):
+    """trace's steps, layer and blockers of a surface word, from the direct
+    observed walk (observed_walk)."""
+    accepted, events = observed_walk(rt, word)
+    layer = "none" if accepted else "rules" if engine.lexicon_covers(word, desc) else "lexicon"
+    deepest = max((e[0] for e in events), default=-1)
+    last = [e for e in events if e[0] == deepest]
+    rules = {}
+    if layer == "rules" and all(pid >= 0 for _, _, pid in last):
+        for _, vid, pid in last:
+            for name in rt.rejecters(vid, pid):
+                rules.setdefault(name, rt.pair_names[pid])
+    blockers = [(name, deepest, rules[name]) for name in dict.fromkeys(rt.rule_names)
+                if name in rules]
+    return engine._trace_steps(rt, events), layer, blockers
+
+
+def test_the_observed_closures_equal_a_direct_observed_walk(cycle):
+    # trace's search over memoized observed closures meets the events of
+    # one direct observed walk, in its order, on a fresh runtime and warm,
+    # and so gives the steps, layer and blockers that they give
+    from conftest import make_description
+    turkish = load_turkish(refresh=True)
+    golden = sorted({c.surface for c in golden_suite()})
+    cases = [(turkish, golden + perturbed_golden(turkish, 300, seed=139)
+              + random_surfaces(turkish, 300, seed=149)), (cycle, cycle_words(4))]
+    cases += [(make_description(CYCLE_RULES, lexicon), cycle_words(2)) for lexicon in LOOP_LEXICONS]
+    for desc, words in cases:
+        rt = engine.runtime(desc)
+        for warm in (False, True):
+            for w in words:
+                try:
+                    accepted, deepest, runs = engine._observe(rt, w)
+                except engine.DescriptionError:
+                    with pytest.raises(engine.DescriptionError):
+                        observed_walk(rt, w)
+                    continue
+                expected = observed_walk(rt, w)
+                assert (accepted, list(engine._events(runs))) == expected, (w, warm)
+                assert deepest == max((e[0] for e in expected[1]), default=-1)
+                report = engine.trace(w, "analyze", desc)
+                assert (report.steps, report.layer, report.outcome.blockers) == expected_trace(
+                    rt, desc, w), (w, warm)
+        assert rt.observed
+    assert sum(engine.trace(w, "analyze", turkish).layer == "rules" for w in cases[0][1]) > 100
+
+
 def dfas(rt):
     """The rule automata of a runtime's run tables, in check-set order."""
     return [types.SimpleNamespace(name=name, class_of=class_of, delta=delta, start=start,
@@ -1091,6 +1172,16 @@ def test_the_collector_never_sees_the_memos():
     entries = [entry for entries in rt.closures.values() for entry in entries]
     assert len(entries) > 1000
     assert not any(gc.is_tracked(entry) for entry in entries)
+    # and so is the memo of trace's observed closures, each one flat tuple
+    # of ints and strings, with at most one per composed state and surface
+    # code or end of the word
+    observed, k = rt.observed, rt.n_codes + 1
+    assert len(observed) > 500
+    assert all(type(e) is tuple and all(isinstance(x, (int, str)) for x in e)
+               for e in observed.values())
+    assert not gc.is_tracked(observed)
+    assert not any(gc.is_tracked(e) for e in observed.values())
+    assert len(observed) <= desc.tables["composed"] * k
     gc.collect()
     # and so is each closure, and the memo of them
     closures = rt.closures
@@ -1176,9 +1267,9 @@ def test_trace_pays_for_the_observed_search_only_when_it_reads_it(monkeypatch):
         return rejecters(vid, pid)
 
     def counted_observe(*args):
-        found, events = observe(*args)
-        searched.append(events)
-        return found, events
+        seen = observe(*args)
+        searched.append(seen)
+        return seen
 
     monkeypatch.setattr(rt, "rejecters", counted_rejecters)
     monkeypatch.setattr(engine, "_observe", counted_observe)
@@ -1196,8 +1287,9 @@ def test_trace_pays_for_the_observed_search_only_when_it_reads_it(monkeypatch):
     # a rules-layer word: the search runs, and only the deepest events are named
     report = engine.trace("kitapı", "analyze", desc)
     assert report.layer == "rules" and report.blocking_rules()
-    (events,) = searched
-    deepest = max(e[0] for e in events)
+    ((_, deepest, runs),) = searched
+    events = list(engine._events(runs))
+    assert deepest == max(e[0] for e in events)
     assert rejected and set(rejected) <= {(vid, pid) for d, vid, pid in events if d == deepest}
     assert any(d < deepest and pid >= 0 for d, _, pid in events)
     assert report.steps is report.steps and len(searched) == 1
@@ -1707,6 +1799,8 @@ def test_concurrent_calls_match_serial(turkish):
     # every table was filled, and no key lost its id or its row
     rt = results[0][0]
     assert len(rt.frontier.keys) > 2 and len(rt.covers.keys) > 2
+    # the traces read their steps, so the threads filled the observed closures
+    assert len(rt.observed) > 1000
     for table in [rt.vectors, rt.frontier, rt.covers] + rt.bundles:
         check_table(table)
     for _, out in results:

@@ -4,6 +4,7 @@ import pytest
 
 from twolevel import dfa as dfalib
 from twolevel import pair_regex as rx
+from twolevel import rules
 from twolevel.symbols import derive_feasible_pairs, parse_declarations
 
 DECLS_TEXT = """ALPHABET
@@ -52,6 +53,36 @@ def test_parse_not_pair_lexical_set(env):
     assert alpha.id_of("b", "b") not in den
     assert alpha.id_of("a", "a") in den
     assert alpha.frame_id in den
+
+
+def test_deep_nesting_is_a_parse_error(env):
+    # an expression nested deeper than the interpreter's stack raises
+    # ParseError from the parser and from the entries to the recursive
+    # walks over an expression (regex_key, _pair_set, _build_nfa) alike
+    decls, alpha = env
+    for text in ("\\" * 3000 + "a", "[" * 3000 + "a" + "]" * 3000, "(" * 3000 + "a" + ")" * 3000):
+        with pytest.raises(rx.ParseError, match="nested too deeply"):
+            rx.parse_pair_regex(text, decls)
+    negated, optional = rx.Atom("a", "a"), rx.Atom("a", "a")
+    for _ in range(3000):
+        negated, optional = rx.NotPair(negated), rx.Opt(optional)
+    for walk in (lambda: rx.denote_atom(negated, alpha, decls),
+                 lambda: dfalib.compile_regex(negated, alpha, decls),
+                 lambda: dfalib.compile_regex(optional, alpha, decls),
+                 lambda: rules._tracker(optional, alpha, decls, False, {})):
+        with pytest.raises(rx.ParseError, match="nested too deeply"):
+            walk()
+    # nesting that the stack holds compiles as before, the walks taking
+    # one frame per level (two in regex_key, with its generator)
+    negated, optional = rx.Atom("a", "a"), rx.Atom("a", "a")
+    for _ in range(400):
+        negated, optional = rx.NotPair(negated), rx.Opt(optional)
+    assert rx.denote_atom(negated, alpha, decls) == rx.denote_atom(rx.Atom("a", "a"), alpha, decls)
+    assert dfalib.compile_regex(optional, alpha, decls).finals
+    node = rx.parse_pair_regex("[" * 60 + "\\" * 60 + "a" + "]" * 60, decls)
+    assert rx.denote_atom(node, alpha, decls) == rx.denote_atom(
+        rx.parse_pair_regex("\\" * 60 + "a", decls), alpha, decls)
+    assert dfalib.compile_regex(node, alpha, decls).finals
 
 
 def test_whitespace_sensitive_colon(env):

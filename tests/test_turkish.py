@@ -79,6 +79,17 @@ def test_artifact_is_fresh():
     assert marshal.loads(committed[len(key):]) == tk.compile_turkish().tables, stale
 
 
+def test_the_trie_tables_do_not_depend_on_string_hashing():
+    # a trie node's surface index lists its codes in order, in the shipped
+    # tables and in a fresh build, so that the artifact's bytes do not vary
+    # with the hash seed of the process that built it
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    fresh = engine._Trie({"entries": desc.tables["entries"]}, rt.pairs_by_lex, rt.surf, rt.codes)
+    for moves in (fresh.moves, desc.tables["trie"][3]):
+        assert len(moves) > 1000 and all(list(row) == sorted(row) for row in moves)
+
+
 def test_the_lazy_parts_give_the_shipped_tables():
     # the parts that the bundled description compiles on first read
     # describe the run tables that it ships
