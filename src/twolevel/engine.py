@@ -214,8 +214,8 @@ def compile_description(decls, ground_rules, lexicon, alphabet):
     for entries in lexicon.sublexicons.values():
         for e in entries:
             for sym in e.form:
-                if sym.name not in alphabet.by_lex:
-                    raise DescriptionError("lexicon symbol %r has no feasible pair" % sym.name)
+                if sym not in alphabet.by_lex:
+                    raise DescriptionError("lexicon symbol %r has no feasible pair" % sym)
     automata = rulemod.compile_check_set(ground_rules, alphabet, decls)
     desc = Description(decls, alphabet, automata, ground_rules, lexicon)
     runtime(desc)
@@ -254,7 +254,7 @@ def run_tables(desc):
         "lexical": [lex.name for lex, _ in alphabet.pairs],
         "surface": [surf.name for _, surf in alphabet.pairs],
         "roots": list(lexicon.roots),
-        "entries": {name: tuple((e.form_text(), e.gloss, e.continuation) for e in entries)
+        "entries": {name: tuple((e.form, e.gloss, e.continuation) for e in entries)
                     for name, entries in lexicon.sublexicons.items()},
     }
 

@@ -14,7 +14,7 @@ entries are allowed (homographs).  The entry point is LEXICON Root.
 from dataclasses import dataclass
 
 from .engine import TERMINAL
-from .symbols import SymbolTable, _strip_comment, split_raw, split_words, unescape
+from .symbols import _strip_comment, split_raw, split_words, unescape
 
 
 class LexiconSyntaxError(ValueError):
@@ -29,24 +29,14 @@ class LinkError(ValueError):
 @dataclass
 class LexEntry:
     gloss: str
-    form: tuple            # tuple of Symbol
+    form: str              # one lexical symbol per character
     continuation: str
-    sublexicon: str = ""
-    line: int = 0
-
-    def form_text(self):
-        return "".join(s.name for s in self.form)
 
 
 class Lexicon:
-    def __init__(self, table=None):
-        self.table = table or SymbolTable()
+    def __init__(self):
         self.sublexicons = {}   # name -> [LexEntry], in file order
         self.roots = []
-
-    def add_entry(self, sublexicon, entry):
-        entry.sublexicon = sublexicon
-        self.sublexicons.setdefault(sublexicon, []).append(entry)
 
     def validate(self):
         for name, entries in self.sublexicons.items():
@@ -54,7 +44,7 @@ class Lexicon:
                 if e.continuation != TERMINAL and e.continuation not in self.sublexicons:
                     raise LinkError(
                         "entry %r in LEXICON %s continues to undefined %r"
-                        % (e.gloss or e.form_text(), name, e.continuation)
+                        % (e.gloss or e.form, name, e.continuation)
                     )
         for root in self.roots:
             if root not in self.sublexicons:
@@ -102,8 +92,8 @@ def parse_lexicon_file(text, lexicon=None):
         # "gloss:form", split at the last unescaped ':', or a form alone
         *glosses, formtext = split_raw(head, ":")
         gloss = unescape(":".join(glosses) if glosses else formtext)
-        form = () if formtext == "0" else tuple(map(lx.table.intern, unescape(formtext)))
-        lx.add_entry(current, LexEntry(gloss, form, cont, current, n))
+        form = "" if formtext == "0" else unescape(formtext)
+        lx.sublexicons[current].append(LexEntry(gloss, form, cont))
     return lx
 
 
@@ -147,7 +137,7 @@ def _paths(lexicon, max_morphemes, starts, loops):
             cont, jumped = e.continuation, gloss + e.gloss
             if e.form:
                 if used < max_morphemes:
-                    stack.append((cont, lexical + e.form_text(), jumped, used + 1,
+                    stack.append((cont, lexical + e.form, jumped, used + 1,
                                   (cont, jumped, None)))
                 continue
             rest = entered

@@ -46,10 +46,19 @@ def bounded_nesting(walk):
 class Node:
     def atom_name_pairs(self, decls):
         """(lexical names, surface names) contributed by pair atoms, for
-        feasible-pair derivation from rule correspondences."""
+        feasible-pair derivation from rule correspondences; wildcard sides
+        never introduce new pairs.  Walked on a stack, as a chain of
+        definitions may be deeper than the interpreter's stack."""
         out = []
-        for child in self.children():
-            out.extend(child.atom_name_pairs(decls))
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Atom):
+                lexnames = side_names(node.lex, decls)
+                surfnames = side_names(node.surf, decls)
+                if lexnames is not None and surfnames is not None:
+                    out.append((lexnames, surfnames))
+            stack.extend(reversed(node.children()))
         return out
 
     def children(self):
@@ -76,22 +85,13 @@ class Atom(Node):
     def __repr__(self):
         return "%s:%s" % (self.lex or "", self.surf or "")
 
-    def atom_name_pairs(self, decls):
-        lexnames = side_names(self.lex, decls)
-        surfnames = side_names(self.surf, decls)
-        if lexnames is None or surfnames is None:
-            return []  # wildcard sides never introduce new pairs
-        return [(lexnames, surfnames)]
-
 
 def side_names(name, decls):
     """The symbol names an atom side spans: a set's members, a symbol's own
     name, or None for a wildcard side."""
     if name is None:
         return None
-    if decls.is_set(name):
-        return [s.name for s in decls.set_members(name)]
-    return [name]
+    return decls.sets.get(name, (name,))
 
 
 class Concat(Node):
@@ -362,7 +362,7 @@ class _Parser:
             name = t[1]
             if name == BOUNDARY:
                 return Boundary()
-            if self.decls is not None and self.decls.is_definition(name):
+            if self.decls is not None and name in self.decls.definitions:
                 return MacroRef(name, self.decls.definitions[name])
             # bare set name S: all feasible (x,y) with x in S and y in S;
             # bare symbol x: the identity pair (x,x)

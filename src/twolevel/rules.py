@@ -53,7 +53,6 @@ class TwoLevelRule:
     op: str
     contexts: list           # [(LC PairRegex, RC PairRegex)]
     where: object = None
-    line: int = 0
 
     def is_ground(self):
         return self.where is None
@@ -147,7 +146,7 @@ def _parse_rules_section(text, decls):
                 ctx_nodes.append((lc, rc))
         except rx.ParseError as e:
             raise RuleSyntaxError(str(e), rule=name, line=rule_line)
-        rules.append(TwoLevelRule(name, cp, op, ctx_nodes, where, rule_line))
+        rules.append(TwoLevelRule(name, cp, op, ctx_nodes, where))
     return rules
 
 
@@ -238,7 +237,6 @@ def expand_where(rule):
                 op=rule.op,
                 contexts=[(_substitute(lc, env), _substitute(rc, env)) for lc, rc in rule.contexts],
                 where=None,
-                line=rule.line,
             )
         )
     return out
@@ -247,6 +245,7 @@ def expand_where(rule):
 # ---------------------------------------------------------------------------
 # Reference interpreter
 
+@rx.bounded_nesting
 def _cp_sets(rule, alphabet, decls):
     """(pair ids of CP, lexical symbol names of CP) for a ground rule."""
     if isinstance(rule.cp, (rx.Atom, rx.NotPair, rx.Boundary)):
@@ -262,6 +261,7 @@ def _cp_sets(rule, alphabet, decls):
     return cp_ids, lex_names
 
 
+@rx.bounded_nesting
 def rule_holds(rule, pairs, alphabet, decls):
     """Reference semantics of a ground rule on a pair-id string (unframed).
 
@@ -456,9 +456,7 @@ def build_check_set(ground_rules, alphabet, decls):
         if rule.op in ("=>", "<=>"):
             grp = pos_groups.get(key)
             if grp is None:
-                grp = TwoLevelRule(
-                    name=rule.name, cp=rule.cp, op="=>", contexts=list(rule.contexts), line=rule.line
-                )
+                grp = TwoLevelRule(name=rule.name, cp=rule.cp, op="=>", contexts=list(rule.contexts))
                 grp.source_names = [rule.name]
                 pos_groups[key] = grp
                 out_rules.append(grp)
@@ -468,9 +466,7 @@ def build_check_set(ground_rules, alphabet, decls):
                     grp.source_names.append(rule.name)
                     grp.name = " + ".join(grp.source_names)
         if rule.op in ("<=", "<=>"):
-            out_rules.append(
-                TwoLevelRule(rule.name, rule.cp, "<=", rule.contexts, None, rule.line)
-            )
+            out_rules.append(TwoLevelRule(rule.name, rule.cp, "<=", rule.contexts))
         if rule.op == "/<=":
             out_rules.append(rule)
     return out_rules

@@ -1,9 +1,10 @@
-"""Symbol interning, the escape scanner, declaration parsing and the
-feasible-pair alphabet.
+"""Symbols, the escape scanner, declaration parsing and the feasible-pair
+alphabet.
 
-Symbols are interned strings, not code points: multi-character names and
-escaped literals ("%-", "%(") must behave exactly like plain letters.  The
-NULL symbol "0" and the word boundary "#" are reserved and always interned.
+A symbol is a value compared and hashed by its name, not a code point:
+multi-character names and escaped literals ("%-", "%(") behave exactly
+like plain letters.  The names "0" (NULL) and "#" (the word boundary) are
+reserved.
 """
 
 import functools
@@ -33,40 +34,10 @@ class DeclarationError(ValueError):
 
 @dataclass(frozen=True)
 class Symbol:
-    id: int
     name: str
 
     def __str__(self):
         return self.name
-
-
-class SymbolTable:
-    """Injective name -> Symbol interning. "0" and "#" are pre-interned."""
-
-    def __init__(self):
-        self._by_name = {}
-        self.symbols = []
-        self.null = self.intern(NULL)
-        self.boundary = self.intern(BOUNDARY)
-
-    def intern(self, name):
-        if not name:
-            raise InvalidSymbol("empty symbol name")
-        sym = self._by_name.get(name)
-        if sym is None:
-            sym = Symbol(len(self.symbols), name)
-            self.symbols.append(sym)
-            self._by_name[name] = sym
-        return sym
-
-    def get(self, name):
-        return self._by_name.get(name)
-
-    def __contains__(self, name):
-        return name in self._by_name
-
-    def __len__(self):
-        return len(self.symbols)
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,33 +116,13 @@ def split_pair_token(token):
 
 
 @dataclass
-class SymbolSet:
-    name: str
-    members: tuple
-    line: int = 0
-
-    def member_names(self):
-        return [s.name for s in self.members]
-
-
-@dataclass
 class Declarations:
     """Parsed ALPHABET / SETS / DEFINITIONS blocks of a rules file."""
 
-    table: SymbolTable
     identity: list = field(default_factory=list)       # symbols declared bare
     declared_pairs: list = field(default_factory=list)  # explicit x:y pairs
-    sets: dict = field(default_factory=dict)            # name -> SymbolSet
+    sets: dict = field(default_factory=dict)            # name -> member names
     definitions: dict = field(default_factory=dict)     # name -> PairRegex
-
-    def is_set(self, name):
-        return name in self.sets
-
-    def is_definition(self, name):
-        return name in self.definitions
-
-    def set_members(self, name):
-        return self.sets[name].members
 
     def check_namespace(self, name, line):
         if name in self.sets:
@@ -183,13 +134,13 @@ class Declarations:
 class PairAlphabet:
     """The feasible pairs of one description; the alphabet of every automaton.
 
-    Pairs are (lexical Symbol, surface Symbol).  The boundary pair (#,#) is
-    not a feasible pair, but every denotation and automaton is over the
-    framed ids: the feasible pairs and the boundary pair, id ``frame_id``.
+    Pairs are (lexical Symbol, surface Symbol); code outside the compiler
+    reads a side's name as ``.name``.  The boundary pair (#,#) is not a
+    feasible pair, but every denotation and automaton is over the framed
+    ids: the feasible pairs and the boundary pair, id ``frame_id``.
     """
 
-    def __init__(self, table, pairs):
-        self.table = table
+    def __init__(self, pairs):
         ordered = sorted(set(pairs), key=lambda p: (p[0].name, p[1].name))
         self.pairs = tuple(ordered)
         self.index = {p: i for i, p in enumerate(self.pairs)}
@@ -206,11 +157,7 @@ class PairAlphabet:
         return pair in self.index
 
     def id_of(self, lexname, surfname):
-        lex = self.table.get(lexname)
-        surf = self.table.get(surfname)
-        if lex is None or surf is None:
-            return None
-        return self.index.get((lex, surf))
+        return self.index.get((Symbol(lexname), Symbol(surfname)))
 
     def name_of(self, pid):
         if pid == self.frame_id:
@@ -242,8 +189,7 @@ def parse_declarations(text):
     # imported here, as pair_regex imports this module
     from .pair_regex import ParseError, parse_pair_regex
 
-    table = SymbolTable()
-    decls = Declarations(table=table)
+    decls = Declarations()
 
     def declare(entry, line):
         if not entry.strip():
@@ -253,11 +199,10 @@ def parse_declarations(text):
                 if word == BOUNDARY:
                     continue  # boundary symbol: framing, never a feasible pair
                 lexname, surfname = split_pair_token(word)
-                lex = table.intern(lexname)
                 if surfname is None:
-                    decls.identity.append(lex)
+                    decls.identity.append(Symbol(lexname))
                 else:
-                    decls.declared_pairs.append((lex, table.intern(surfname)))
+                    decls.declared_pairs.append((Symbol(lexname), Symbol(surfname)))
             return
         # "Name = ..." in SETS or DEFINITIONS
         name, *body = split_raw(entry, "=")
@@ -285,10 +230,10 @@ def parse_declarations(text):
             if lexname not in known:
                 raise DeclarationError(
                     "set %s references undeclared symbol %r" % (name, lexname), line)
-            members.append(table.intern(lexname))
+            members.append(lexname)
         if len(set(members)) != len(members):
             raise DeclarationError("duplicate members in set %r" % name, line)
-        decls.sets[name] = SymbolSet(name, tuple(members), line)
+        decls.sets[name] = tuple(members)
 
     lines = text.split("\n")
     section = None
@@ -328,7 +273,7 @@ def derive_feasible_pairs(decls, rules=()):
     pairs.extend(decls.declared_pairs)
     for rule in rules:
         pairs.extend(correspondence_pairs(rule, decls))
-    return PairAlphabet(decls.table, pairs)
+    return PairAlphabet(pairs)
 
 
 def correspondence_pairs(rule, decls):
@@ -337,5 +282,5 @@ def correspondence_pairs(rule, decls):
     for lexnames, surfnames in rule.cp.atom_name_pairs(decls):
         for ln in lexnames:
             for sn in surfnames:
-                out.append((decls.table.intern(ln), decls.table.intern(sn)))
+                out.append((Symbol(ln), Symbol(sn)))
     return out

@@ -34,7 +34,7 @@ def load_description(rules_text, lexicon_texts):
         ground.extend(rulemod.expand_where(r))
     alphabet = derive_feasible_pairs(decls, ground)
     _check_declared(decls, alphabet)
-    lexicon = Lexicon(table=decls.table)
+    lexicon = Lexicon()
     for text in lexicon_texts:
         parse_lexicon_file(text, lexicon)
     desc = engine.compile_description(decls, ground, lexicon, alphabet)

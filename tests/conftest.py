@@ -19,7 +19,7 @@ def make_description(rules_text, lexicon_text=None):
     decls, rules = parse_rules_file(rules_text)
     ground = [g for r in rules for g in expand_where(r)]
     alphabet = derive_feasible_pairs(decls, ground)
-    lexicon = Lexicon(table=decls.table)
+    lexicon = Lexicon()
     if lexicon_text:
         parse_lexicon_file(lexicon_text, lexicon)
     else:

@@ -186,15 +186,17 @@ def test_compile_a_complement_of_the_boundary(capsys, tmp_path):
 
 
 def test_compile_a_deeply_nested_context_exits_2(capsys, tmp_path):
-    # a context nested deeper than the interpreter's stack is a parse error,
-    # in the parser (brackets, \) and in the walks of the compiled expression
-    # (a chain of definitions), not a traceback
+    # a context or correspondence part nested deeper than the interpreter's
+    # stack is a parse error, in the parser (brackets, \) and in the walks of
+    # the compiled expression (a chain of definitions), not a traceback
     lexicon = tmp_path / "r.lex"
     lexicon.write_text("LEXICON Root\na # ;\n", encoding="utf-8")
     chain = "".join("D%d = [D%d] ;\n" % (k, k - 1) for k in range(1, 3000))
+    cp_chain = "".join("D%d = D%d ;\n" % (k, k - 1) for k in range(1, 3000))
     for k, rules in enumerate(['RULES\n"r" a:b => ' + "\\" * 3000 + "a _ ;\n",
                                'RULES\n"r" a:b => ' + "[" * 3000 + "a" + "]" * 3000 + " _ ;\n",
-                               "DEFINITIONS\nD0 = a ;\n" + chain + 'RULES\n"r" a:b => D2999 _ ;\n']):
+                               "DEFINITIONS\nD0 = a ;\n" + chain + 'RULES\n"r" a:b => D2999 _ ;\n',
+                               "DEFINITIONS\nD0 = a:b ;\n" + cp_chain + 'RULES\n"r" D2999 => _ b ;\n']):
         rules_file = tmp_path / ("r%d.twol" % k)
         rules_file.write_text("ALPHABET a b a:b ;\n" + rules, encoding="utf-8")
         rc = main(["compile", "--rules", str(rules_file), "--lexicon", str(lexicon)])

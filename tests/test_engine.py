@@ -1546,7 +1546,7 @@ def lexicon_strings(lexicon, length):
     while stack:
         name, text, since = stack.pop()
         for e in lexicon.sublexicons[name]:
-            t = text + e.form_text()
+            t = text + e.form
             if len(t) > length:
                 continue
             if e.continuation == TERMINAL:

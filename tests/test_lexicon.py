@@ -36,10 +36,10 @@ def small():
 def test_parse_entries_and_meta_phonemes(small):
     nouns = small.sublexicons["Nouns"]
     gok = [e for e in nouns if e.gloss == "[ROOT=gök]"][0]
-    assert gok.form_text() == "göK^"
-    assert "K" in [s.name for s in gok.form]
+    assert gok.form == "göK^"
+    assert "K" in list(gok.form)
     huk = [e for e in nouns if e.gloss == "[ROOT=hukuk]"][0]
-    assert huk.form_text() == "hu^kuq"
+    assert huk.form == "hu^kuq"
     small.validate()
 
 
@@ -63,7 +63,7 @@ def test_comment_marker_can_be_escaped():
     # as in a rules file, %! is the symbol ! and an unescaped ! starts a comment
     lx = parse_lexicon_file("LEXICON Root\na%!b # ; ! a comment\n! a line of comment\n")
     (entry,) = lx.sublexicons["Root"]
-    assert entry.form_text() == "a!b" and entry.continuation == "#"
+    assert entry.form == "a!b" and entry.continuation == "#"
 
 
 @pytest.mark.parametrize("head, gloss, form", [
@@ -76,7 +76,7 @@ def test_comment_marker_can_be_escaped():
 def test_entry_head_splits_at_the_last_unescaped_colon(head, gloss, form):
     # a form-only entry's gloss is its form, unescaped the same way
     (entry,) = parse_lexicon_file("LEXICON Root\n%s # ;\n" % head).sublexicons["Root"]
-    assert (entry.gloss, tuple(s.name for s in entry.form)) == (gloss, form)
+    assert (entry.gloss, tuple(entry.form)) == (gloss, form)
 
 
 @pytest.mark.parametrize("head, gloss, form", [
@@ -87,7 +87,7 @@ def test_entry_head_splits_at_the_last_unescaped_colon(head, gloss, form):
 ])
 def test_gloss_and_form_are_unescaped_alike(head, gloss, form):
     (entry,) = parse_lexicon_file("LEXICON Root\n%s # ;\n" % head).sublexicons["Root"]
-    assert (entry.gloss, tuple(s.name for s in entry.form)) == (gloss, form)
+    assert (entry.gloss, tuple(entry.form)) == (gloss, form)
 
 
 def test_enumerate_paths_through_entry_and_fanout(small):
@@ -120,7 +120,7 @@ def test_enumerate_paths_counts_match_dfs_oracle(small):
             cost = 1 if e.form else 0
             if cost > left:
                 continue
-            dfs(e.continuation, lexical + e.form_text(), gloss + e.gloss, left - cost, acc)
+            dfs(e.continuation, lexical + e.form, gloss + e.gloss, left - cost, acc)
 
     acc = set()
     dfs("Root", "", "", 3, acc)

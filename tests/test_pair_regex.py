@@ -83,6 +83,18 @@ def test_deep_nesting_is_a_parse_error(env):
     assert rx.denote_atom(node, alpha, decls) == rx.denote_atom(
         rx.parse_pair_regex("\\" * 60 + "a", decls), alpha, decls)
     assert dfalib.compile_regex(node, alpha, decls).finals
+    # a correspondence part at the end of a chain of definitions: its pairs
+    # are derived, and the compiler and the reference interpreter raise
+    # ParseError
+    chain = "".join("D%d = D%d ;\n" % (k, k - 1) for k in range(1, 3000))
+    chain_decls, (rule,) = rules.parse_rules_file(
+        "ALPHABET a b a:b ;\nDEFINITIONS\nD0 = a:b ;\n" + chain + 'RULES\n"r" D2999 => _ b ;\n')
+    chain_alpha = derive_feasible_pairs(chain_decls, [rule])
+    assert chain_alpha.id_of("a", "b") is not None
+    for walk in (lambda: rules.compile_check_set([rule], chain_alpha, chain_decls),
+                 lambda: rules.rule_holds(rule, [], chain_alpha, chain_decls)):
+        with pytest.raises(rx.ParseError, match="nested too deeply"):
+            walk()
 
 
 def test_whitespace_sensitive_colon(env):

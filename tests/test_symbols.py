@@ -8,7 +8,6 @@ from twolevel.rules import expand_where, parse_rules_file
 from twolevel.symbols import (
     DeclarationError,
     InvalidSymbol,
-    SymbolTable,
     _strip_comment,
     derive_feasible_pairs,
     parse_declarations,
@@ -70,33 +69,9 @@ RULES
 """
 
 
-def test_intern_identity_and_idempotence():
-    t = SymbolTable()
-    a = t.intern("a")
-    assert a.name == "a"
-    assert t.intern("a") is a
-
-
-def test_intern_multibyte_single_symbol():
-    t = SymbolTable()
-    c = t.intern("ç")
-    assert c.name == "ç" and len(c.name) == 1
-
-
 def test_escaped_literal_symbol():
     assert split_pair_token("%-:0") == ("-", "0")
     assert split_pair_token("%'") == ("'", None)
-
-
-def test_reserved_symbols_present():
-    t = SymbolTable()
-    assert "0" in t and "#" in t
-
-
-def test_empty_name_rejected():
-    t = SymbolTable()
-    with pytest.raises(InvalidSymbol):
-        t.intern("")
 
 
 def test_parse_declarations_blocks():
@@ -105,7 +80,7 @@ def test_parse_declarations_blocks():
     assert names == ["a", "b", "ç"]
     pairs = [(l.name, s.name) for l, s in decls.declared_pairs]
     assert ("-", "0") in pairs and ("D", "d") in pairs
-    assert decls.sets["V"].member_names() == ["a"]
+    assert decls.sets["V"] == ("a",)
     assert "MB" in decls.definitions
     # the lines up to the RULES header, blanked to keep the file's line numbers
     assert rest == "\n" * 7
@@ -210,7 +185,7 @@ def test_escaped_semicolon_in_every_section():
     from conftest import make_description
 
     desc = make_description(SEMICOLON_RULES, "LEXICON Root\na%;b # ;\n%;b # ;\n")
-    assert desc.declarations.sets["S"].member_names() == [";"]
+    assert desc.declarations.sets["S"] == (";",)
     assert desc.alphabet.id_of(";", "0") is not None
     assert [a.lexical for a in engine.analyze("ab", desc)] == ["a;b"]
     assert [a.lexical for a in engine.analyze(";b", desc)] == [";b"]

@@ -22,7 +22,7 @@ def test_ground_rule_count(turkish):
 
 
 def test_lexicon_contains_listed_roots(turkish):
-    forms = {e.form_text(): e.gloss
+    forms = {e.form: e.gloss
              for entries in turkish.lexicon.sublexicons.values() for e in entries}
     assert forms.get("za^bHt") == "[ROOT=zabit]"
     assert forms.get("göK^") == "[ROOT=gök]"
