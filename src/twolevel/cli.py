@@ -188,6 +188,9 @@ def _dispatch(args):
         largest = max(desc.rule_automata, key=lambda ra: ra.dfa.n_states, default=None)
         if largest is not None:
             print("largest automaton: %d states (%s)" % (largest.dfa.n_states, largest.name))
+        # the walk of the composition found it (engine._Runtime.walk)
+        print("loops that read no surface character: %s"
+              % ("some" if desc.tables["eps_loop"] else "none"))
         return 0
 
     if args.command == "test":

@@ -539,7 +539,9 @@ class _Runtime:
         """The run tables of the lexicon composed with the rule automata:
         the keys of each bundle's tuples (bundles) and of the vectors
         (vectors), the live states (live), the number of composed states
-        (composed), and the vectors' rows of transitions (rows).  A
+        (composed), the vectors' rows of transitions (rows), and whether a
+        cycle of deletions and jumps, an ε-loop, runs through live states
+        (eps_loop), as only such a loop can make _readings raise.  A
         composed state is a (trie node, vector id) state that the moves and
         continuation jumps reach from the roots; it is live when they lead
         from it to a final state, a node that completes an entry with #
@@ -557,11 +559,13 @@ class _Runtime:
         seen = {self.init_vec * n + roots[root] for root in self.roots}
         stack = list(seen)
         into = {}         # state -> the states with a move or a jump into it
+        eps = {}          # state -> the states its jumps and deletions lead to
         live = set()      # the final states, then every state that reaches one
         while stack:
             state = stack.pop()
             vid, node = divmod(state, n)
             reached = [state - node + roots[cont] for _, cont in complete[node] if cont != TERMINAL]
+            nulls = eps[state] = reached[:]
             if (any(cont == TERMINAL for _, cont in complete[node])
                     and step_vec(vid, self.end) is not None):
                 live.add(state)
@@ -570,6 +574,8 @@ class _Runtime:
                     nvid = step_vec(vid, pid)
                     if nvid is not None:
                         reached.append(nvid * n + child)
+                        if self.is_null[pid]:
+                            nulls.append(nvid * n + child)
             for nxt in reached:
                 into.setdefault(nxt, []).append(state)
                 if nxt not in seen:
@@ -581,6 +587,18 @@ class _Runtime:
                 if state not in live:
                     live.add(state)
                     stack.append(state)
+        # Kahn's algorithm over the ε-edges between live states: it removes
+        # every live state exactly when none lies on an ε-loop
+        eps = {state: [nxt for nxt in eps[state] if nxt in live] for state in live}
+        indegree = dict.fromkeys(live, 0)
+        for nxt in [nxt for nexts in eps.values() for nxt in nexts]:
+            indegree[nxt] += 1
+        stack = [state for state, d in indegree.items() if not d]
+        for state in stack:
+            for nxt in eps[state]:
+                indegree[nxt] -= 1
+                if not indegree[nxt]:
+                    stack.append(nxt)
         # renumber the vectors kept and their bundle tuples in order
         vids = sorted({0}.union(state // n for state in live))
         columns = []
@@ -596,7 +614,7 @@ class _Runtime:
                      for vid in vids)
         return {"bundles": bundle_keys, "vectors": list(zip(*columns)),
                 "live": frozenset(new[state // n] * n + state % n for state in live),
-                "composed": len(seen), "rows": rows}
+                "composed": len(seen), "rows": rows, "eps_loop": len(stack) < len(live)}
 
     def generate_moves(self, state, sym):
         """Validated generate's step of composed state `state` (walk) on
@@ -765,7 +783,7 @@ def runtime(desc):
 # ---------------------------------------------------------------------------
 # Analysis
 
-def analyze(surface, desc):
+def analyze(surface, desc, _first=False):
     """All analyses of a surface word: lexicon path + all rules + exact
     surface match.  Deterministic order, duplicates merged.
 
@@ -773,7 +791,8 @@ def analyze(surface, desc):
     sets of states reachable on the surface prefixes of earlier words
     without a reading: when the walk empties or ends in a set that cannot
     end the word, there is no reading and no search is run.  Every word
-    with a reading is found by the search."""
+    with a reading is found by the search; for trace's verdict (_first)
+    it returns True at the first one when the walk recorded no ε-loop."""
     surface = unicodedata.normalize("NFC", surface)
     rt = runtime(desc)
     n = len(surface)
@@ -794,7 +813,9 @@ def analyze(surface, desc):
             return []
 
     codes.append(0)
-    results = _search(rt, codes, n)
+    results = _search(rt, codes, n, _first and rt.tables.get("eps_loop") is False)
+    if results is True:
+        return results
     if not results:
         # its search has built the closures of the sets' states, none of which closes the word
         for code in codes[i:n] + [_END]:
@@ -805,12 +826,13 @@ def analyze(surface, desc):
     return [Analysis(lex, gloss, results[lex, gloss]) for lex, gloss in sorted(results)]
 
 
-def _search(rt, codes, n):
+def _search(rt, codes, n, first=False):
     """analyze's search of a word, `codes` its surface codes and a final 0:
-    (lexical, gloss) -> the pair ids of the first path found.  It runs
-    depth first over the ε-closures (_closure) of the states reached at
-    the start or by a consuming move, in the per-state walk's order, on a
-    stack of (closure key base of the state, position, path, glosses)."""
+    (lexical, gloss) -> the pair ids of the first path found (`first`:
+    True at the first # completion).  It runs depth first over the
+    ε-closures (_closure) of the states reached at the start or by a
+    consuming move, in the per-state walk's order, on a stack of (closure
+    key base of the state, position, path, glosses)."""
     ends, loops = {}, {}
     get, k = rt.closures.get, rt.n_codes + 1
     stack = [(state * k + 1, 0, "", "") for state in rt.starts]
@@ -823,6 +845,8 @@ def _search(rt, codes, n):
             if entries is None:
                 entries = _closure(rt, codes, n, at, key, loops)
             if at == n:
+                if first and entries:
+                    return True
                 for path, gloss in entries:
                     ends[prefix + path, glossed + gloss] = None
                 break
@@ -1294,11 +1318,11 @@ def lexicon_covers(surface, desc):
 def trace(word, direction, desc):
     """Search trace: per step, which rule automata died.
 
-    The verdict is analyze's (_realize's in the generate direction), and
-    on failure the layer is lexicon_covers's (is_lexicon_path's): when
-    some lexicon path covers the word, only the rules can have blocked it.
-    The blockers are then the rules that rejected at the deepest depth of
-    the observed search, unless the lexicon dead-ends there too, in
+    The verdict is analyze's first reading (_realize's in the generate
+    direction); on failure the layer is lexicon_covers's (is_lexicon_path's):
+    when some lexicon path covers the word, only the rules can have blocked
+    it.  The blockers are then the rules that rejected at the deepest depth
+    of the observed search, unless the lexicon dead-ends there too, in
     check-set order, each with its first pair; otherwise no rule is named.
     The observed search is the verdict's own _realize in the generate
     direction; analyze's (_observe) runs for a rules-layer word, and for
@@ -1314,7 +1338,7 @@ def trace(word, direction, desc):
         covered = accepted or is_lexicon_path(word, desc)
         steps = _trace_steps(rt, events)
     else:
-        accepted = bool(analyze(word, desc))
+        accepted = bool(analyze(word, desc, _first=True))
         covered = accepted or lexicon_covers(word, desc)
         seen = None if accepted or not covered else _observe(rt, word)
         steps = lambda: _trace_steps(rt, _events((seen or _observe(rt, word))[2]))

@@ -171,6 +171,18 @@ def test_compile_reports(capsys, monkeypatch):
     ]
     assert re.fullmatch(r"compile time: \d+\.\d{3}s", lines[4])
     assert re.fullmatch(r"largest automaton: 74 states \(.*23\.SIV-DELETION.*\)", lines[5])
+    assert lines[6:] == ["loops that read no surface character: none"]
+
+
+def test_compile_reports_a_loop_that_reads_no_surface_character(capsys, tmp_path):
+    # A re-enters itself through a +G link, which reads nothing
+    rules_file, lexicon = tmp_path / "r.twol", tmp_path / "r.lex"
+    rules_file.write_text('ALPHABET\na b c %-:0 ;\nRULES\n"1.r" a:a => _ ;\n', encoding="utf-8")
+    lexicon.write_text("LEXICON Root\n:0 A ;\nLEXICON A\n+G:0 A ;\n:a # ;\n", encoding="utf-8")
+    rc = main(["compile", "--rules", str(rules_file), "--lexicon", str(lexicon)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1] == "loops that read no surface character: some"
 
 
 def test_compile_a_complement_of_the_boundary(capsys, tmp_path):

@@ -1649,11 +1649,17 @@ def test_search_rejects_a_loop_that_adds_symbols_or_glosses(lexicon):
         search_reference("a", desc)
 
 
+# The +G loop of A adds a gloss, but the only reading of a goes through B.
+BYPASSED_LOOP_LEXICON = ("LEXICON Root\n:0 A ;\n:0 B ;\n"
+                         "LEXICON A\n+G:0 A ;\n:b # ;\nLEXICON B\n:a # ;\n")
+# No two deletions of '-' in a row: the loop of LOOP_LEXICONS[1] changes the
+# rule vector, so the composition has no ε-loop.
+BROKEN_LOOP_RULES = CYCLE_RULES + '"2.d" %-:0 /<= %-:0 _ ;\n'
+
+
 def test_search_raises_only_when_a_reading_passes_the_loop():
     from conftest import make_description
-    # the +G loop of A adds a gloss, but the only reading of a goes through B
-    desc = make_description(CYCLE_RULES, "LEXICON Root\n:0 A ;\n:0 B ;\n"
-                                         "LEXICON A\n+G:0 A ;\n:b # ;\nLEXICON B\n:a # ;\n")
+    desc = make_description(CYCLE_RULES, BYPASSED_LOOP_LEXICON)
     assert lexicals(engine.analyze("a", desc)) == [("a", "")]
     assert [g[:2] for g in search_reference("a", desc)[0]] == [("a", "")]
     assert engine.trace("a", "analyze", desc).outcome.accepted
@@ -1668,10 +1674,74 @@ def test_search_follows_a_loop_until_the_rules_break_it_off():
     from conftest import make_description
     # no two deletions of '-' in a row: the path jumps back into A once, with
     # another rule vector, and the rules kill the second deletion
-    desc = make_description(CYCLE_RULES + '"2.d" %-:0 /<= %-:0 _ ;\n', LOOP_LEXICONS[1])
+    desc = make_description(BROKEN_LOOP_RULES, LOOP_LEXICONS[1])
     got = [(a.lexical, a.gloss, a.pairs) for a in engine.analyze("a", desc)]
     assert [g[:2] for g in got] == [("-a", ""), ("a", "")]
     assert got == search_reference("a", desc)[0]
+
+
+def loop_descriptions():
+    """(description, whether its composition has an ε-loop) of each loop
+    test's description."""
+    from conftest import make_description
+    return ([(make_description(CYCLE_RULES, lexicon), True) for lexicon in LOOP_LEXICONS]
+            + [(make_description(CYCLE_RULES, BYPASSED_LOOP_LEXICON), True),
+               (make_description(BROKEN_LOOP_RULES, LOOP_LEXICONS[1]), False),
+               (make_description(CYCLE_RULES, CYCLE_LEXICON), True)])
+
+
+def test_the_walk_records_whether_an_eps_loop_runs_through_live_states():
+    assert load_turkish(refresh=True).tables["eps_loop"] is False
+    assert compile_turkish().tables["eps_loop"] is False
+    for desc, looped in loop_descriptions():
+        assert desc.tables["eps_loop"] is looped
+
+
+def test_trace_stops_at_the_first_reading_only_without_an_eps_loop(monkeypatch):
+    from conftest import make_description
+    desc = load_turkish(refresh=True)
+    calls = []
+    readings = engine._readings
+
+    def counted(*args):
+        calls.append(args)
+        return readings(*args)
+
+    monkeypatch.setattr(engine, "_readings", counted)
+    words = [w for w in sorted({c.surface for c in golden_suite()}) if engine.analyze(w, desc)]
+    assert len(words) > 100
+    calls.clear()
+    for w in words:
+        assert engine.trace(w, "analyze", desc).outcome.accepted
+    assert calls == []
+    for w in words:
+        engine.analyze(w, desc)
+    assert len(calls) == len(words)
+    # with an ε-loop the verdict runs the full search and meets the loop
+    desc = make_description(CYCLE_RULES, BYPASSED_LOOP_LEXICON)
+    calls.clear()
+    assert engine.trace("a", "analyze", desc).outcome.accepted and len(calls) == 1
+
+
+def test_trace_raises_exactly_where_analyze_does_on_loop_descriptions():
+    def verdict(call):
+        try:
+            return bool(call())
+        except engine.DescriptionError:
+            return "raises"
+
+    words = cycle_words(4, "abc")
+    raised = 0
+    # fresh runtimes, then warm ones, with either call first
+    for trace_first in (False, True):
+        for desc, _ in loop_descriptions():
+            for w in words + words:
+                calls = [lambda: engine.analyze(w, desc),
+                         lambda: engine.trace(w, "analyze", desc).outcome.accepted]
+                got = [verdict(call) for call in (calls[::-1] if trace_first else calls)]
+                assert got[0] == got[1], (w, trace_first)
+                raised += got[0] == "raises"
+    assert raised
 
 
 def test_enumerate_paths_rejects_a_loop_that_adds_glosses():
