@@ -488,7 +488,7 @@ class _Runtime:
         self.frontier = _Frontier(tuple(sorted(self.starts)), type(self).frontier_step)
         self.closures = {}        # closure key -> its entries (_closure)
         self.observed = {}        # closure key -> its observed closure (_closure)
-        self.glosses = None       # _gloss_index, built by the first gloss walk
+        self.glosses = None       # _gloss_tables, built by the first gloss walk
         # what the per-state walk (_walk) reads, in one attribute load
         trie = self.trie
         self.walk_parts = (trie.roots, trie.complete, trie.moves, trie.dels, self.vec_trans,
@@ -673,13 +673,15 @@ class _Runtime:
         """The sizes of the runtime's tables by name, in the order analyze
         --stats prints them: the keys and the transitions of each _Table,
         the keys and entries of the two closure memos (_closure), validated
-        generate's moves, and the composed and live states (walk)."""
+        generate's moves, the keys and rows of the gloss closures
+        (_gloss_closure), and the composed and live states (walk)."""
         def keys(*tables):
             return sum(len(t.keys) for t in tables)
 
         def rows(*tables):
             return sum(len(row) for t in tables for row in t.trans)
 
+        glosses = self.glosses[0] if self.glosses else {}
         return {"interned vectors": keys(self.vectors),
                 "vector transitions": rows(self.vectors),
                 "closure keys": len(self.closures),
@@ -687,6 +689,8 @@ class _Runtime:
                 "observed closure keys": len(self.observed),
                 "observed closure entries": sum(map(len, self.observed.values())),
                 "generate moves": len(self.trie.gen),
+                "gloss closure keys": sum(map(len, glosses.values())),
+                "gloss closure rows": sum(len(c) for m in glosses.values() for c in m.values()),
                 "frontier sets": keys(self.frontier),
                 "frontier transitions": rows(self.frontier),
                 "rules-off fronts": keys(self.covers),
@@ -1108,142 +1112,144 @@ def is_lexicon_path(lexical, desc):
     return False
 
 
-def _gloss_index(entries, trie):
-    """The lexicon as _gloss_walk reads it: per sublexicon, its glossed
-    entries by gloss and its gloss-less ones.  An entry is (form text,
-    continuation, steps, memo).  The steps are the (lexical symbol, trie
-    node) pairs of the form's path from the sublexicon's trie root, and
-    the memo maps a vector id to the entry's realization from it
-    (_realize_entry), filled as walks take the entry: at most one row
-    per kept vector.  A row holds ints and strings alone, so a full
-    collection untracks it."""
-    subs = {}
-    for name, sub in entries.items():
-        tagged, links = {}, []
-        for form, gloss, cont in sub:
-            node, steps = trie.roots[name], []
-            for sym in form:
-                node = trie.arcs[node][sym]
-                steps.append((sym, node))
-            entry = (form, cont, tuple(steps), {})
-            if gloss:
-                tagged.setdefault(gloss, []).append(entry)
-            else:
-                links.append(entry)
-        subs[name] = (tagged, links)
-    return subs
+def _gloss_tables(rt):
+    """rt.glosses, built by the first gloss walk (threads that race build
+    equal ones): the memo of gloss closures, per gloss that an entry
+    carries ("" for the end of a path) a dict state -> closure
+    (_gloss_closure), and per sublexicon trie root its name and entries."""
+    entries, roots = rt.tables["entries"], rt.trie.roots
+    memo = {gloss: {} for sub in entries.values() for _, gloss, _ in sub}
+    memo[""] = {}
+    rt.glosses = memo, {roots[name]: (name, sub) for name, sub in entries.items()}
+    return rt.glosses
 
 
-def _realize_entry(rt, steps, vid):
-    """An entry's realization from vector vid at its sublexicon's trie
-    root: ((next vector id, surface added), ...) after its steps, taken
-    through the vector rows alone, each state kept only when it is live
-    (walk).  Every state of a gloss walk is a composed state that the
-    walk reached from the roots, so, as in _walk, a pair that the row
-    of a kept vector lacks leads into a state that is not live: no
-    automaton is stepped and no vector interned."""
-    vec_trans, surf, is_null, pairs_by_lex = rt.vec_trans, rt.surf, rt.is_null, rt.pairs_by_lex
-    live_states, n_nodes = rt.tables["live"], len(rt.trie.arcs)
-    states = {(vid, ""): None}
-    for sym, node in steps:
-        pids = pairs_by_lex[sym]
-        nxt = {}
-        for vid, added in states:
-            trans = vec_trans[vid]
-            for pid in pids:
-                nvid = trans.get(pid)
-                if nvid is not None and nvid * n_nodes + node in live_states:
-                    nxt[nvid, added if is_null[pid] else added + surf[pid]] = None
-        states = nxt
-    return tuple(states)
-
-
-def _gloss_walk(rt, root, tags, frontier, start=None):
-    """The gloss paths of [ROOT=root] followed by the tags, in one iterative
-    walk of the continuation graph from the lexicon roots, where every
-    lexicon path starts.  Gloss 0 is [ROOT=root] and gloss k + 1 +tags[k];
-    a gloss-less entry keeps the gloss index, and a path ends at # with
-    every gloss placed.  Yields each path as (its lexical string, the
-    {(vector id, surface prefix): None} frontier after it), stepping
-    `frontier` (None: nothing) through each entry once for all the paths
-    that share it, by the entry's memo of realizations per vector
-    (_realize_entry): only live composed states are kept, so every state
-    of a yielded frontier completes # in a state that the walk of the
-    composition reached.  A path that re-enters a sublexicon it entered
-    since it last placed a gloss closes a loop, which is cut: exactly when
-    the loop added no text, as in _walk.  Else DescriptionError names
-    the sublexicon when a walk from the state the loop returns to
-    (sublexicon, glosses placed) alone finds a path (`start`, which
-    checks no loop).
-
-    Raises MorphotacticsError naming the first tag that no path places,
-    the last tag (# without tags) when every gloss is placed but no path
-    ends after it, or with tag None when no path places the root.
-    """
-    subs = rt.glosses
-    if subs is None:
-        # threads that race build equal indexes
-        subs = rt.glosses = _gloss_index(rt.tables["entries"], rt.trie)
-    wants = ["[ROOT=%s]" % root] + ["+" + tag for tag in tags]
-    n = len(wants)
-    best = -1
-    found = False
-    loops = {}        # the state of each cut loop that added text
-    # (entry, glosses placed, the frontier and the lexical string before the
-    # entry, the sublexicons entered since the last placed gloss as a
-    # ((sublexicon, lexical), rest) list); the walk enters its start through
-    # an empty entry
-    starts = [(name, 0) for name in reversed(rt.roots)] if start is None else [start]
-    stack = [(("", sub, (), None), k, frontier, "", None) for sub, k in starts]
+def _gloss_closure(rt, state, want, k, closures, loops):
+    """The gloss closure of `state`, a composed state (walk) at a
+    sublexicon's trie root or the root under vid -1 (rules off), for gloss
+    `want` at gloss index k: every path of gloss-less entries from the
+    sublexicon, then one entry glossed `want` ("": a gloss-less entry to
+    #), as {row: None}, each row a flat tuple (continuation, next state,
+    lexical added, surface added).  From a vector a path is realized
+    through the vector rows alone, keeping live states, so no automaton is
+    stepped; the next state is the continuation's root, or at # the
+    entry's end, under each vector that reaches it live or, at #, accepts
+    the end of the word.  A path whose realizations all die goes on under
+    vid -1, so every lexical path gives a row and what the rows place
+    depends on the lexicon alone.  A path that re-enters a sublexicon it
+    entered in the closure closes a loop, which is cut: exactly when the
+    loop added no text.  `closures` keeps the closure unless it cut one
+    that did, whose (sublexicon, k) goes into `loops` instead, as in
+    _closure.  Threads that race store equal closures."""
+    subs, trie, vec_trans, live = rt.glosses[1], rt.trie, rt.vec_trans, rt.tables["live"]
+    arcs, roots, n_nodes, surf, is_null = trie.arcs, trie.roots, len(trie.arcs), rt.surf, rt.is_null
+    vid, node = divmod(state, n_nodes)
+    rows, cut = {}, []
+    # (sublexicon root, (vector id, surface added) states, [] when rules
+    # off, lexical added, the ((root, lexical), rest) list of those entered)
+    stack = [(node, [(vid, "")] if vid >= 0 else [], "", None)]
     while stack:
-        (text, sub, steps, memo), k, frontier, lexical, entered = stack.pop()
-        if text:
-            lexical += text
-            if frontier is not None:
-                nxt = {}
-                for vid, prefix in frontier:
-                    row = memo.get(vid)
-                    if row is None:
-                        # threads that race store equal rows
-                        row = memo[vid] = _realize_entry(rt, steps, vid)
-                    for nvid, added in row:
-                        nxt[nvid, prefix + added] = None
-                frontier = nxt
-        if sub == TERMINAL:
-            found = True
-            yield lexical, frontier
-            continue
+        node, states, lexical, entered = stack.pop()
+        name, entries = subs[node]
         rest = entered
-        while rest is not None and rest[0][0] != sub:
+        while rest is not None and rest[0][0] != node:
             rest = rest[1]
         if rest is not None:
             if rest[0][1] != lexical:
-                loops[sub, k] = None
+                cut.append(name)
             continue
-        entered = ((sub, lexical), entered)
-        tagged, links = subs[sub]
-        matched = tagged.get(wants[k], ()) if k < n else ()
-        if matched:
-            best = max(best, k)
-        # an entry to # with a gloss left ends no path
-        for entries, placed, since in ((links, k, entered), (matched, k + 1, None)):
-            for entry in entries:
-                if entry[1] != TERMINAL or placed == n:
-                    stack.append((entry, placed, frontier, lexical, since))
-    if start is not None:
-        return
+        entered = ((node, lexical), entered)
+        for form, gloss, cont in entries:
+            link = not gloss and cont != TERMINAL
+            if not link and gloss != want:
+                continue
+            at, after = node, states
+            for sym in form:
+                at, pids, nxt = arcs[at][sym], rt.pairs_by_lex[sym], {}
+                for v, added in after:
+                    trans = vec_trans[v]
+                    for pid in pids:
+                        nv = trans.get(pid)
+                        if nv is not None and nv * n_nodes + at in live:
+                            nxt[nv, added if is_null[pid] else added + surf[pid]] = None
+                after = list(nxt)
+            if cont == TERMINAL:
+                # the walk stepped every live state that completes # on the end
+                target, after = at, [s for s in after if vec_trans[s[0]].get(rt.end) is not None]
+            else:
+                target = roots[cont]
+                after = [s for s in after if s[0] * n_nodes + target in live]
+            if link:
+                stack.append((target, after, lexical + form, entered))
+            else:
+                for v, added in after or [(-1, "")]:
+                    rows[cont, v * n_nodes + target, lexical + form, added] = None
+    if cut:
+        loops.update(dict.fromkeys((name, k) for name in cut))
+    else:
+        closures[state] = rows
+    return rows
+
+
+def _gloss_walk(rt, wants, items, k, paths):
+    """The gloss paths from the items {(state, text): None} at gloss index
+    k, `wants` the glosses and "" for the end: per index, one memo lookup
+    of each item's gloss closure (_gloss_closure), whose rows step it.  A
+    text is the lexical string (`paths`, from rules-off states) or the
+    surface prefix.  Returns the texts at # ({text: None}; surfaces only
+    under a vector that accepts the end of the word), whether a path
+    reaches # with every gloss placed, the last index whose gloss an entry
+    placed (-1 if none), and the (sublexicon, index) of each cut loop that
+    added text."""
+    memo = (rt.glosses or _gloss_tables(rt))[0]
+    last = len(wants) - 2
+    best, found, out, loops = -1, False, {}, {}
+    for k in range(k, len(wants)):
+        closures = memo.get(wants[k])
+        if closures is None:        # no entry carries the gloss
+            break
+        nxt = {}
+        for state, text in items:
+            rows = closures.get(state)
+            if rows is None:
+                rows = _gloss_closure(rt, state, wants[k], k, closures, loops)
+            if rows:        # at the end, rows are paths found
+                best = k
+            for cont, nstate, lexical, added in rows:
+                if cont != TERMINAL:
+                    nxt[nstate, text + (lexical if paths else added)] = None
+                elif k >= last:     # an entry to # with a gloss left ends no path
+                    found = True
+                    if paths or nstate >= 0:
+                        out[text + (lexical if paths else added)] = None
+        if not nxt:
+            break
+        items = nxt
+    return out, found, best, loops
+
+
+def _gloss_outputs(rt, root, tags, paths):
+    """gloss_paths (`paths`) or generate_from_gloss: the sorted texts of
+    the gloss walk from the lexicon roots, where every lexicon path starts.
+    A cut loop that added text can run any number of times before each
+    path through its state, so DescriptionError names its sublexicon when
+    a walk from that state alone, rules off, finds a path."""
+    wants = ["[ROOT=%s]" % root] + ["+" + tag for tag in tags] + [""]
+    live, n_nodes = rt.tables["live"], len(rt.trie.arcs)
+    starts = dict.fromkeys((s if s in live and not paths else s % n_nodes - n_nodes, "")
+                           for s in rt.starts)
+    out, found, best, loops = _gloss_walk(rt, wants, starts, 0, paths)
     if not found:
         if best < 0:
             raise MorphotacticsError("no morphotactic path places root %r" % root, tag=None)
         bad = tags[best] if best < len(tags) else (tags[-1] if tags else "#")
-        raise MorphotacticsError(
-            "no morphotactic path for %s + %s (stuck at %r)" % (root, "+".join(tags), bad),
-            tag=bad,
-        )
-    for state in loops:
-        if next(_gloss_walk(rt, root, tags, None, state), None):
+        raise MorphotacticsError("no morphotactic path for %s + %s (stuck at %r)"
+                                 % (root, "+".join(tags), bad), tag=bad)
+    for name, k in loops:
+        if _gloss_walk(rt, wants, {(rt.trie.roots[name] - n_nodes, ""): None}, k, True)[1]:
             raise DescriptionError("sublexicon %s is re-entered by a loop that places no"
-                                   " gloss but adds lexical symbols" % state[0])
+                                   " gloss but adds lexical symbols" % name)
+    return sorted(out)
 
 
 def gloss_paths(root, tags, desc):
@@ -1254,26 +1260,19 @@ def gloss_paths(root, tags, desc):
     the last tag (# without tags) when every gloss is placed but no path
     ends after it, or with tag None when no path places the root.
     """
-    rt = runtime(desc)
-    return sorted({lexical for lexical, _ in _gloss_walk(rt, root, tags, None)})
+    return _gloss_outputs(runtime(desc), root, tags, True)
 
 
 def generate_from_gloss(root, tags, desc):
     """All surface forms of [ROOT=root] followed by the tags: the validated
-    generate of every gloss_paths string, sorted, in one walk of the
-    trimmed composition along the paths, which steps no automaton and
-    interns no vector.  It inverts analyze: a surface has a reading with
+    generate of every gloss_paths string, sorted, read from memoized
+    gloss closures of the trimmed composition, which step no automaton and
+    intern no vector.  It inverts analyze: a surface has a reading with
     such a path exactly when it is returned here.
 
     Raises MorphotacticsError as gloss_paths does.
     """
-    rt = runtime(desc)
-    vec_trans, end = rt.vec_trans, rt.end
-    out = set()
-    for _, frontier in _gloss_walk(rt, root, tags, {(rt.init_vec, ""): None}):
-        # the walk stepped each of these vectors on the end of the word
-        out.update(prefix for vid, prefix in frontier if vec_trans[vid].get(end) is not None)
-    return sorted(out)
+    return _gloss_outputs(runtime(desc), root, tags, False)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ def test_analyze_word(capsys):
     counts = re.fullmatch(r"runtime caches: (\d+) interned vectors, (\d+) vector "
                           r"transitions, (\d+) closure keys, (\d+) closure entries, "
                           r"(\d+) observed closure keys, (\d+) observed closure entries, "
-                          r"(\d+) generate moves, "
+                          r"(\d+) generate moves, (\d+) gloss closure keys, "
+                          r"(\d+) gloss closure rows, "
                           r"(\d+) frontier sets, (\d+) frontier transitions, "
                           r"(\d+) rules-off fronts, (\d+) rules-off transitions, "
                           r"(\d+) bundle states, (\d+) bundle transitions, "
@@ -42,10 +43,10 @@ def test_analyze_word(capsys):
     # and the closures these read, their traces the rules-off fronts of
     # their prefixes, and the trace of the rules-layer negative evide steps
     # the bundles and fills the observed closures; nothing generates
-    assert counts and int(counts[7]) == 0
-    assert all(int(k) > 0 for i, k in enumerate(counts.groups(), 1) if i != 7)
-    assert int(counts[8]) >= 2 and int(counts[10]) >= 4
-    assert int(counts[14]) > int(counts[15])
+    assert counts and int(counts[7]) == int(counts[8]) == int(counts[9]) == 0
+    assert all(int(k) > 0 for i, k in enumerate(counts.groups(), 1) if i not in (7, 8, 9))
+    assert int(counts[10]) >= 2 and int(counts[12]) >= 4
+    assert int(counts[16]) > int(counts[17])
     assert re.fullmatch(r"set-up: description load \d+\.\d{4}s, runtime build \d+\.\d{4}s",
                         lines[2])
 

@@ -114,11 +114,14 @@ def test_generate_from_gloss_rejects_bad_order(turkish):
 
 def gloss_outcome(fn, root, tags, desc):
     """fn(root, tags, desc), or the message and tag of the
-    MorphotacticsError it raises."""
+    MorphotacticsError it raises, or that it raises DescriptionError (which
+    sublexicon it names depends on the order a walk meets the loops)."""
     try:
         return fn(root, tags, desc)
     except engine.MorphotacticsError as e:
         return ("error", str(e), e.tag)
+    except engine.DescriptionError:
+        return ("description error",)
 
 
 def split_gloss(gloss):
@@ -128,9 +131,13 @@ def split_gloss(gloss):
 
 
 def test_generate_from_gloss_matches_reference(turkish):
-    # a seeded sample of the 4-morpheme glosses, each also with its tags
-    # permuted, extended by one tag and truncated
-    from conftest import gloss_reference
+    # a seeded sample of the 4-morpheme glosses and the golden glosses,
+    # each also with its tags permuted, extended by one tag and truncated:
+    # gloss_paths and generate_from_gloss against the depth-first reference
+    # walk, outputs and errors alike.  A walk that counts a matching entry
+    # to # only once every gloss is placed names the wrong tag for
+    # ara+DER+REFL: DER, where the path is stuck at REFL
+    from conftest import gloss_paths_reference, gloss_reference
     items = set()
     for _, gloss in enumerate_paths(turkish.lexicon, 4):
         m = re.fullmatch(r"\[ROOT=([^]]+)\]((?:\+[^+]+)*)", gloss)
@@ -139,20 +146,63 @@ def test_generate_from_gloss_matches_reference(turkish):
     rng = random.Random(41)
     every_tag = sorted({t for _, tags in items for t in tags})
     cases = []
-    for root, tags in rng.sample(sorted(items), 500):
+    golden = sorted({split_gloss(c.gloss) for c in golden_suite()} - {None})
+    for root, tags in rng.sample(sorted(items), 500) + golden:
         tags = list(tags)
         shuffled = rng.sample(tags, len(tags))
         cases += [(root, tags), (root, shuffled), (root, tags + [rng.choice(every_tag)]),
                   (root, tags[:rng.randrange(len(tags) + 1)])]
+    cases.append(("ara", ["DER", "REFL"]))
     kinds = set()
     for root, tags in cases:
         got = gloss_outcome(engine.generate_from_gloss, root, tags, turkish)
         assert got == gloss_outcome(gloss_reference, root, tags, turkish), (root, tags)
         kinds.add(type(got))
+        paths = gloss_outcome(engine.gloss_paths, root, tags, turkish)
+        assert paths == gloss_outcome(gloss_paths_reference, root, tags, turkish), (root, tags)
         if type(got) is list:
-            for lexical in engine.gloss_paths(root, tags, turkish):
+            for lexical in paths:
                 assert engine.is_lexicon_path(lexical, turkish), (root, tags, lexical)
     assert kinds == {list, tuple}   # readings and errors both occur
+    assert got[0] == "error" and got[2] == "REFL"
+
+
+def random_lexicon(rng, subs, glosses, forms):
+    """A small lexicon text: per sublexicon one to four entries, each with
+    a random gloss, form and continuation, so that loops through
+    gloss-less entries are common."""
+    lines = []
+    for sub in subs:
+        lines.append("LEXICON %s" % sub)
+        for _ in range(rng.randrange(1, 5)):
+            cont = rng.choice(subs[1:] + [TERMINAL] * 2)
+            lines.append("%s:%s %s ;" % (rng.choice(glosses), rng.choice(forms), cont))
+    return "\n".join(lines) + "\n"
+
+
+def test_gloss_walks_match_the_reference_on_random_lexicons():
+    # loops that add text or nothing, dead ends, paths the rules kill and
+    # glosses placed too early, on random small lexicons
+    from conftest import gloss_paths_reference, gloss_reference, make_description
+    rules = GLOSS_RULES.replace("a b c ;", "a b c a:0 ;") + '"2" a:0 => _ c ;\n'
+    rng = random.Random(59)
+    glosses = ["", "", "", "[ROOT=r]", "[ROOT=q]", "+A", "+B", "+C"]
+    forms = ["0", "0", "a", "b", "c", "ab", "ca", "bc"]
+    tag_lists = [[], ["A"], ["B"], ["A", "B"], ["B", "A"], ["A", "C"], ["A", "A"], ["Z"]]
+    kinds = {}
+    for _ in range(120):
+        desc = make_description(rules, random_lexicon(
+            rng, ["Root", "S1", "S2", "S3", "S4"], glosses, forms))
+        for root in ["r", "q", "z"]:
+            for tags in tag_lists:
+                for fn, reference in [(engine.gloss_paths, gloss_paths_reference),
+                                      (engine.generate_from_gloss, gloss_reference)]:
+                    got = gloss_outcome(fn, root, tags, desc)
+                    assert got == gloss_outcome(reference, root, tags, desc), (root, tags)
+                    kind = got[0] if type(got) is tuple else "list" if got else "empty"
+                    kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"list", "empty", "error", "description error"}
+    assert min(kinds.values()) >= 30, kinds
 
 
 GLOSS_RULES = """ALPHABET
@@ -1147,10 +1197,9 @@ def test_closure_entries_match_the_recursive_walk(cycle):
 
 def test_the_collector_never_sees_the_memos():
     # a closure entry holds ints and strings alone, a closure is a tuple of
-    # entries, a rules-off front a tuple of ints with a row of ints, and a
-    # memo row of an entry's realizations a tuple of (int, string) tuples,
-    # so full collections untrack the memos and later collections never
-    # walk them
+    # entries, and a rules-off front a tuple of ints with a row of ints, so
+    # full collections untrack the memos and later collections never walk
+    # them
     desc = load_turkish(refresh=True)
     rt = engine.runtime(desc)
     golden = sorted({c.surface for c in golden_suite()})
@@ -1159,9 +1208,6 @@ def test_the_collector_never_sees_the_memos():
         engine.trace(w, "analyze", desc)
     for w in golden:
         engine.lexicon_covers(w, desc)
-    for root, tags in {split_gloss(c.gloss) for c in golden_suite()
-                       if c.polarity == "positive"} - {None}:
-        engine.generate_from_gloss(root, list(tags), desc)
     gc.collect()
     # a shipped vector row and the runtime's copy of it are dicts of ints
     rows = desc.tables["rows"]
@@ -1193,13 +1239,63 @@ def test_the_collector_never_sees_the_memos():
         assert len(fr.keys) > 2
         assert not any(gc.is_tracked(key) for key in fr.keys)
         assert not any(gc.is_tracked(row) for row in fr.trans)
-    # and so is an entry's memo of realizations, each row a tuple of
-    # (vector id, surface) tuples
-    memos = [memo for tagged, links in rt.glosses.values()
-             for entries in [*tagged.values(), links] for *_, memo in entries]
-    assert sum(map(len, memos)) > 100
-    assert not any(gc.is_tracked(memo) for memo in memos)
-    assert not any(gc.is_tracked(row) for memo in memos for row in memo.values())
+
+
+def test_one_collection_untracks_the_gloss_closures():
+    # a gloss closure is a dict whose keys, its rows, are flat tuples of
+    # ints and strings: the collection that untracks the rows untracks it
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    glosses = sorted({split_gloss(c.gloss) for c in golden_suite()} - {None})
+    for root, tags in glosses:
+        gloss_outcome(engine.generate_from_gloss, root, list(tags), desc)
+        gloss_outcome(engine.gloss_paths, root, list(tags), desc)
+    gc.collect()
+    closures = [rows for memo in rt.glosses[0].values() for rows in memo.values()]
+    rows = [row for closure in closures for row in closure]
+    assert len(closures) > 500 and len(rows) > 500
+    assert all(type(row) is tuple and len(row) == 4 for row in rows)
+    assert all(type(x) in (int, str) for row in rows for x in row)
+    assert not any(gc.is_tracked(row) for row in rows)
+    assert not any(gc.is_tracked(closure) for closure in closures)
+
+
+def test_unknown_glosses_store_no_gloss_closure():
+    # the memo holds at most one closure per gloss of the lexicon ("" for
+    # the end) and live state at a sublexicon root, or root under vid -1;
+    # a root or tag that no entry carries stores nothing
+    desc = load_turkish(refresh=True)
+    rt = engine.runtime(desc)
+    assert engine.generate_from_gloss("ev", ["PLU", "ABL"], desc) == ["evlerden"]
+    memo = rt.glosses[0]
+
+    def keys():
+        return sum(map(len, memo.values()))
+
+    warm = keys()
+    known = set(memo)
+    rng = random.Random(61)
+    letters = "abcçdefgğhıijklmnoöprsştuüvyzABCDEFGHIJKLMNOPRSTUVYZ0123456789"
+    unknown = 0
+    for _ in range(5000):
+        word = "".join(rng.choice(letters) for _ in range(rng.randrange(1, 9)))
+        root, tags = rng.choice([(word, []), (word, ["PLU"]), ("ev", [word]),
+                                 ("ev", ["PLU", word]), ("ev", ["PLU", "ABL", word])])
+        if "[ROOT=%s]" % root in known and all("+" + tag in known for tag in tags):
+            continue
+        unknown += 1
+        with pytest.raises(engine.MorphotacticsError):
+            engine.generate_from_gloss(root, tags, desc)
+    assert unknown > 4900 and keys() == warm
+    # the bound, after the glosses of a sample of 4-morpheme paths
+    glosses = sorted({split_gloss(g) for _, g in enumerate_paths(desc.lexicon, 4)} - {None})
+    for root, tags in random.Random(67).sample(glosses, 500):
+        gloss_outcome(engine.generate_from_gloss, root, list(tags), desc)
+        gloss_outcome(engine.gloss_paths, root, list(tags), desc)
+    n_nodes, roots = len(rt.trie.arcs), set(rt.trie.roots.values())
+    root_states = sum(1 for state in desc.tables["live"] if state % n_nodes in roots)
+    assert keys() > 1000
+    assert keys() <= (root_states + len(roots)) * len(memo)
 
 
 def test_one_collection_untracks_the_cover_tables():
@@ -1831,8 +1927,8 @@ def test_concurrent_calls_match_serial(turkish):
             out["C", w] = engine.lexicon_covers(w, desc)
         for lex in lexicals:
             out["G", lex] = engine.generate(lex, desc, validate_morphotactics=True)
-        # the threads share the gloss index once one of them has stored it,
-        # and fill its memos of entry realizations
+        # the threads share the gloss memo once one of them has stored it,
+        # and fill its gloss closures
         k = offset * len(glosses) // len(words)
         for root, tags in glosses[k:] + glosses[:k]:
             out["F", root, tags] = engine.generate_from_gloss(root, list(tags), desc)
@@ -1871,6 +1967,8 @@ def test_concurrent_calls_match_serial(turkish):
     assert len(rt.frontier.keys) > 2 and len(rt.covers.keys) > 2
     # the traces read their steps, so the threads filled the observed closures
     assert len(rt.observed) > 1000
+    # and the gloss closures
+    assert sum(map(len, rt.glosses[0].values())) > 300
     for table in [rt.vectors, rt.frontier, rt.covers] + rt.bundles:
         check_table(table)
     for _, out in results:
@@ -1968,17 +2066,18 @@ def test_generate_from_gloss_steps_no_automaton(monkeypatch):
                    for root, tags in (golden if desc is bundled else []) + items]
         assert any(type(out) is list and out for out in outputs)
         assert len(rt.vec_list) == n_vectors
-        # every memo key is a kept vector, and every state a row holds is live
-        live, n_nodes, kept = desc.tables["live"], len(rt.trie.arcs), len(desc.tables["vectors"])
-        memos = [(entry_steps, memo) for tagged, links in rt.glosses.values()
-                 for entries in [*tagged.values(), links] for _, _, entry_steps, memo in entries]
-        assert sum(len(memo) for _, memo in memos) > 0
-        for entry_steps, memo in memos:
-            assert all(vid < kept for vid in memo)
-            if entry_steps:
-                node = entry_steps[-1][1]
-                assert all(nvid * n_nodes + node in live for row in memo.values()
-                           for nvid, _ in row)
+        # every memo key is a live state at a sublexicon root or a root
+        # under vid -1, and so is every row's next state, or at # a final
+        # state or a node under vid -1
+        live, n_nodes = desc.tables["live"], len(rt.trie.arcs)
+        roots = set(rt.trie.roots.values())
+        closures = [(state, rows) for memo in rt.glosses[0].values() for state, rows in memo.items()]
+        assert closures
+        for state, rows in closures:
+            assert state % n_nodes in roots and (state < 0 or state in live)
+            for cont, nstate, _, _ in rows:
+                assert nstate < 0 or nstate in live
+                assert cont == TERMINAL or nstate % n_nodes == rt.trie.roots[cont]
     assert steps == []
 
 
