@@ -1,7 +1,7 @@
 """Bidirectional runtime: analyze surface words, generate surface forms.
 
 The analyzer walks the lexicon trie and all rule automata in parallel over
-feasible pairs.  A load-time lint rejects insertion pairs (0:y), so every
+feasible pairs.  run_tables rejects insertion pairs (0:y), so every
 move reads a lexical symbol; analyze walks deletions (x:0) and continuation
 jumps once per state and character (ε-closures), cutting their loops (_walk).
 A runtime is built from a description's run tables alone (run_tables):
@@ -201,21 +201,11 @@ class Description(_Record):
 
 
 def compile_description(decls, ground_rules, lexicon, alphabet):
-    """Build a Description, running the load-time lints, and its runtime,
-    which walks the lexicon composed with the rule automata (_Runtime.walk)."""
+    """Build a Description and its runtime, which checks its parts
+    (run_tables) and walks the lexicon composed with the rule automata
+    (_Runtime.walk)."""
     from . import rules as rulemod
 
-    for lex, surf in alphabet.pairs:
-        if lex.name == NULL:
-            raise DescriptionError(
-                "insertion pair 0:%s is unsupported (deletion-only search)" % surf.name
-            )
-    lexicon.validate()
-    for entries in lexicon.sublexicons.values():
-        for e in entries:
-            for sym in e.form:
-                if sym not in alphabet.by_lex:
-                    raise DescriptionError("lexicon symbol %r has no feasible pair" % sym)
     automata = rulemod.compile_check_set(ground_rules, alphabet, decls)
     desc = Description(decls, alphabet, automata, ground_rules, lexicon)
     runtime(desc)
@@ -236,8 +226,27 @@ def run_tables(desc):
                   continuation), the form a string of lexical symbols
     Equal rows and class maps are one object, which marshal writes once.
     The first runtime built from them adds the trie's tables (_Trie) and
-    the walk's (walk)."""
-    alphabet, lexicon = desc.alphabet, desc.lexicon
+    the walk's (walk).  Every check of the parts runs here first: each pair
+    is declared in the ALPHABET and reads a lexical symbol, each continuation
+    names a sublexicon (LinkError), and each lexicon symbol has a pair."""
+    decls, alphabet, lexicon = desc.declarations, desc.alphabet, desc.lexicon
+    names = [(lex.name, surf.name) for lex, surf in alphabet.pairs]
+    declared = {(s.name, s.name) for s in decls.identity}
+    declared.update((lex.name, surf.name) for lex, surf in decls.declared_pairs)
+    undeclared = sorted("%s:%s" % pair for pair in names if pair not in declared)
+    if undeclared:
+        raise DescriptionError("rule correspondences use undeclared pairs: %s"
+                               % ", ".join(undeclared))
+    for lex, surf in names:
+        if lex == NULL:
+            raise DescriptionError(
+                "insertion pair 0:%s is unsupported (deletion-only search)" % surf)
+    lexicon.validate()
+    for entries in lexicon.sublexicons.values():
+        for e in entries:
+            for sym in e.form:
+                if sym not in alphabet.by_lex:
+                    raise DescriptionError("lexicon symbol %r has no feasible pair" % sym)
     frame = alphabet.frame_id
     shared = {}
     automata = []
@@ -251,8 +260,8 @@ def run_tables(desc):
                          dfa.start, tuple(sorted(dfa.finals))))
     return {
         "automata": automata,
-        "lexical": [lex.name for lex, _ in alphabet.pairs],
-        "surface": [surf.name for _, surf in alphabet.pairs],
+        "lexical": [lex for lex, _ in names],
+        "surface": [surf for _, surf in names],
         "roots": list(lexicon.roots),
         "entries": {name: tuple((e.form, e.gloss, e.continuation) for e in entries)
                     for name, entries in lexicon.sublexicons.items()},

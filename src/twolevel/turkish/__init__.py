@@ -33,31 +33,10 @@ def load_description(rules_text, lexicon_texts):
     for r in rules:
         ground.extend(rulemod.expand_where(r))
     alphabet = derive_feasible_pairs(decls, ground)
-    _check_declared(decls, alphabet)
     lexicon = Lexicon()
     for text in lexicon_texts:
         parse_lexicon_file(text, lexicon)
-    desc = engine.compile_description(decls, ground, lexicon, alphabet)
-    return desc
-
-
-def _check_declared(decls, alphabet):
-    """Transcription completeness: every pair a rule correspondence denotes
-    must be declared in the ALPHABET (identities included)."""
-    declared = set()
-    for s in decls.identity:
-        declared.add((s.name, s.name))
-    for lex, surf in decls.declared_pairs:
-        declared.add((lex.name, surf.name))
-    extra = [
-        "%s:%s" % (lex.name, surf.name)
-        for lex, surf in alphabet.pairs
-        if (lex.name, surf.name) not in declared
-    ]
-    if extra:
-        raise engine.DescriptionError(
-            "rule correspondences use undeclared pairs: %s" % ", ".join(sorted(extra))
-        )
+    return engine.compile_description(decls, ground, lexicon, alphabet)
 
 
 def compile_turkish():

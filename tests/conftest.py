@@ -1,7 +1,7 @@
 import pytest
 
 from twolevel import dfa as dfalib
-from twolevel.turkish import load_turkish
+from twolevel.turkish import load_description, load_turkish
 
 
 @pytest.fixture(scope="session")
@@ -10,22 +10,8 @@ def turkish():
 
 
 def make_description(rules_text, lexicon_text=None):
-    """Small ad-hoc description for unit tests."""
-    from twolevel import engine
-    from twolevel.lexicon import Lexicon, parse_lexicon_file
-    from twolevel.rules import expand_where, parse_rules_file
-    from twolevel.symbols import derive_feasible_pairs
-
-    decls, rules = parse_rules_file(rules_text)
-    ground = [g for r in rules for g in expand_where(r)]
-    alphabet = derive_feasible_pairs(decls, ground)
-    lexicon = Lexicon()
-    if lexicon_text:
-        parse_lexicon_file(lexicon_text, lexicon)
-    else:
-        lexicon.sublexicons["Root"] = []
-        lexicon.roots = ["Root"]
-    return engine.compile_description(decls, ground, lexicon, alphabet)
+    """Small ad-hoc description for unit tests, compiled as the CLI does."""
+    return load_description(rules_text, [lexicon_text or "LEXICON Root\n"])
 
 
 def equivalent(a, b):

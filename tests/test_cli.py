@@ -289,3 +289,14 @@ def test_custom_description_files_are_closed(capsys):
         rc, out = run(capsys, args)
     assert rc == 0 and "ev^-DA\t[ROOT=ev]+LOC" in out
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_compile_rejects_an_undeclared_pair(capsys, tmp_path):
+    from test_engine import UNDECLARED_RULES
+    rules, lexicon = tmp_path / "r.twol", tmp_path / "l.lex"
+    rules.write_text(UNDECLARED_RULES, encoding="utf-8")
+    lexicon.write_text("LEXICON Root\nab # ;\n", encoding="utf-8")
+    rc = main(["compile", "--rules", str(rules), "--lexicon", str(lexicon)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: rule correspondences use undeclared pairs: a:b\n"

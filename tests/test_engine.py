@@ -462,17 +462,37 @@ def test_decomposed_input_is_normalized(turkish):
             assert engine.trace(lexical, "generate", turkish).outcome.accepted
 
 
-def test_insertion_pairs_rejected():
-    from conftest import make_description
-    bad = """ALPHABET
+INSERTION_RULES = """ALPHABET
 a 0:a ;
 SETS
 DEFINITIONS
 RULES
 "1.r" a:a => _ ;
 """
-    with pytest.raises(engine.DescriptionError):
-        make_description(bad)
+UNDECLARED_RULES = 'ALPHABET\na b ;\nRULES\n"r" a:b => _ b ;\n'
+
+
+@pytest.mark.parametrize("rules, lexicon, message", [
+    (INSERTION_RULES, None, "insertion pair 0:a is unsupported"),
+    (UNDECLARED_RULES, "LEXICON Root\nab # ;\n", "undeclared pairs: a:b"),
+    ("ALPHABET\na b ;\nRULES\n", "LEXICON Root\naz # ;\n",
+     "lexicon symbol 'z' has no feasible pair"),
+], ids=["insertion-pair", "undeclared-pair", "unread-symbol"])
+def test_a_description_that_fails_a_check_is_rejected(rules, lexicon, message):
+    # make_description compiles as the CLI does, so it runs every check
+    from conftest import make_description
+    with pytest.raises(engine.DescriptionError, match=message):
+        make_description(rules, lexicon)
+
+
+def test_a_hand_made_description_is_checked_on_its_first_runtime():
+    from conftest import make_description
+    from twolevel.lexicon import parse_lexicon_file
+    desc = make_description("ALPHABET\na b ;\nRULES\n", "LEXICON Root\na # ;\n")
+    made = engine.Description(desc.declarations, desc.alphabet, desc.rule_automata,
+                              desc.ground_rules, parse_lexicon_file("LEXICON Root\na Missing ;\n"))
+    with pytest.raises(LinkError, match="undefined 'Missing'"):
+        engine.analyze("a", made)
 
 
 LONG_LEXICAL = "ev^" + "-DA-kiN-lAr" * 120
