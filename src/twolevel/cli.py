@@ -211,7 +211,7 @@ def _dispatch(args):
                 print("  blocking rule: %s" % name)
         deepest = max((s.position for s in report.steps), default=0)
         shown = [s for s in report.steps if s.position >= deepest - 1]
-        for step in shown[:20]:
+        for step in shown:
             print("  pos %d pair %s died: %s" % (step.position, step.pair, "; ".join(step.died)))
         return 0 if report.outcome.accepted else 1
 

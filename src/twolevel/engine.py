@@ -20,6 +20,7 @@ import unicodedata
 
 NULL = "0"        # symbols.NULL, the empty side of a pair
 TERMINAL = "#"    # the continuation that ends a lexicon path
+ROOT = "Root"     # the sublexicon where every lexicon path starts
 
 
 class TokenError(ValueError):
@@ -61,14 +62,6 @@ class Analysis(_Record):
         self.lexical = lexical
         self.gloss = gloss
         self.pairs = pairs      # pair ids, unframed
-
-    def surface(self, alphabet):
-        out = []
-        for pid in self.pairs:
-            s = alphabet.pairs[pid][1].name
-            if s != NULL:
-                out.append(s)
-        return "".join(out)
 
 
 class TraceStep(_Record):
@@ -221,7 +214,6 @@ def run_tables(desc):
                   and the end of the word (_END) to the state itself when
                   the boundary pair leads it to a final state
         lexical, surface  per pair id: the names of its two sides
-        roots     the sublexicons where lexicon paths start
         entries   sublexicon -> its entries, each (form, gloss,
                   continuation), the form a string of lexical symbols
     Equal rows and class maps are one object, which marshal writes once.
@@ -262,7 +254,6 @@ def run_tables(desc):
         "automata": automata,
         "lexical": [lex for lex, _ in names],
         "surface": [surf for _, surf in names],
-        "roots": list(lexicon.roots),
         "entries": {name: tuple((e.form, e.gloss, e.continuation) for e in entries)
                     for name, entries in lexicon.sublexicons.items()},
     }
@@ -471,7 +462,6 @@ class _Runtime:
         self.n_codes = len(chars) + 1
 
         self.trie = _Trie(tables, self.pairs_by_lex, surf, self.codes)
-        self.roots = tables["roots"]
         # The interned rule vectors; every search reads their keys and
         # rows, each in one attribute load.
         self.tables = tables
@@ -486,15 +476,15 @@ class _Runtime:
         # may compute one table at once, but both results are equal, so
         # either may win.
         self.cover_nodes = {}     # trie node -> node_cover(node)
-        roots = [self.trie.roots[root] for root in self.roots]
-        self.covers = _Frontier(tuple(sorted(roots)), type(self).cover_step)
+        root = self.trie.roots[ROOT]
+        self.covers = _Frontier((root,), type(self).cover_step)
 
         # The frontier is its own object rather than five more attributes
         # here: CPython 3.11 reads the attributes of an instance that has
         # 30 or more of them markedly slower, and every search reads this
         # one's.
-        self.starts = [self.init_vec * len(self.trie.arcs) + root for root in reversed(roots)]
-        self.frontier = _Frontier(tuple(sorted(self.starts)), type(self).frontier_step)
+        self.start = self.init_vec * len(self.trie.arcs) + root   # the composed start state
+        self.frontier = _Frontier((self.start,), type(self).frontier_step)
         self.closures = {}        # closure key -> its entries (_closure)
         self.observed = {}        # closure key -> its observed closure (_closure)
         self.glosses = None       # _gloss_tables, built by the first gloss walk
@@ -552,7 +542,7 @@ class _Runtime:
         cycle of deletions and jumps, an ε-loop, runs through live states
         (eps_loop), as only such a loop can make _readings raise.  A
         composed state is a (trie node, vector id) state that the moves and
-        continuation jumps reach from the roots; it is live when they lead
+        continuation jumps reach from ROOT; it is live when they lead
         from it to a final state, a node that completes an entry with #
         under a vector that accepts the end of the word.  The walk runs
         forward over every composed state, then backward from the final
@@ -565,7 +555,7 @@ class _Runtime:
         None.  No runtime writes to a row: intern_tables copies them."""
         trie, step_vec = self.trie, self.step_vec
         roots, complete, n = trie.roots, trie.complete, len(trie.arcs)
-        seen = {self.init_vec * n + roots[root] for root in self.roots}
+        seen = {self.init_vec * n + roots[ROOT]}
         stack = list(seen)
         into = {}         # state -> the states with a move or a jump into it
         eps = {}          # state -> the states its jumps and deletions lead to
@@ -630,8 +620,8 @@ class _Runtime:
         lexical symbol sym: {(next state, surface added): None}, the next
         states closed under continuation jumps and kept only when live;
         memoized in trie.gen under state * frame_id + the symbol's first
-        pair id.  Given sym None, the start of the word: the roots under
-        init_vec, each with "", under key -1.  As in _walk, no
+        pair id.  Given sym None, the start of the word: the start state
+        with "", under key -1.  As in _walk, no
         automaton is stepped: generate visits only live states, so a pair
         that a kept vector's row lacks leads into a state that is not live.
         Unlike a tuple of tuples, a dict row is untracked by the first full
@@ -640,7 +630,7 @@ class _Runtime:
         trie, live = self.trie, self.tables["live"]
         roots, complete, n_nodes = trie.roots, trie.complete, len(trie.arcs)
         if sym is None:
-            key, steps = -1, [(self.init_vec * n_nodes + roots[root], "") for root in self.roots]
+            key, steps = -1, [(self.start, "")]
         else:
             vid, node = divmod(state, n_nodes)
             child, trans = trie.arcs[node].get(sym), self.vec_trans[vid]
@@ -848,7 +838,7 @@ def _search(rt, codes, n, first=False):
     key base of the state, position, path, glosses)."""
     ends, loops = {}, {}
     get, k = rt.closures.get, rt.n_codes + 1
-    stack = [(state * k + 1, 0, "", "") for state in rt.starts]
+    stack = [(rt.start * k + 1, 0, "", "")]
     pop, push = stack.pop, stack.append
     while stack:
         base, at, prefix, glossed = pop()
@@ -876,13 +866,13 @@ def _search(rt, codes, n, first=False):
     return _readings(rt, codes, n, ends, loops)
 
 
-def _walk(rt, codes, n, observe=None, stack=None, stop=None, noted=None):
+def _walk(rt, codes, n, observe, stack, stop=None, noted=None):
     """The one per-state walk, depth first in the order of a recursive
     search, on a stack of (trie node, vector id, position, path, glosses,
-    jumps since the last consuming move), from the lexicon roots or the
-    items of `stack`.  A path is the string of its pair ids (rt.chars).
-    The walk takes the moves into live states (_Runtime.walk stepped every
-    move of a live state), or those that `observe(node, vid, i)` returns,
+    jumps since the last consuming move), from the items of `stack`.  A
+    path is the string of its pair ids (rt.chars).  The walk takes the
+    moves into live states (_Runtime.walk stepped every move of a live
+    state), or, given `observe`, those that `observe(node, vid, i)` returns,
     and runs to the end of the word or to position `stop`.  A jump into a
     (sublexicon, vector id) jumped into since the last consuming move
     closes a loop, which is cut: exactly when it added nothing (_readings).
@@ -893,8 +883,6 @@ def _walk(rt, codes, n, observe=None, stack=None, stop=None, noted=None):
     cut loop that added something."""
     found, loops, noted = {}, {}, [] if noted is None else noted
     root_of, completes, arcs, dels, vec_trans, live_states, n_nodes, chars, k = rt.walk_parts
-    if stack is None:
-        stack = [(root_of[root], rt.init_vec, 0, "", "", None) for root in reversed(rt.roots)]
     pop, push = stack.pop, stack.append
     while stack:
         node, vid, i, path, glosses, jumps = pop()
@@ -998,7 +986,7 @@ def _readings(rt, codes, n, ends, loops):
     if results:
         for cont, vid, i in loops:
             start = (rt.trie.roots[cont], vid, i, "", "", ((cont, vid, "", ""), None))
-            if _walk(rt, codes, n, stack=[start])[0]:
+            if _walk(rt, codes, n, None, [start])[0]:
                 raise DescriptionError("sublexicon %s is re-entered by a loop that reads no"
                                        " surface character but adds symbols or glosses" % cont)
     return results
@@ -1023,7 +1011,7 @@ def generate(lexical, desc, validate_morphotactics=False):
     duplicates removed, sorted.  Validated, only those of a string that
     spells a lexicon path, found in one walk of the trimmed composition
     along it: a frontier {(composed state, surface prefix): None} from the
-    lexicon roots, stepped a symbol at a time (_Runtime.generate_moves),
+    start state, stepped a symbol at a time (_Runtime.generate_moves),
     which steps no automaton and interns no vector."""
     rt = runtime(desc)
     syms = tokenize_lexical(lexical, rt.pairs_by_lex)
@@ -1097,7 +1085,7 @@ def is_lexicon_path(lexical, desc):
     # continuation passed on the way.  Only trie roots are reached in more
     # than one way, so walking from each (sublexicon, position) once visits
     # every (trie node, position) at most once, continuation cycles included.
-    stack = [(root, 0) for root in rt.roots]
+    stack = [(ROOT, 0)]
     seen = set()
     while stack:
         state = stack.pop()
@@ -1239,15 +1227,14 @@ def _gloss_walk(rt, wants, items, k, paths):
 
 def _gloss_outputs(rt, root, tags, paths):
     """gloss_paths (`paths`) or generate_from_gloss: the sorted texts of
-    the gloss walk from the lexicon roots, where every lexicon path starts.
+    the gloss walk from ROOT, where every lexicon path starts.
     A cut loop that added text can run any number of times before each
     path through its state, so DescriptionError names its sublexicon when
     a walk from that state alone, rules off, finds a path."""
     wants = ["[ROOT=%s]" % root] + ["+" + tag for tag in tags] + [""]
     live, n_nodes = rt.tables["live"], len(rt.trie.arcs)
-    starts = dict.fromkeys((s if s in live and not paths else s % n_nodes - n_nodes, "")
-                           for s in rt.starts)
-    out, found, best, loops = _gloss_walk(rt, wants, starts, 0, paths)
+    start = rt.start if rt.start in live and not paths else rt.start % n_nodes - n_nodes
+    out, found, best, loops = _gloss_walk(rt, wants, {(start, ""): None}, 0, paths)
     if not found:
         if best < 0:
             raise MorphotacticsError("no morphotactic path places root %r" % root, tag=None)
@@ -1413,7 +1400,7 @@ def _observe(rt, word):
 
     get, k = rt.observed.get, rt.n_codes + 1
     runs, ends, loops = [], {}, {}
-    stack = [(None, state * k + 1, 0, "", "") for state in rt.starts]
+    stack = [(None, rt.start * k + 1, 0, "", "")]
     while stack:
         entry, j, at, prefix, glossed = stack.pop()
         while True:

@@ -13,7 +13,7 @@ entries are allowed (homographs).  The entry point is LEXICON Root.
 
 from dataclasses import dataclass
 
-from .engine import TERMINAL
+from .engine import ROOT, TERMINAL
 from .symbols import _strip_comment, split_raw, split_words, unescape
 
 
@@ -36,7 +36,6 @@ class LexEntry:
 class Lexicon:
     def __init__(self):
         self.sublexicons = {}   # name -> [LexEntry], in file order
-        self.roots = []
 
     def validate(self):
         for name, entries in self.sublexicons.items():
@@ -46,14 +45,13 @@ class Lexicon:
                         "entry %r in LEXICON %s continues to undefined %r"
                         % (e.gloss or e.form, name, e.continuation)
                     )
-        for root in self.roots:
-            if root not in self.sublexicons:
-                raise LinkError("entry-point LEXICON %r missing" % root)
+        if ROOT not in self.sublexicons:
+            raise LinkError("entry-point LEXICON %r missing" % ROOT)
 
     def unreachable(self):
-        """Sublexicons not reachable from any root (lint, not an error)."""
+        """Sublexicons not reachable from ROOT (lint, not an error)."""
         seen = set()
-        work = [r for r in self.roots if r in self.sublexicons]
+        work = [ROOT] if ROOT in self.sublexicons else []
         while work:
             cur = work.pop()
             if cur in seen:
@@ -68,8 +66,6 @@ class Lexicon:
 def parse_lexicon_file(text, lexicon=None):
     """Parse one lexicon file, adding to an existing Lexicon if given."""
     lx = lexicon or Lexicon()
-    if not lx.roots:
-        lx.roots = ["Root"]
     current = None
     for n, raw in enumerate(text.split("\n"), 1):
         entry, *rest = split_raw(_strip_comment(raw), ";")
@@ -111,7 +107,7 @@ def enumerate_paths(lexicon, max_morphemes):
     if max_morphemes < 1:
         raise ValueError("max_morphemes must be >= 1")
     loops = {}        # the state of each cut loop that added a gloss
-    found = _paths(lexicon, max_morphemes, [(root, 0) for root in lexicon.roots], loops)
+    found = _paths(lexicon, max_morphemes, [(ROOT, 0)], loops)
     for state in loops:
         if _paths(lexicon, max_morphemes, [state], {}):
             raise LinkError("LEXICON %s is re-entered by a loop of empty-form entries"

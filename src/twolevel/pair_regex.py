@@ -201,8 +201,9 @@ QUOTE = '"'
 _IDENT_END = WHITESPACE + PUNCT + ":!" + QUOTE
 
 
-def tokenize(text, extra_ops=(), with_lines=False):
-    """Whitespace-aware tokens: ('atom', lex, surf) / ('name', n) / ('op', c).
+def tokenize(text, extra_ops=()):
+    """Whitespace-aware tokens: ('atom', lex, surf) / ('name', n) / ('op', c),
+    and the line of each: (tokens, lines).
 
     An identifier immediately followed by ':' forms the left side of a pair
     atom; ':' immediately followed by an identifier opens a surface-only
@@ -210,13 +211,14 @@ def tokenize(text, extra_ops=(), with_lines=False):
     character into one.  Rule files pass extra_ops for the arrow operators
     and get quoted rule names.
     """
-    toks = []
+    toks, lines = [], []
     i = 0
     n = len(text)
     line = 1
 
     def emit(tok):
-        toks.append(tok + (line,) if with_lines else tok)
+        toks.append(tok)
+        lines.append(line)
 
     def ident(j):
         name, j = scan(text, _IDENT_END, j)
@@ -280,7 +282,7 @@ def tokenize(text, extra_ops=(), with_lines=False):
         else:
             emit(("name", name))
             i = j
-    return toks
+    return toks, lines
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +347,8 @@ class _Parser:
 
     def parse_primary(self):
         t = self.next()
+        if not self._starts_primary(t):
+            raise ParseError("unexpected token %r" % (t,), self.pos)
         if t == ("op", "("):
             inner = self.parse_expr()
             self.expect_op(")")
@@ -358,23 +362,20 @@ class _Parser:
             return NotPair(self.parse_primary())
         if t[0] == "atom":
             return Atom(t[1], t[2])
-        if t[0] == "name":
-            name = t[1]
-            if name == BOUNDARY:
-                return Boundary()
-            if self.decls is not None and name in self.decls.definitions:
-                return MacroRef(name, self.decls.definitions[name])
-            # bare set name S: all feasible (x,y) with x in S and y in S;
-            # bare symbol x: the identity pair (x,x)
-            return Atom(name, name)
-        raise ParseError("unexpected token %r" % (t,), self.pos)
+        name = t[1]
+        if name == BOUNDARY:
+            return Boundary()
+        if self.decls is not None and name in self.decls.definitions:
+            return MacroRef(name, self.decls.definitions[name])
+        # bare set name S: all feasible (x,y) with x in S and y in S;
+        # bare symbol x: the identity pair (x,x)
+        return Atom(name, name)
 
 
 @bounded_nesting
-def parse_pair_regex(source, decls):
-    """Parse a pair regex from text or a token list."""
-    toks = tokenize(source) if isinstance(source, str) else list(source)
-    p = _Parser(toks, decls)
+def parse_pair_regex(text, decls):
+    """Parse a pair regex from text."""
+    p = _Parser(tokenize(text)[0], decls)
     node = p.parse_expr()
     if p.peek() is not None:
         raise ParseError("trailing input %r" % (p.peek(),), p.pos)

@@ -71,10 +71,6 @@ class RuleAutomaton:
 # ---------------------------------------------------------------------------
 # Parsing
 
-def _strip_lines(tokens):
-    return [t[:-1] for t in tokens]
-
-
 def parse_rules_file(text):
     """Parse a full rules file: (Declarations, [TwoLevelRule]).
 
@@ -82,109 +78,97 @@ def parse_rules_file(text):
     keep their quoted names, ";"-separated contexts and where clauses.
     """
     decls, rules = parse_declarations(text)
-    return decls, _parse_rules_section(rules, decls)
+    return decls, _RuleParser(rules, decls).parse_rules()
 
 
-def _parse_rules_section(text, decls):
-    toks = rx.tokenize(text, extra_ops=OPS, with_lines=True)
-    rules = []
-    i = 0
-    n = len(toks)
-    while i < n:
-        tok = toks[i]
-        if tok[0] != "rulename":
-            raise RuleSyntaxError("expected a quoted rule name, got %r" % (tok,), line=tok[-1])
-        name = tok[1]
-        rule_line = tok[-1]
-        i += 1
-        # correspondence part: tokens up to the operator
-        cp_toks = []
-        while i < n and toks[i][0] != "op2":
-            if toks[i][0] == "rulename":
-                raise RuleSyntaxError("missing operator", rule=name, line=rule_line)
-            cp_toks.append(toks[i])
-            i += 1
-        if i >= n:
-            raise RuleSyntaxError("missing operator", rule=name, line=rule_line)
-        op = toks[i][1]
-        i += 1
-        # contexts: ';'-separated, each with exactly one '_'
-        contexts = []
-        cur = []
-        where = None
-        while i < n and toks[i][0] != "rulename":
-            t = toks[i]
-            if t[:2] == ("op", ";"):
-                if cur:
-                    contexts.append(cur)
-                    cur = []
-                i += 1
+class _RuleParser(rx._Parser):
+    """The RULES section, read from its one token stream: per rule the
+    quoted name, the CP, the operator, the LC _ RC contexts separated by
+    ';' and the where clause.  "where" ends an expression."""
+
+    def __init__(self, text, decls):
+        toks, self.lines = rx.tokenize(text, extra_ops=OPS)
+        super().__init__(toks, decls)
+
+    def _starts_primary(self, t):
+        return t != ("name", "where") and super()._starts_primary(t)
+
+    def _at_context_end(self):
+        t = self.peek()
+        return t is None or t[0] == "rulename" or t in (("op", ";"), ("name", "where"))
+
+    def parse_rules(self):
+        rules = []
+        while self.peek() is not None:
+            line = self.lines[self.pos]
+            t = self.next()
+            if t[0] != "rulename":
+                raise RuleSyntaxError("expected a quoted rule name, got %r" % (t,), line=line)
+            try:
+                rules.append(self.parse_rule(t[1], line))
+            except rx.ParseError as e:
+                raise RuleSyntaxError(str(e), rule=t[1], line=line)
+        return rules
+
+    @rx.bounded_nesting
+    def parse_rule(self, name, line):
+        cp = self.parse_expr()
+        op = self.peek()
+        if op is None or op[0] != "op2":
+            raise RuleSyntaxError("missing operator" if op is None or op[0] == "rulename"
+                                  else "expected an operator, got %r" % (op,), rule=name, line=line)
+        self.pos += 1
+        contexts, where = [], None
+        while self.peek() is not None and self.peek()[0] != "rulename":
+            if self.peek() == ("op", ";"):
+                self.pos += 1
                 continue
-            if t[:2] == ("name", "where"):
-                if cur:
-                    contexts.append(cur)
-                    cur = []
-                where, i = _parse_where(toks, i + 1, name, rule_line)
+            if self.peek() == ("name", "where"):
+                self.pos += 1
+                where = self.parse_where(name, line)
                 break
-            cur.append(t)
-            i += 1
-        if cur:
-            contexts.append(cur)
+            ctx_line = self.lines[self.pos]
+            lc = self.parse_expr()
+            gap = self.peek() == ("op", "_")
+            if gap:
+                self.pos += 1
+                rc = self.parse_expr()
+            if gap and self._at_context_end():
+                contexts.append((lc, rc))
+            elif self.peek() == ("op", "_") or self._at_context_end():
+                raise RuleSyntaxError("context needs exactly one _", rule=name, line=ctx_line)
+            else:
+                raise rx.ParseError("unexpected token %r" % (self.peek(),), self.pos)
         if not contexts:
-            raise RuleSyntaxError("rule has no context", rule=name, line=rule_line)
-        try:
-            cp = rx.parse_pair_regex(_strip_lines(cp_toks), decls)
-            ctx_nodes = []
-            for ctx in contexts:
-                split = [k for k, t in enumerate(ctx) if t[:2] == ("op", "_")]
-                if len(split) != 1:
-                    raise RuleSyntaxError("context needs exactly one _",
-                                          rule=name, line=ctx[0][-1])
-                k = split[0]
-                lc = rx.parse_pair_regex(_strip_lines(ctx[:k]), decls)
-                rc = rx.parse_pair_regex(_strip_lines(ctx[k + 1 :]), decls)
-                ctx_nodes.append((lc, rc))
-        except rx.ParseError as e:
-            raise RuleSyntaxError(str(e), rule=name, line=rule_line)
-        rules.append(TwoLevelRule(name, cp, op, ctx_nodes, where))
-    return rules
+            raise RuleSyntaxError("rule has no context", rule=name, line=line)
+        return TwoLevelRule(name, cp, op[1], contexts, where)
 
-
-def _parse_where(toks, i, rulename, line):
-    variables = []
-    matched = False
-    n = len(toks)
-    while i < n:
-        t = toks[i]
-        if t[:2] == ("op", ";"):
-            i += 1
-            break
-        if t[:2] == ("name", "matched"):
-            matched = True
-            i += 1
-            continue
-        if t[0] != "name":
-            raise RuleSyntaxError("bad where clause at %r" % (t,), rule=rulename, line=line)
-        var = t[1]
-        if i + 1 >= n or toks[i + 1][:2] != ("name", "in"):
-            raise RuleSyntaxError("where: expected '%s in (...)'" % var, rule=rulename, line=line)
-        i += 2
-        if i >= n or toks[i][:2] != ("op", "("):
-            raise RuleSyntaxError("where: expected '(' after in", rule=rulename, line=line)
-        i += 1
-        values = []
-        while i < n and toks[i][:2] != ("op", ")"):
-            if toks[i][0] != "name":
-                raise RuleSyntaxError("where: bad value %r" % (toks[i],), rule=rulename, line=line)
-            values.append(toks[i][1])
-            i += 1
-        if i >= n:
-            raise RuleSyntaxError("where: unterminated value list", rule=rulename, line=line)
-        i += 1
-        variables.append((var, values))
-    if not variables:
-        raise RuleSyntaxError("empty where clause", rule=rulename, line=line)
-    return WhereClause(variables, matched), i
+    def parse_where(self, name, line):
+        variables, matched = [], False
+        while self.peek() is not None:
+            t = self.next()
+            if t == ("op", ";"):
+                break
+            if t == ("name", "matched"):
+                matched = True
+                continue
+            if t[0] != "name":
+                raise RuleSyntaxError("bad where clause at %r" % (t,), rule=name, line=line)
+            if self.peek() != ("name", "in"):
+                raise RuleSyntaxError("where: expected '%s in (...)'" % t[1], rule=name, line=line)
+            self.pos += 1
+            self.expect_op("(")
+            values = []
+            while self.peek() != ("op", ")"):
+                value = self.next()
+                if value[0] != "name":
+                    raise RuleSyntaxError("where: bad value %r" % (value,), rule=name, line=line)
+                values.append(value[1])
+            self.pos += 1
+            variables.append((t[1], values))
+        if not variables:
+            raise RuleSyntaxError("empty where clause", rule=name, line=line)
+        return WhereClause(variables, matched)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ def canonical_dump(a):
 def _gloss_walk(tables, root, tags, start=None):
     """The lexical strings of the gloss paths of [ROOT=root] followed by the
     tags, rules off, in one depth-first walk of the continuation graph from
-    the lexicon roots, independent of the engine's gloss closures.  Gloss 0
-    is [ROOT=root] and gloss k + 1 +tags[k]; a gloss-less entry keeps the
+    ROOT, independent of the engine's gloss closures.  Gloss 0 is
+    [ROOT=root] and gloss k + 1 +tags[k]; a gloss-less entry keeps the
     gloss index, and a path ends at # with every gloss placed.  A path that
     re-enters a sublexicon it entered since it last placed a gloss closes a
     loop, which is cut: exactly when the loop added no text.  Else
@@ -68,8 +68,8 @@ def _gloss_walk(tables, root, tags, start=None):
     # (entry, glosses placed, the lexical string before the entry, the
     # sublexicons entered since the last placed gloss as a ((sublexicon,
     # lexical), rest) list); the walk enters its start through an empty entry
-    starts = [(name, 0) for name in reversed(tables["roots"])] if start is None else [start]
-    stack = [(("", sub), k, "", None) for sub, k in starts]
+    sub, k = (engine.ROOT, 0) if start is None else start
+    stack = [(("", sub), k, "", None)]
     while stack:
         (text, sub), k, lexical, entered = stack.pop()
         lexical += text

@@ -2,7 +2,7 @@ import io
 import re
 import sys
 
-from twolevel import rules
+from twolevel import engine, rules
 from twolevel.cli import main
 from twolevel.turkish import load_turkish
 
@@ -131,6 +131,17 @@ def test_trace_command(capsys):
     rc, out = run(capsys, ["trace", "kitapı"])
     assert rc == 1
     assert "rejected at the rules layer" in out
+
+
+def test_trace_prints_every_step_at_the_two_deepest_positions(capsys):
+    word = "bfchcıjtt"
+    steps = engine.trace(word, "analyze", load_turkish()).steps
+    deepest = max(step.position for step in steps)
+    shown = ["  pos %d pair %s died: %s" % (step.position, step.pair, "; ".join(step.died))
+             for step in steps if step.position >= deepest - 1]
+    rc, out = run(capsys, ["trace", word])
+    assert rc == 1 and len(shown) > 20
+    assert [line for line in out.splitlines() if line.startswith("  pos ")] == shown
 
 
 def test_analyze_trace_at_the_lexicon_layer_names_no_rule(capsys):
@@ -300,3 +311,13 @@ def test_compile_rejects_an_undeclared_pair(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == "error: rule correspondences use undeclared pairs: a:b\n"
+
+
+def test_compile_rejects_a_lexicon_without_its_entry_point(capsys, tmp_path):
+    rules, lexicon = tmp_path / "r.twol", tmp_path / "l.lex"
+    rules.write_text("ALPHABET\na b ;\nRULES\n", encoding="utf-8")
+    lexicon.write_text("LEXICON Start\na # ;\n", encoding="utf-8")
+    rc = main(["compile", "--rules", str(rules), "--lexicon", str(lexicon)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: entry-point LEXICON 'Root' missing\n"

@@ -58,10 +58,16 @@ def test_analyze_deterministic_order(turkish):
     assert a1 == a2 == sorted(a1)
 
 
+def surface_of(analysis, alphabet):
+    """The surface that an analysis's pairs spell, deletions left out."""
+    surfaces = (alphabet.pairs[pid][1].name for pid in analysis.pairs)
+    return "".join(s for s in surfaces if s != NULL)
+
+
 def test_analysis_invariants(turkish):
     for word in ("evlerimizi", "suyunda", "geleceğiz"):
         for a in engine.analyze(word, turkish):
-            assert a.surface(turkish.alphabet) == word
+            assert surface_of(a, turkish.alphabet) == word
             lex = "".join(turkish.alphabet.pairs[p][0].name for p in a.pairs)
             assert lex == a.lexical
             assert run_all(turkish.rule_automata, a.pairs).accepted
@@ -472,16 +478,19 @@ RULES
 UNDECLARED_RULES = 'ALPHABET\na b ;\nRULES\n"r" a:b => _ b ;\n'
 
 
-@pytest.mark.parametrize("rules, lexicon, message", [
-    (INSERTION_RULES, None, "insertion pair 0:a is unsupported"),
-    (UNDECLARED_RULES, "LEXICON Root\nab # ;\n", "undeclared pairs: a:b"),
-    ("ALPHABET\na b ;\nRULES\n", "LEXICON Root\naz # ;\n",
+@pytest.mark.parametrize("rules, lexicon, error, message", [
+    (INSERTION_RULES, None, engine.DescriptionError, "insertion pair 0:a is unsupported"),
+    (UNDECLARED_RULES, "LEXICON Root\nab # ;\n", engine.DescriptionError,
+     "undeclared pairs: a:b"),
+    ("ALPHABET\na b ;\nRULES\n", "LEXICON Root\naz # ;\n", engine.DescriptionError,
      "lexicon symbol 'z' has no feasible pair"),
-], ids=["insertion-pair", "undeclared-pair", "unread-symbol"])
-def test_a_description_that_fails_a_check_is_rejected(rules, lexicon, message):
+    ("ALPHABET\na b ;\nRULES\n", "LEXICON Start\na # ;\n", LinkError,
+     "entry-point LEXICON 'Root' missing"),
+], ids=["insertion-pair", "undeclared-pair", "unread-symbol", "entry-point"])
+def test_a_description_that_fails_a_check_is_rejected(rules, lexicon, error, message):
     # make_description compiles as the CLI does, so it runs every check
     from conftest import make_description
-    with pytest.raises(engine.DescriptionError, match=message):
+    with pytest.raises(error, match=message):
         make_description(rules, lexicon)
 
 
@@ -576,7 +585,7 @@ def test_analyze_long_word_no_recursion_limit(turkish):
     # recursion limit
     readings = engine.analyze(LONG_SURFACE, turkish)
     assert [a.lexical for a in readings] == [LONG_LEXICAL]
-    assert readings[0].surface(turkish.alphabet) == LONG_SURFACE
+    assert surface_of(readings[0], turkish.alphabet) == LONG_SURFACE
 
 
 def test_trace_analyze_long_word_no_recursion_limit(turkish):
@@ -632,7 +641,7 @@ def test_trace_agrees_with_analyze(turkish):
         if not readings:
             assert (report.layer == "rules") == engine.lexicon_covers(w, turkish), w
         for a in readings:
-            assert a.surface(turkish.alphabet) == w
+            assert surface_of(a, turkish.alphabet) == w
 
 
 @settings(max_examples=60, deadline=None)
@@ -651,10 +660,16 @@ def test_trace_agrees_with_analyze_on_any_string(turkish, data):
         assert unicodedata.normalize("NFC", w) in engine.generate(a.lexical, turkish)
 
 
+def start_stack(rt):
+    """The per-state walk's (_walk) stack at the start of a word: ROOT's
+    trie root under the start vector."""
+    return [(rt.trie.roots[engine.ROOT], rt.init_vec, 0, "", "", None)]
+
+
 def observed_walk(rt, word):
-    """trace's observed search as one direct observed walk (_walk) from the
-    lexicon roots: whether it accepts the word, and its events (depth,
-    vector id, pair id) in visiting order."""
+    """trace's observed search as one direct observed walk (_walk) from
+    ROOT: whether it accepts the word, and its events (depth, vector id,
+    pair id) in visiting order."""
     events = []
     step_vec, end = rt.step_vec, rt.end
     n = len(word)
@@ -681,7 +696,7 @@ def observed_walk(rt, word):
             add((i, vid, -1))
         return live
 
-    found, _, loops = engine._walk(rt, codes, n, observe)
+    found, _, loops = engine._walk(rt, codes, n, observe, start_stack(rt))
     return bool(engine._readings(rt, codes, n, found, loops)), events
 
 
@@ -895,8 +910,7 @@ def search_reference(surface, desc, live=None):
                     pid_acc.pop()
 
         if start is None:
-            for root in desc.lexicon.roots:
-                rec(trie.roots[root], rt.init_vec, 0, {})
+            rec(trie.roots[engine.ROOT], rt.init_vec, 0, {})
         else:
             cont, vid, i = start
             rec(trie.roots[cont], vid, i, {(cont, vid): (0, "")})
@@ -993,7 +1007,7 @@ def search_visits(surface, desc, trim=True):
         seen.append((node, vid, i))
         return trimmed_moves(rt, node, vid, codes[i], trim)
 
-    engine._walk(rt, codes, len(surface), observe)
+    engine._walk(rt, codes, len(surface), observe, start_stack(rt))
     return seen
 
 
@@ -1060,10 +1074,10 @@ def test_live_moves_are_bounded():
 
 def composed_states(rt):
     """Every (trie node, vector id) state that the lexicon's moves and
-    continuation jumps reach from the roots: the states of the lexicon
+    continuation jumps reach from ROOT: the states of the lexicon
     composed with the rule automata."""
     trie = rt.trie
-    seen = {(trie.roots[root], rt.init_vec) for root in rt.roots}
+    seen = {(trie.roots[engine.ROOT], rt.init_vec)}
     stack = list(seen)
     while stack:
         node, vid = stack.pop()
@@ -1123,11 +1137,10 @@ def test_live_moves_lead_only_to_live_states():
                if not isinstance(e[0], str)]
     assert len(targets) > 1000
     assert all((state % n, state // n) in live for state in targets)
-    # and the frontier's sets hold live states alone, but for the roots
-    roots = {rt.init_vec * n + rt.trie.roots[root] for root in rt.roots}
+    # and the frontier's sets hold live states alone, but for the start
     assert len(rt.frontier.keys) > 2
     assert all((state % n, state // n) in live
-               for key in rt.frontier.keys for state in key if state not in roots)
+               for key in rt.frontier.keys for state in key if state != rt.start)
 
 
 def test_the_lexicon_bounds_analyze_memory():
@@ -1156,8 +1169,7 @@ def test_the_lexicon_bounds_analyze_memory():
     # of states after a consuming move, stepped through their closures,
     # here those of the reference recursion
     fr = rt.frontier
-    assert fr.keys[1] == tuple(sorted(rt.init_vec * n + rt.trie.roots[root]
-                                      for root in rt.roots))
+    assert fr.keys[1] == (rt.init_vec * n + rt.trie.roots[engine.ROOT],)
     live = coaccessible_states(rt)
     steps = {}
     subsets = {fr.keys[0], fr.keys[1]}
@@ -1185,7 +1197,7 @@ def test_the_closure_memo_is_bounded():
     for w in words + words:
         engine.analyze(w, desc)
     memo, k, live = rt.closures, rt.n_codes + 1, desc.tables["live"]
-    assert set(rt.starts) <= live
+    assert rt.start in live
     assert 0 < len(memo) <= len(live) * k
     assert all(key // k in live for key in memo)
     entries = [entry for value in memo.values() if value for entry in value]
@@ -1577,7 +1589,7 @@ def covers_reference(surface, desc):
     rt = engine.runtime(desc)
     n = len(surface)
     trie = rt.trie
-    stack = [(trie.roots[root], 0) for root in desc.lexicon.roots]
+    stack = [(trie.roots[engine.ROOT], 0)]
     seen = set()
     while stack:
         state = stack.pop()
@@ -1658,7 +1670,7 @@ def lexicon_strings(lexicon, length):
     with no symbol in between is left out, as cutting that loop spells the
     same string."""
     out = set()
-    stack = [(root, "", (root,)) for root in lexicon.roots]
+    stack = [(engine.ROOT, "", (engine.ROOT,))]
     while stack:
         name, text, since = stack.pop()
         for e in lexicon.sublexicons[name]:
